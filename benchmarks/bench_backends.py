@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """Per-backend build/query benchmark → ``BENCH_backends.json``.
 
-This is the calibration loop behind ``backend="auto"``: for every
-registered backend eligible for a (dataset shape, query kind) pair, the
-bench builds the index from scratch (no cache — builds are the point),
-times a τ-sweep query, fits cost-model coefficients from the raw
-measurements (:func:`repro.backends.cost.fit_coefficients`), and
-records what ``auto`` would choose per shape under both the shipped
-default coefficients and the freshly fitted ones.
+A measurement, not a calibration: for every registered backend
+eligible for a (dataset shape, query kind) pair, the bench builds the
+index from scratch (no cache — builds are the point), times a τ-sweep
+query, reports the vector-over-grid speedups that justify ``vector``
+leading ``auto``'s preference order (and gates them at n ≥ 5000), and
+records what ``auto`` chooses per shape and why.
 
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
-and ``BENCH_serve.json``; feed it back with
-``CostModel.from_bench(json.load(open("BENCH_backends.json")))`` to
-recalibrate a registry for your own hardware or data.
+and ``BENCH_serve.json``.
 
 Usage::
 
@@ -28,8 +25,7 @@ import platform
 import sys
 import time
 
-from repro.backends import CostModel, default_registry, fit_coefficients
-from repro.backends.cost import QueryFeatures
+from repro.backends import default_registry
 from repro.datasets import workload_from_spec
 from repro.engine import QuerySpec
 
@@ -98,7 +94,6 @@ def main(argv=None) -> int:
             auto_choices[shape["name"]][spec.kind] = {
                 "chosen": resolution.name,
                 "reason": resolution.reason,
-                "estimated_costs": resolution.costs,
             }
             for descriptor in registry.serving(spec.kind):
                 if not descriptor.supports_metric(tps.metric):
@@ -128,8 +123,8 @@ def main(argv=None) -> int:
                 )
 
     # Vector-over-grid speedup ratios per (shape, kind): the SoA
-    # backend's reason to exist, recorded so regressions are visible in
-    # the artifact and gated below at calibration scale.
+    # backend's reason to lead auto's order, recorded so regressions
+    # are visible in the artifact and gated below at n >= 5000.
     by_key = {(m["shape"], m["kind"], m["backend"]): m for m in measurements}
     speedups = {}
     for shape in SHAPES:
@@ -177,19 +172,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    fitted = fit_coefficients(measurements)
-    fitted_model = CostModel(fitted)
-    # Sanity gate: a fit that prices any backend at zero (or below)
-    # would make auto dispatch degenerate — fail CI loudly.
-    for name, coef in fitted.items():
-        if coef.build <= 0 or coef.query <= 0:
-            print(f"FAIL degenerate fit for {name}: {coef}", file=sys.stderr)
-            return 1
-
-    features = {
-        shape["name"]: QueryFeatures(n=args.n, dim=2, metric=shape["metric"])
-        for shape in SHAPES
-    }
     payload = {
         "bench": "backends",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -201,21 +183,13 @@ def main(argv=None) -> int:
         "measurements": measurements,
         "vector_speedup_over_grid": speedups,
         "best_vector_speedup": best_speedup,
-        "coefficients": {n: c.as_dict() for n, c in fitted.items()},
-        "default_coefficients": registry.cost_model.as_dict(),
         "auto_choices": auto_choices,
-        "fitted_estimates": {
-            name: {
-                backend: fitted_model.estimate(backend, feats)
-                for backend in fitted
-            }
-            for name, feats in features.items()
-        },
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    print(f"wrote {args.out}: {len(measurements)} measurements, "
-          f"{len(fitted)} backends fitted")
+    backends = sorted({m["backend"] for m in measurements})
+    print(f"wrote {args.out}: {len(measurements)} measurements over "
+          f"{len(backends)} backends")
     return 0
 
 

@@ -8,8 +8,7 @@ batch``), so the bench harness measures exactly the code a serving
 workload runs — and ``ENGINE.stats`` exposes how often a round reused
 a preprocessing pass.
 
-Sizes are chosen for pure Python (see DESIGN.md: the ``repro = 3/5``
-band rules out C extensions offline): large enough that the predicted
+Sizes are chosen for pure Python: large enough that the predicted
 shapes — slopes, crossovers, output-sensitivity — are visible, small
 enough that the whole suite finishes in minutes.
 """

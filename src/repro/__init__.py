@@ -17,8 +17,7 @@ Quick start::
     tps = TemporalPointSet(pts, starts, starts + 10, metric="l2")
     triangles = find_durable_triangles(tps, tau=5.0, epsilon=0.5)
 
-See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
-reproduced claims.
+See DESIGN.md for the paper-to-module map.
 """
 
 from .errors import (
@@ -31,7 +30,6 @@ from .errors import (
 from .backends import (
     BackendDescriptor,
     BackendRegistry,
-    CostModel,
     default_registry,
 )
 from .temporal.interval import EMPTY_INTERVAL, Interval, intersect_many, union_length
@@ -76,7 +74,6 @@ __all__ = [
     # backend registry
     "BackendDescriptor",
     "BackendRegistry",
-    "CostModel",
     "default_registry",
     # temporal primitives
     "EMPTY_INTERVAL",

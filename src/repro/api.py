@@ -63,7 +63,7 @@ def find_durable_triangles(
     ``T_τ`` (Theorem B.3); the approximate backends return ``T_τ`` plus
     possibly some τ-durable ε-triangles (Theorem 3.1).  ``backend="auto"``
     promotes ℓ∞ inputs to the exact algorithm for free and otherwise
-    picks the cheapest capable backend via the registry's cost model
+    picks the first capable backend of vector → grid → cover-tree
     (:mod:`repro.backends`).
     """
     spec = QuerySpec(kind="triangles", taus=tau, epsilon=epsilon, backend=backend)

@@ -1,4 +1,4 @@
-"""First-class backend registry with cost-based ``auto`` dispatch.
+"""First-class backend registry with capability-ordered ``auto`` dispatch.
 
 The interchangeable algorithm flavours of the paper — cover-tree vs
 grid spatial decompositions (Appendix A vs Remark 1), approximate vs
@@ -12,23 +12,13 @@ of scattered string checks:
   cache-identity hooks;
 * :class:`~repro.backends.registry.BackendRegistry` — registration,
   capability lookup, and the deterministic ``backend="auto"``
-  resolution (exact preferred when eligible, cheapest by cost model
-  otherwise);
-* :class:`~repro.backends.cost.CostModel` — the measured, calibratable
-  scoring function (``benchmarks/bench_backends.py`` →
-  ``BENCH_backends.json`` → :meth:`~repro.backends.cost.CostModel.
-  from_bench`);
+  resolution (an eligible exact backend first, else the first eligible
+  of :data:`~repro.backends.registry.PREFERENCE`, else custom backends
+  in registration order);
 * :func:`~repro.backends.registry.default_registry` — the lazily
   created process-wide instance with the built-ins installed.
 """
 
-from .cost import (
-    DEFAULT_COEFFICIENTS,
-    BackendCoefficients,
-    CostModel,
-    QueryFeatures,
-    fit_coefficients,
-)
 from .descriptor import BackendDescriptor
 from .registry import BackendRegistry, BackendResolution, default_registry
 
@@ -36,10 +26,5 @@ __all__ = [
     "BackendDescriptor",
     "BackendRegistry",
     "BackendResolution",
-    "BackendCoefficients",
-    "CostModel",
-    "QueryFeatures",
-    "DEFAULT_COEFFICIENTS",
-    "fit_coefficients",
     "default_registry",
 ]

@@ -8,9 +8,8 @@ Each :func:`register_builtin_backends` call installs four descriptors:
   metrics.FunctionMetric` distances.
 * ``grid`` — the one-level quadtree of Remark 1 / Appendix D.1.
   Serves every query kind but only under ``ℓ_α`` metrics
-  (``supports_grid``); builds ~4–5× faster than the cover tree on such
-  inputs (see ``BENCH_backends.json``), which is why the cost model
-  usually picks it for ``auto``.
+  (``supports_grid``); ``auto`` ranks it after ``vector``, whose
+  record sets it shares.
 * ``linf-exact`` — the exact ℓ∞ triangle reporter of Appendix B
   (Algorithm 5, Theorem B.3).  Triangles only, ℓ∞ only, and the only
   backend with an exactness guarantee, so ``auto`` promotes eligible
@@ -18,15 +17,17 @@ Each :func:`register_builtin_backends` call installs four descriptors:
 * ``vector`` — the structure-of-arrays backend
   (:mod:`repro.backends.vector`): the same grid cells as ``grid`` but
   built and queried by batched numpy kernels.  Record sets are
-  identical to ``grid``'s; the calibrated cost model prices it below
-  the object-graph backends on ``ℓ_α`` inputs, so ``auto`` usually
-  picks it there.
+  identical to ``grid``'s, and it is ``auto``'s first choice on
+  ``ℓ_α`` inputs (see :data:`~repro.backends.registry.PREFERENCE`).
 
 The hooks reproduce the historical planner's cache identities
 bit-for-bit: for every pre-existing backend name the
 :class:`~repro.engine.cache.IndexKey` a descriptor emits equals what
 ``repro.engine.planner`` produced before the registry existed
-(asserted by ``tests/test_backends.py::TestKeyStability``).
+(asserted by ``tests/test_backends.py::TestKeyStability``).  The one
+deliberate difference is ``vector`` SUM pairs: the vector index always
+scores through coverage profiles, so both ``sum_backend`` values share
+the ``("profile",)`` key and one build.
 
 Index-class imports happen inside the hooks: the core solvers import
 :mod:`repro.structures.durable_ball`, which consults this registry for
@@ -35,7 +36,7 @@ spatial lookups, so importing them at module scope would be circular.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..engine.cache import IndexKey
 from ..errors import ValidationError
@@ -63,15 +64,23 @@ _FAMILY = {
 _ALL_KINDS = frozenset(_FAMILY)
 
 
-def _spatial_identity(name: str) -> Callable[["QuerySpec", str], IndexKey]:
+def _spatial_identity(
+    name: str, sum_backend: Optional[str] = None
+) -> Callable[["QuerySpec", str], IndexKey]:
     """Identity hook for a durable-ball backend — must stay bit-identical
-    to the historical planner keys (same family, ε, backend, extras)."""
+    to the historical planner keys (same family, ε, backend, extras).
+
+    ``sum_backend`` pins the SUM-pair extra for a backend whose SUM
+    index ignores the spec's choice, so both choices share one index.
+    """
 
     def identity(spec: "QuerySpec", fingerprint: str) -> IndexKey:
         family = _FAMILY.get(spec.kind)
         if family is None:  # pragma: no cover - spec already validates kinds
             raise ValidationError(f"unknown query kind {spec.kind!r}")
-        extra = (spec.sum_backend,) if spec.kind == "pairs-sum" else ()
+        extra = (
+            (sum_backend or spec.sum_backend,) if spec.kind == "pairs-sum" else ()
+        )
         return IndexKey(family, fingerprint, spec.epsilon, name, extra)
 
     return identity
@@ -165,9 +174,7 @@ def _vector_builder(
     if kind == "pairs-sum":
         from .vector import VectorSumPairIndex
 
-        return lambda: VectorSumPairIndex(
-            tps, epsilon=spec.epsilon, sum_backend=spec.sum_backend
-        )
+        return lambda: VectorSumPairIndex(tps, epsilon=spec.epsilon)
     if kind == "pairs-union":
         from .vector import VectorUnionPairIndex
 
@@ -271,7 +278,7 @@ def register_builtin_backends(registry: BackendRegistry) -> BackendRegistry:
             metric_requirement="lp metrics (grid cells)",
             metric_ok=lambda metric: bool(metric.supports_grid),
             make_builder=_vector_builder,
-            index_identity=_spatial_identity("vector"),
+            index_identity=_spatial_identity("vector", sum_backend="profile"),
             decomposition_factory=_vector_factory,
         ),
         replace=True,

@@ -16,8 +16,9 @@ BackendDescriptor` here.  Consumers stopped hardcoding the choices:
 * the serving layer and the CLI list capabilities from
   :meth:`BackendRegistry.describe`.
 
-Resolution policy for ``backend="auto"`` (deterministic for a fixed
-dataset fingerprint — no clocks, no randomness):
+Resolution policy for ``backend="auto"`` — the paper's choice by
+capability, deterministic for a fixed dataset (no clocks, no
+randomness, no dependence on n, dim or the number of τs):
 
 1. candidates are the registered backends serving the query kind whose
    metric predicate accepts the dataset's metric;
@@ -25,10 +26,12 @@ dataset fingerprint — no clocks, no randomness):
    naming one); ``exact=False`` removes them;
 3. if an exact backend remains eligible it wins outright — exact
    output (no ε-extras) beats any constant-factor speed difference,
-   preserving the historical ℓ∞ promotion;
-4. otherwise the :class:`~repro.backends.cost.CostModel` scores every
-   candidate for the query shape ``(n, dim, metric, |taus|)`` and the
-   cheapest wins, ties broken by registration order.
+   preserving the historical ℓ∞ promotion (Appendix B);
+4. otherwise the first eligible name in :data:`PREFERENCE` wins:
+   ``vector`` and ``grid`` (grid cells, Remark 1) on ℓ_α metrics, the
+   ``cover-tree`` (Appendix A) for any other metric;
+5. custom backends rank after those, in registration order — they are
+   chosen only when no built-in is eligible.
 """
 
 from __future__ import annotations
@@ -39,28 +42,32 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import BackendError, ValidationError
-from .cost import CostModel, QueryFeatures
 from .descriptor import BackendDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.spec import QuerySpec
     from ..types import TemporalPointSet
 
-__all__ = ["BackendResolution", "BackendRegistry", "default_registry"]
+__all__ = ["PREFERENCE", "BackendResolution", "BackendRegistry", "default_registry"]
+
+#: Approximate backends in ``auto`` preference order.  ``vector`` and
+#: ``grid`` return identical record sets; ``vector`` is the faster of
+#: the two (``benchmarks/bench_backends.py`` measures it).
+PREFERENCE: Tuple[str, ...] = ("vector", "grid", "cover-tree")
 
 
 @dataclass(frozen=True)
 class BackendResolution:
     """The outcome of one ``resolve`` call (descriptor + audit trail).
 
-    ``costs`` maps every eligible candidate to its cost-model estimate
-    (seconds), so callers — the CLI's ``--explain``, tests, future
-    routing layers — can see *why* the winner won; ``reason`` is the
+    ``candidates`` lists every eligible backend name in preference
+    order (the winner first), so callers — the CLI's ``--explain``,
+    tests — can see what else could have run; ``reason`` is the
     human-readable rule that decided.
     """
 
     descriptor: BackendDescriptor
-    costs: Dict[str, float]
+    candidates: Tuple[str, ...]
     reason: str
 
     @property
@@ -68,19 +75,26 @@ class BackendResolution:
         return self.descriptor.name
 
 
+def _preference_rank(descriptor: BackendDescriptor) -> int:
+    """Sort key: exact backends, then :data:`PREFERENCE`, then the rest
+    (a stable sort keeps registration order within each tier)."""
+    if descriptor.exact:
+        return 0
+    if descriptor.name in PREFERENCE:
+        return 1 + PREFERENCE.index(descriptor.name)
+    return 1 + len(PREFERENCE)
+
+
 class BackendRegistry:
-    """Name → :class:`BackendDescriptor` mapping with cost-based dispatch.
+    """Name → :class:`BackendDescriptor` mapping with capability dispatch.
 
     Thread-safe for registration; lookups and resolution touch an
-    immutable snapshot.  ``cost_model`` may be swapped (e.g. with
-    :meth:`~repro.backends.cost.CostModel.from_bench` coefficients) to
-    recalibrate ``auto`` without re-registering anything.
+    immutable snapshot.
     """
 
-    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._descriptors: "OrderedDict[str, BackendDescriptor]" = OrderedDict()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
 
     # ------------------------------------------------------------------
     def register(
@@ -148,14 +162,8 @@ class BackendRegistry:
             return tuple(d for d in self._descriptors.values() if d.serves(kind))
 
     def describe(self) -> List[Dict[str, Any]]:
-        """JSON-ready capability cards plus each backend's coefficients."""
-        cards = []
-        for desc in self.descriptors():
-            card = desc.describe()
-            coef = self.cost_model.coefficients.get(desc.name)
-            card["cost_coefficients"] = coef.as_dict() if coef else None
-            cards.append(card)
-        return cards
+        """JSON-ready capability cards, in registration order."""
+        return [desc.describe() for desc in self.descriptors()]
 
     # ------------------------------------------------------------------
     def validate_combination(self, kind: str, backend: str) -> None:
@@ -193,7 +201,6 @@ class BackendRegistry:
         """
         kind = spec.kind
         metric = tps.metric
-        features = QueryFeatures.of(tps, spec)
         explicit: Optional[BackendDescriptor] = None
         if spec.backend != "auto":
             self.validate_combination(kind, spec.backend)
@@ -220,7 +227,7 @@ class BackendRegistry:
                 )
             return BackendResolution(
                 descriptor=target,
-                costs={target.name: self.cost_model.estimate(target.name, features)},
+                candidates=(target.name,),
                 reason="exact reporting requested",
             )
 
@@ -242,41 +249,34 @@ class BackendRegistry:
                 )
             return BackendResolution(
                 descriptor=explicit,
-                costs={
-                    explicit.name: self.cost_model.estimate(explicit.name, features)
-                },
+                candidates=(explicit.name,),
                 reason="explicitly requested",
             )
 
-        # auto: capability filter, then exact preference, then cost.
-        candidates = [
-            d
-            for d in self.serving(kind)
-            if d.supports_metric(metric) and not (spec.exact is False and d.exact)
-        ]
+        # auto: capability filter, then the fixed preference order.
+        candidates = sorted(
+            (
+                d
+                for d in self.serving(kind)
+                if d.supports_metric(metric)
+                and not (spec.exact is False and d.exact)
+            ),
+            key=_preference_rank,
+        )
         if not candidates:
             raise ValidationError(
                 f"no registered backend serves {kind!r} queries under the "
                 f"{metric.name!r} metric"
             )
-        costs = {
-            d.name: self.cost_model.estimate(d.name, features) for d in candidates
-        }
-        exacts = [d for d in candidates if d.exact]
-        if exacts:
-            return BackendResolution(
-                descriptor=exacts[0],
-                costs=costs,
-                reason="exact backend eligible (no ε-extras beats speed)",
-            )
-        chosen = min(candidates, key=lambda d: costs[d.name])  # stable: ties
-        return BackendResolution(                              # keep registration order
+        chosen = candidates[0]
+        return BackendResolution(
             descriptor=chosen,
-            costs=costs,
+            candidates=tuple(d.name for d in candidates),
             reason=(
-                f"cheapest by cost model for shape (n={features.n}, "
-                f"dim={features.dim}, metric={features.metric}, "
-                f"taus={features.n_taus})"
+                "exact backend eligible (no ε-extras beats speed)"
+                if chosen.exact
+                else f"first eligible of {' → '.join(PREFERENCE)}, "
+                "then registration order"
             ),
         )
 

@@ -50,7 +50,7 @@ import numpy as np
 from ...core.aggregate import SumPairIndex, UnionPairIndex
 from ...core.patterns import PatternIndex
 from ...core.triangles import DurableTriangleIndex
-from ...errors import BackendError, ValidationError
+from ...errors import ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
 from ...temporal.interval import Interval
 from ...temporal.max_overlap import MaxOverlapIndex
@@ -487,25 +487,23 @@ class LazyOverlaps:
 class VectorSumPairIndex(SumPairIndex):
     """Algorithm 4 with batched partner *and* witness scoring.
 
-    ``sum_backend`` is accepted for cache-identity symmetry with the
-    legacy class; both values compute through the coverage-profile
-    arrays (the two legacy structures are output-identical by design,
-    so the records are too).
+    Witness sums always come from the coverage-profile arrays (the two
+    legacy SUM structures are output-identical by design), so the
+    cache identity carries ``"profile"`` whatever the query asked for.
     """
+
+    #: Read by the inherited ``cache_key()``.
+    sum_backend = "profile"
 
     def __init__(
         self,
         tps: TemporalPointSet,
         epsilon: float = 0.5,
         backend: str = "vector",
-        sum_backend: str = "profile",
     ) -> None:
-        if sum_backend not in ("profile", "tree"):
-            raise BackendError(f"unknown sum backend {sum_backend!r}")
         self.tps = tps
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
-        self.sum_backend = sum_backend
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
         self._sums = LazyProfiles(self.structure.layout)
 
@@ -514,7 +512,6 @@ class VectorSumPairIndex(SumPairIndex):
         clone.tps = tps
         clone.epsilon = self.epsilon
         clone.backend = self.backend
-        clone.sum_backend = self.sum_backend
         clone.structure = self.structure.extended(tps)
         clone._sums = LazyProfiles(clone.structure.layout)
         clone._sums.cache.update(

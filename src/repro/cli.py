@@ -20,14 +20,15 @@ Commands::
     python -m repro trace      --slow --port 8765
 
 Backend dispatch is uniform across the CLI: every query-running command
-takes ``--backend`` (default ``auto`` — the registry's cost model picks
-the cheapest capable backend for the dataset shape; see ``python -m
-repro backends``).  The one-shot commands (``triangles``, ``cliques``,
-``pairs-sum``, ``pairs-union``) run through the same engine/planner
-path as ``batch`` and ``serve``, so ``auto`` means the same thing
-everywhere.  ``backends`` lists the registered descriptors and, with
-``--explain``, shows the per-kind resolution and cost scores for a
-concrete workload.
+takes ``--backend`` (default ``auto`` — the registry picks an eligible
+exact backend, else the first eligible of vector → grid → cover-tree;
+see ``python -m repro backends``).  The one-shot commands
+(``triangles``, ``cliques``, ``pairs-sum``, ``pairs-union``) run
+through the same engine/planner path as ``batch`` and ``serve``, so
+``auto`` means the same thing everywhere.  ``backends`` lists the
+registered descriptors and, with ``--explain``, shows the per-kind
+winner, the deciding rule and the candidate order for a concrete
+workload.
 
 ``batch`` runs a whole file of queries through the shared-index
 :class:`~repro.engine.QueryEngine`: every query that can legally reuse
@@ -48,8 +49,8 @@ as NDJSON over HTTP.
 ``route`` runs the multi-process routing tier (:mod:`repro.router`):
 ``--workers N`` serve processes are spawned on loopback ports and
 supervised (restart-with-replay on death), datasets are placed by
-cost-weighted rendezvous hashing, and the same NDJSON protocol is
-exposed on one public port.
+rendezvous (HRW) hashing over worker slots, and the same NDJSON
+protocol is exposed on one public port.
 
 ``append`` streams an NDJSON event batch (file or stdin) into a served
 dataset via ``POST /datasets/<name>/events``, printing the new epoch
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distance approximation ε")
         p.add_argument("--top", type=int, default=5, help="rows to print")
         p.add_argument("--backend", default="auto",
-                       help="backend name, or 'auto' for registry cost-model "
+                       help="backend name, or 'auto' for registry capability "
                             "dispatch (see `python -m repro backends`)")
 
     p_info = sub.add_parser("info", help="workload diagnostics (spread, doubling dim)")
@@ -114,14 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_back = sub.add_parser(
         "backends",
-        help="list registered backends, capabilities and cost coefficients",
+        help="list registered backends and their capabilities",
     )
     common(p_back)
     p_back.add_argument("--json", action="store_true",
                         help="emit the descriptor list as JSON")
     p_back.add_argument("--explain", action="store_true",
                         help="resolve every query kind against the selected "
-                             "workload and print the cost scores")
+                             "workload and print the winner, the rule and "
+                             "the candidate order")
 
     p_tri = sub.add_parser("triangles", help="report durable triangles (Section 3)")
     common(p_tri)
@@ -235,11 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--workers", type=int, default=2,
                       help="worker processes to spawn (each a full "
                            "`repro serve` on a loopback port)")
-    p_rt.add_argument("--worker-backends", action="append", default=[],
-                      metavar="NAMES",
-                      help="comma-separated backend subset the i-th worker "
-                           "advertises for placement scoring ('any' = all; "
-                           "repeat per worker, in order)")
     p_rt.add_argument("--manifest", default=None, metavar="PATH",
                       help="persist the placement manifest to PATH; an "
                            "existing manifest is restored at boot")
@@ -450,14 +447,7 @@ def _spec_for_kind(kind: str, args: argparse.Namespace) -> QuerySpec:
 def _run_backends(args: argparse.Namespace, out) -> int:
     registry = default_registry()
     if args.json:
-        json.dump(
-            {
-                "backends": registry.describe(),
-                "cost_coefficients": registry.cost_model.as_dict(),
-            },
-            out,
-            indent=2,
-        )
+        json.dump({"backends": registry.describe()}, out, indent=2)
         print(file=out)
     else:
         print(f"registered backends: {len(registry)}", file=out)
@@ -467,33 +457,22 @@ def _run_backends(args: argparse.Namespace, out) -> int:
                 flags.append("exact")
             if card["spatial"]:
                 flags.append("spatial")
-            coef = card["cost_coefficients"]
-            coef_text = (
-                f"build {coef['build']:.2e}, query {coef['query']:.2e}"
-                if coef
-                else "uncalibrated"
-            )
             print(f"  {card['name']}  [{', '.join(flags) or '-'}]", file=out)
             print(f"    {card['description']}", file=out)
             print(f"    metric: {card['metric']}", file=out)
             print(f"    kinds:  {', '.join(card['kinds'])}", file=out)
-            print(f"    cost:   {coef_text}", file=out)
     if args.explain:
         tps = load_workload(args)
         print(f"resolution for {tps} (backend={args.backend!r}):", file=out)
         for kind in KINDS:
             try:
-                resolution = default_registry().resolve(_spec_for_kind(kind, args), tps)
+                resolution = registry.resolve(_spec_for_kind(kind, args), tps)
             except ValidationError as exc:
                 print(f"  {kind:<11} -> error: {exc}", file=out)
                 continue
-            scores = ", ".join(
-                f"{name}={cost * 1e3:.2f}ms"
-                for name, cost in sorted(resolution.costs.items())
-            )
             print(
                 f"  {kind:<11} -> {resolution.name}  ({resolution.reason}; "
-                f"est {scores})",
+                f"candidates {', '.join(resolution.candidates)})",
                 file=out,
             )
     return 0
@@ -559,25 +538,6 @@ def _run_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _parse_worker_backends(entries: List[str]) -> Optional[List[Optional[List[str]]]]:
-    """Parse repeated ``--worker-backends NAMES`` flags (one per worker)."""
-    if not entries:
-        return None
-    parsed: List[Optional[List[str]]] = []
-    for entry in entries:
-        if entry.strip().lower() in ("any", "all", "*"):
-            parsed.append(None)
-            continue
-        names = [name.strip() for name in entry.split(",") if name.strip()]
-        if not names:
-            raise ValidationError(
-                f"--worker-backends expects comma-separated backend names "
-                f"or 'any', got {entry!r}"
-            )
-        parsed.append(names)
-    return parsed
-
-
 def _run_route(args: argparse.Namespace, out) -> int:
     from .router import run_router
 
@@ -621,7 +581,6 @@ def _run_route(args: argparse.Namespace, out) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        worker_backends=_parse_worker_backends(args.worker_backends),
         manifest_path=args.manifest,
         serve_args=serve_args,
         datasets=_parse_boot_datasets(args.dataset),

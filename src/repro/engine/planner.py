@@ -15,8 +15,9 @@ Dispatch is two-layered:
 * inside the built-in templates, backend dispatch goes through the
   backend registry (:mod:`repro.backends`):
   :meth:`~repro.backends.registry.BackendRegistry.resolve` validates
-  the kind/backend/metric combination, resolves ``backend="auto"``
-  through the cost model (exact ℓ∞ promotion included), and the chosen
+  the kind/backend/metric combination, resolves ``backend="auto"`` by
+  the registry's fixed capability order (exact ℓ∞ promotion first),
+  and the chosen
   descriptor's hooks emit the cache key and builder.  For every
   pre-existing explicit backend name the emitted
   :class:`~repro.engine.cache.IndexKey` is bit-identical to the
@@ -120,7 +121,7 @@ def plan_query(
 
     Dispatches to the spec's plan template; ``registry`` (defaulting to
     the process-wide backend registry) scopes backend dispatch — and
-    any custom backends or recalibrated cost model — to this call.
+    any custom backends registered on it — to this call.
     """
     # Imported lazily: the template registry imports this module for
     # QueryPlan/PlanStage, so the dependency must not be circular at

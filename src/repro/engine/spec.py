@@ -142,7 +142,7 @@ class QuerySpec:
         Distance approximation ``ε ∈ (0, 1]`` (ignored by the exact ℓ∞
         triangle solver).
     backend:
-        Backend name — ``"auto"`` (registry cost-model dispatch) or any
+        Backend name — ``"auto"`` (registry capability dispatch) or any
         name registered on the backend registry
         (:func:`known_backends` lists the current set).
     kappa:

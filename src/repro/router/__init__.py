@@ -6,10 +6,8 @@ hot on a dedicated process.  This package is that scaling seam: a
 router process that owns **placement** and **supervision**, in front of
 N ``repro serve`` worker processes that own the shards.
 
-* :mod:`~repro.router.placement` — cost-weighted rendezvous hashing:
-  deterministic, churn-stable, and biased toward workers whose
-  advertised backends the PR-4 cost model prices cheap for the
-  dataset's shape;
+* :mod:`~repro.router.placement` — rendezvous (HRW) hashing over slot
+  ids: deterministic across restarts and churn-stable;
 * :mod:`~repro.router.manifest` — the placement manifest (dataset →
   worker + replayable registration payload), optionally persisted for
   router restarts;
@@ -33,7 +31,7 @@ from typing import Any, Mapping, Optional, Sequence
 from ..obs.tracestore import DEFAULT_SLOW_QUERY_MS, DEFAULT_TRACE_SAMPLE
 from ..serve.server import ServerHandle, start_app_thread
 from .manifest import ManifestEntry, PlacementManifest
-from .placement import WorkerCandidate, choose_worker, features_from_spec
+from .placement import choose_worker
 from .proxy import RouterApp
 from .supervisor import (
     DEFAULT_BOOT_TIMEOUT,
@@ -45,12 +43,10 @@ from .supervisor import (
 __all__ = [
     "ManifestEntry",
     "PlacementManifest",
-    "WorkerCandidate",
     "WorkerPool",
     "WorkerStatus",
     "RouterApp",
     "choose_worker",
-    "features_from_spec",
     "run_router",
     "start_router_thread",
     "DEFAULT_PROBE_INTERVAL",
@@ -60,7 +56,6 @@ __all__ = [
 
 def _build_router(
     workers: int,
-    worker_backends: Optional[Sequence[Optional[Sequence[str]]]],
     manifest_path: Optional[str],
     probe_interval: float,
     serve_args: Sequence[str],
@@ -73,7 +68,6 @@ def _build_router(
     manifest = PlacementManifest(manifest_path)
     pool = WorkerPool(
         workers=workers,
-        worker_backends=worker_backends,
         serve_args=serve_args,
         manifest=manifest,
         probe_interval=probe_interval,
@@ -103,7 +97,6 @@ def run_router(
     host: str = "127.0.0.1",
     port: int = 8766,
     workers: int = 2,
-    worker_backends: Optional[Sequence[Optional[Sequence[str]]]] = None,
     manifest_path: Optional[str] = None,
     probe_interval: float = DEFAULT_PROBE_INTERVAL,
     serve_args: Sequence[str] = (),
@@ -116,7 +109,7 @@ def run_router(
     import asyncio
 
     app = _build_router(
-        workers, worker_backends, manifest_path, probe_interval,
+        workers, manifest_path, probe_interval,
         serve_args, datasets,
         trace_sample=trace_sample, slow_query_ms=slow_query_ms,
     )
@@ -133,7 +126,6 @@ def start_router_thread(
     workers: int = 2,
     host: str = "127.0.0.1",
     port: int = 0,
-    worker_backends: Optional[Sequence[Optional[Sequence[str]]]] = None,
     manifest_path: Optional[str] = None,
     probe_interval: float = DEFAULT_PROBE_INTERVAL,
     serve_args: Sequence[str] = (),
@@ -151,7 +143,7 @@ def start_router_thread(
     router bench drive.
     """
     app = _build_router(
-        workers, worker_backends, manifest_path, probe_interval,
+        workers, manifest_path, probe_interval,
         serve_args, datasets,
         trace_sample=trace_sample, slow_query_ms=slow_query_ms,
         tracing=tracing,

@@ -1,120 +1,42 @@
-"""Cost-weighted rendezvous placement of datasets onto workers.
+"""Rendezvous placement of datasets onto worker slots.
 
 The router owns dataset placement: every ``POST /datasets`` picks the
-worker that will host the dataset's shard, and that choice must be
+worker slot that will host the dataset's shard, and that choice must be
 
-* **deterministic** — the same dataset name, shape and worker fleet
-  must map to the same worker across router restarts, so a restarted
-  router (replaying its manifest) rebuilds the exact same layout and
+* **deterministic** — the same dataset name and worker fleet must map
+  to the same slot across router restarts, so a restarted router
+  (replaying its manifest) rebuilds the exact same layout and
   cache-key locality is preserved;
 * **stable under churn** — adding or removing one worker must move as
-  few datasets as possible (no modular-hash reshuffle);
-* **cost-aware** — a worker advertising a backend that the PR-4
-  :class:`~repro.backends.cost.CostModel` prices cheap for this
-  dataset shape should attract proportionally more datasets.
+  few datasets as possible (no modular-hash reshuffle).
 
-Weighted rendezvous (highest-random-weight) hashing gives all three:
-each ``(dataset, worker)`` pair hashes to a uniform draw ``u ∈ (0, 1]``
-(SHA-256, salt-free — Python's randomized ``hash()`` would break
-restart determinism), the draw is stretched by the worker's
-:meth:`~repro.backends.cost.CostModel.placement_weight` into the key
-``-ln(u) / weight``, and the smallest key wins.  Removing a worker
-only re-places the datasets it owned; the weight enters exactly as in
-weighted-HRW literature, so long-run dataset share is proportional to
-weight.
+Rendezvous (highest-random-weight, HRW) hashing gives both: each
+``(dataset, slot)`` pair hashes to a 64-bit draw (SHA-256, salt-free —
+Python's randomized ``hash()`` would break restart determinism) and
+the highest draw wins.  Removing a slot only re-places the datasets it
+owned.  Every worker runs the same backends, so every slot is an
+equally good host and no weighting is needed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Sequence
 
-from ..backends.cost import CostModel, QueryFeatures
 from ..errors import ValidationError
 
-__all__ = [
-    "WorkerCandidate",
-    "features_from_spec",
-    "placement_scores",
-    "choose_worker",
-]
+__all__ = ["choose_worker"]
 
 
-@dataclass(frozen=True)
-class WorkerCandidate:
-    """One placeable worker slot.
-
-    ``worker`` is the stable slot id (``worker-0`` …), which outlives
-    individual worker processes — restarts keep the slot, so placement
-    never moves on a crash.  ``backends`` is the subset of backend
-    names the worker advertises (``None`` = everything registered),
-    which feeds the cost weight.
-    """
-
-    worker: str
-    backends: Optional[Tuple[str, ...]] = None
+def _draw(dataset: str, slot: str) -> int:
+    """Deterministic 64-bit draw for one (dataset, slot) pair."""
+    digest = hashlib.sha256(f"{dataset}\x00{slot}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
-def features_from_spec(spec: Any) -> QueryFeatures:
-    """Dataset shape for placement scoring, straight off the wire spec.
-
-    Placement must not materialise the workload (that happens on the
-    chosen worker), so the shape is read from the declarative spec's
-    own fields — ``n``/``dim``/``metric`` with neutral defaults for
-    specs that omit them (e.g. CSV datasets whose size is unknown until
-    loaded).  A wrong guess only skews the *weight*, never correctness:
-    any worker can serve any dataset.
-    """
-    if not isinstance(spec, Mapping):
-        spec = {}
-
-    def _as_int(key: str, default: int) -> int:
-        try:
-            return int(spec.get(key, default) or default)
-        except (TypeError, ValueError):
-            return default
-
-    return QueryFeatures(
-        n=_as_int("n", 1),
-        dim=_as_int("dim", 2),
-        metric=str(spec.get("metric", "l2")),
-        n_taus=1,
-    )
-
-
-def _uniform(dataset: str, worker: str) -> float:
-    """Deterministic draw in ``(0, 1]`` for one (dataset, worker) pair."""
-    digest = hashlib.sha256(f"{dataset}\x00{worker}".encode("utf-8")).digest()
-    return (int.from_bytes(digest[:8], "big") + 1) / 2.0**64
-
-
-def placement_scores(
-    dataset: str,
-    features: QueryFeatures,
-    candidates: Sequence[WorkerCandidate],
-    cost_model: CostModel,
-) -> Dict[str, float]:
-    """Every candidate's rendezvous key (smaller wins) — the audit trail
-    behind :func:`choose_worker`, surfaced for tests and ``/stats``."""
-    return {
-        cand.worker: -math.log(_uniform(dataset, cand.worker))
-        / cost_model.placement_weight(features, cand.backends)
-        for cand in candidates
-    }
-
-
-def choose_worker(
-    dataset: str,
-    features: QueryFeatures,
-    candidates: Sequence[WorkerCandidate],
-    cost_model: CostModel,
-) -> str:
-    """The worker slot that hosts ``dataset`` (deterministic)."""
-    if not candidates:
+def choose_worker(dataset: str, slots: Sequence[str]) -> str:
+    """The slot that hosts ``dataset``: the highest draw, ties broken
+    by the smaller slot id (deterministic and order-invariant)."""
+    if not slots:
         raise ValidationError("cannot place a dataset: the worker pool is empty")
-    scores = placement_scores(dataset, features, candidates, cost_model)
-    # Ties (astronomically unlikely with 64-bit draws, but cheap to
-    # pin down) break on the slot id so the choice stays deterministic.
-    return min(sorted(scores), key=lambda worker: (scores[worker], worker))
+    return min(slots, key=lambda slot: (-_draw(dataset, slot), slot))

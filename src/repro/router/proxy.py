@@ -4,8 +4,8 @@
 the single-process serve layer — clients cannot tell the difference —
 but owns **placement** instead of shards:
 
-* ``POST   /datasets`` picks the owning worker by cost-weighted
-  rendezvous hashing (:mod:`repro.router.placement`), forwards the
+* ``POST   /datasets`` picks the owning worker by rendezvous (HRW)
+  hashing over slot ids (:mod:`repro.router.placement`), forwards the
   registration, and records the placement in the manifest that
   restart-with-replay trusts;
 * ``POST   /query`` proxies the owning worker's chunked NDJSON stream
@@ -58,8 +58,6 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 from urllib.parse import quote, unquote
 
-from ..backends import default_registry
-from ..backends.cost import CostModel
 from ..errors import ValidationError
 from ..obs import ExpositionError, parse_exposition, relabel, render_merged
 from ..obs.trace import TRACEPARENT_HEADER, format_traceparent
@@ -80,7 +78,7 @@ from ..serve.server import (
     UnavailableError,
 )
 from .manifest import PlacementManifest
-from .placement import choose_worker, features_from_spec, placement_scores
+from .placement import choose_worker
 from .supervisor import WorkerPool, WorkerStatus, worker_request
 
 __all__ = ["RouterApp"]
@@ -116,7 +114,6 @@ class RouterApp(AsyncApp):
         self,
         pool: WorkerPool,
         manifest: Optional[PlacementManifest] = None,
-        cost_model: Optional[CostModel] = None,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         max_requests_per_connection: int = DEFAULT_MAX_REQUESTS_PER_CONNECTION,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
@@ -134,11 +131,6 @@ class RouterApp(AsyncApp):
         )
         self.pool = pool
         self.manifest = manifest if manifest is not None else pool.manifest
-        # The same calibrated cost model that drives backend="auto"
-        # scores (dataset shape, worker backends) for placement.
-        self.cost_model = (
-            cost_model if cost_model is not None else default_registry().cost_model
-        )
         self.proxied_queries = 0
         self.proxy_unavailable = 0
         self.registrations = 0
@@ -664,14 +656,6 @@ class RouterApp(AsyncApp):
         return render_merged(own, *(m for m in scraped if m is not None))
 
     # ------------------------------------------------------------------
-    def _place(self, name: str, dataset_spec: Any) -> str:
-        return choose_worker(
-            name,
-            features_from_spec(dataset_spec),
-            self.pool.candidates(),
-            self.cost_model,
-        )
-
     async def _handle_register(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
@@ -701,7 +685,7 @@ class RouterApp(AsyncApp):
                 },
             )
             return
-        slot = self._place(name, doc.get("dataset"))
+        slot = choose_worker(name, self.pool.slots())
         status = self.pool.status(slot)
         if not status.running:
             self.proxy_unavailable += 1
@@ -1039,21 +1023,12 @@ class RouterApp(AsyncApp):
             "replayed_event_batches": self.pool.replayed_event_batches_total,
         }
         router["placement"] = {
-            "policy": "cost-weighted rendezvous (HRW)",
+            "policy": "rendezvous (HRW)",
             "datasets": self.manifest.placements(),
         }
         return {"router": router, "workers": workers, "totals": totals}
 
     # ------------------------------------------------------------------
-    def explain_placement(self, name: str, dataset_spec: Any) -> Dict[str, float]:
-        """Per-worker rendezvous keys for one dataset (debug/test hook)."""
-        return placement_scores(
-            name,
-            features_from_spec(dataset_spec),
-            self.pool.candidates(),
-            self.cost_model,
-        )
-
     def bootstrap(self) -> int:
         """Re-register every manifest entry onto its placed worker.
 
@@ -1067,7 +1042,7 @@ class RouterApp(AsyncApp):
         """
         restored = 0
         for entry in self.manifest.entries():
-            slot = self._place(entry.name, entry.payload.get("dataset"))
+            slot = choose_worker(entry.name, self.pool.slots())
             status = self.pool.status(slot)
             if not status.running:
                 continue  # supervisor will replay once the slot is back
@@ -1084,7 +1059,7 @@ class RouterApp(AsyncApp):
     def register_blocking(self, name: str, dataset_spec: Any) -> str:
         """Boot-time registration (CLI ``--dataset``); returns the slot."""
         payload = {"name": name, "dataset": dataset_spec}
-        slot = self._place(name, dataset_spec)
+        slot = choose_worker(name, self.pool.slots())
         status = self.pool.status(slot)
         code, body = worker_request(
             status.host, status.port, "POST", "/datasets",

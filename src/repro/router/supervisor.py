@@ -41,7 +41,6 @@ from urllib.parse import quote
 
 from ..errors import ReproError, ValidationError
 from .manifest import ManifestEntry, PlacementManifest
-from .placement import WorkerCandidate
 
 __all__ = [
     "WorkerStatus",
@@ -82,7 +81,6 @@ class WorkerStatus:
     port: Optional[int]
     pid: Optional[int]
     restarts: int
-    backends: Optional[Tuple[str, ...]]
 
 
 def worker_request(
@@ -198,8 +196,7 @@ class _WorkerProcess:
 class _WorkerState:
     """Mutable per-slot record, guarded by the pool lock."""
 
-    def __init__(self, candidate: WorkerCandidate) -> None:
-        self.candidate = candidate
+    def __init__(self) -> None:
         self.current: Optional[_WorkerProcess] = None
         self.generation = 0
         self.restarts = 0
@@ -218,7 +215,6 @@ class WorkerPool:
     def __init__(
         self,
         workers: int = 2,
-        worker_backends: Optional[Sequence[Optional[Sequence[str]]]] = None,
         host: str = "127.0.0.1",
         serve_args: Sequence[str] = (),
         manifest: Optional[PlacementManifest] = None,
@@ -228,10 +224,6 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ValidationError(f"need at least 1 worker, got {workers!r}")
-        if worker_backends is not None and len(worker_backends) > workers:
-            raise ValidationError(
-                f"{len(worker_backends)} backend subsets for {workers} workers"
-            )
         self.host = host
         self.serve_args = list(serve_args)
         self.manifest = manifest if manifest is not None else PlacementManifest()
@@ -252,15 +244,9 @@ class WorkerPool:
         #: (which can sit in boot/replay for a long time) still finds
         #: and kills them instead of orphaning a live subprocess.
         self._pending: set = set()
-        self._states: Dict[str, _WorkerState] = {}
-        for i in range(workers):
-            backends = None
-            if worker_backends is not None and i < len(worker_backends):
-                sub = worker_backends[i]
-                backends = tuple(sub) if sub is not None else None
-            self._states[f"worker-{i}"] = _WorkerState(
-                WorkerCandidate(worker=f"worker-{i}", backends=backends)
-            )
+        self._states: Dict[str, _WorkerState] = {
+            f"worker-{i}": _WorkerState() for i in range(workers)
+        }
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -308,18 +294,14 @@ class WorkerPool:
         return proc
 
     # ------------------------------------------------------------------
-    def candidates(self) -> Tuple[WorkerCandidate, ...]:
-        """Every configured slot, dead or alive.
+    def slots(self) -> Tuple[str, ...]:
+        """Every configured slot id, dead or alive.
 
         Placement hashes over *slots*, not live processes: a dataset
         placed while its worker restarts still belongs to that slot
         (queries get 503 until the replay lands), which is what keeps
         placement deterministic across crashes and restarts.
         """
-        with self._lock:
-            return tuple(state.candidate for state in self._states.values())
-
-    def slots(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(self._states)
 
@@ -341,7 +323,6 @@ class WorkerPool:
                 port=proc.port if proc is not None else None,
                 pid=proc.pid if proc is not None else None,
                 restarts=state.restarts,
-                backends=state.candidate.backends,
             )
 
     def statuses(self) -> List[WorkerStatus]:
@@ -550,7 +531,6 @@ class WorkerPool:
                 "address": (
                     f"{status.host}:{status.port}" if status.port else None
                 ),
-                "backends": list(status.backends) if status.backends else None,
                 "last_error": last_error,
             }
         return out

@@ -114,7 +114,7 @@ def _normalise_default_backend(
 ) -> Optional[str]:
     """Validate a default backend against the registry (and a dataset).
 
-    ``None`` and ``"auto"`` both mean "no override" (cost-model
+    ``None`` and ``"auto"`` both mean "no override" (registry ``auto``
     dispatch); anything else must be a registered backend name.  When a
     dataset is at hand the backend's metric predicate is checked too,
     so an incompatible default — e.g. ``linf-exact`` over an ℓ2
@@ -157,7 +157,7 @@ class DatasetShard:
         self.spec = dict(spec) if spec is not None else None
         #: Backend injected into queries that name none (explicit
         #: per-query backends always win, kinds it cannot serve stay on
-        #: ``auto``); ``None`` keeps cost-model dispatch for everything.
+        #: ``auto``); ``None`` keeps ``auto`` dispatch for everything.
         #: Metric compatibility is enforced against *this* dataset here,
         #: at registration time.
         self.default_backend = _normalise_default_backend(

@@ -49,7 +49,8 @@ Connections are persistent (HTTP/1.1 keep-alive):
 requests per socket, bounded by an idle timeout and a per-connection
 request cap, honouring ``Connection: close`` and HTTP/1.0 semantics.
 A protocol error closes the connection (framing can no longer be
-trusted); a truncated chunked stream marks the connection broken so a
+trusted) through a bounded lingering close, so the error reply reaches
+the client; a truncated chunked stream marks the connection broken so a
 later response can never be spliced into the half-written body.
 
 Every query failure is isolated per the engine contract: an erroring
@@ -132,6 +133,36 @@ DEFAULT_DRAIN_TIMEOUT = 5.0
 #: and much larger than — the idle timeout, so a slow-but-progressing
 #: large upload is never mistaken for an idle connection.
 DEFAULT_BODY_TIMEOUT = 300.0
+
+#: Lingering close after a framing error (RFC 7230 §6.6): the server
+#: half-closes, then reads and discards what the client still sends
+#: for at most this many seconds and bytes before closing.  Closing
+#: with unread input makes the kernel answer with an RST, which can
+#: destroy the error reply before the client has read it.
+LINGER_SECONDS = 2.0
+LINGER_MAX_BYTES = 256 * 1024
+
+
+async def _lingering_close(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drain the peer's input within the linger bounds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + LINGER_SECONDS
+    drained = 0
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        while drained < LINGER_MAX_BYTES:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            chunk = await asyncio.wait_for(reader.read(65536), remaining)
+            if not chunk:
+                break  # the client closed its side: nothing left unread
+            drained += len(chunk)
+    except (OSError, asyncio.TimeoutError):
+        pass  # out of time, or the peer is gone: close regardless
 
 
 class UnavailableError(ReproError):
@@ -346,10 +377,12 @@ class AsyncApp:
                     break  # idle past the keep-alive window
                 except ProtocolError as exc:
                     # Framing is unreliable past this point (ambiguous
-                    # lengths, unread body bytes): answer and close.
+                    # lengths, unread body bytes): answer, then linger
+                    # so the reply survives, then close.
                     await send_json(
                         writer, exc.status, {"error": str(exc)}, close=True
                     )
+                    await _lingering_close(reader, writer)
                     break
                 if request is None:
                     break  # clean EOF between requests

@@ -48,9 +48,9 @@ def resolve_backend(backend: str) -> str:
     This is the fallback rule for code paths that construct a
     :class:`DurableBallStructure` directly with ``backend="auto"`` (the
     dynamic/incremental sessions, ad-hoc scripts); the engine planner
-    resolves ``auto`` earlier — through the backend registry's cost
-    model (:meth:`repro.backends.registry.BackendRegistry.resolve`) —
-    and always hands the index classes a concrete name, which this
+    resolves ``auto`` earlier — through the backend registry
+    (:meth:`repro.backends.registry.BackendRegistry.resolve`) — and
+    always hands the index classes a concrete name, which this
     function leaves untouched.  The ``cache_key()`` hooks on the index
     classes rely on that: a cached index's identity always carries the
     concrete backend that built it.

@@ -1,14 +1,14 @@
-"""Tests for the backend registry and cost-based ``auto`` dispatch
-(ISSUE 4 tentpole + satellites).
+"""Tests for the backend registry and capability-ordered ``auto``
+dispatch.
 
-Covers: registry registration/lookup semantics, the satellite-1
-regression (pair/pattern kinds must *reject* ``linf-exact`` instead of
-silently coercing it to ``auto``), registry-routed
-``make_decomposition`` errors, deterministic ``auto`` resolution,
-bit-stable cache keys for every pre-existing backend name, grid vs
-cover-tree record-set parity on band-free datasets (property test),
-the cost model's calibration loop, the serving layer's per-dataset
-default backend + per-backend counters, and the CLI surfaces.
+Covers: registry registration/lookup semantics, pair/pattern kinds
+*rejecting* ``linf-exact`` instead of silently coercing it to
+``auto``, registry-routed ``make_decomposition`` errors, the ``auto``
+rule pinned over kinds × metrics × exactness, bit-stable cache keys
+for every pre-existing backend name, grid vs cover-tree record-set
+parity on band-free datasets (property test), the serving layer's
+per-dataset default backend + per-backend counters, and the CLI
+surfaces.
 """
 
 import io
@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +26,9 @@ from repro import TemporalPointSet
 from repro.backends import (
     BackendDescriptor,
     BackendRegistry,
-    CostModel,
     default_registry,
-    fit_coefficients,
 )
 from repro.backends.builtin import register_builtin_backends
-from repro.backends.cost import FALLBACK_COEFFICIENTS, QueryFeatures
 from repro.cli import main as cli_main
 from repro.core.aggregate import SumPairIndex, UnionPairIndex
 from repro.core.patterns import PatternIndex
@@ -98,9 +96,9 @@ class TestRegistry:
             tps,
             registry=registry,
         )
-        assert plan.key.backend != "my-cover-tree"  # auto still cost-ranked
+        assert plan.key.backend != "my-cover-tree"  # built-ins rank first
         resolution = registry.resolve(spec, tps)
-        assert "my-cover-tree" in resolution.costs  # ...but it competed
+        assert resolution.candidates[-1] == "my-cover-tree"  # ...but eligible
 
     def test_auto_is_not_registrable(self):
         with pytest.raises(ValidationError, match="dispatch keyword"):
@@ -122,7 +120,6 @@ class TestRegistry:
         assert by_name["linf-exact"]["exact"] is True
         assert by_name["linf-exact"]["kinds"] == ["triangles"]
         assert by_name["grid"]["spatial"] is True
-        assert by_name["cover-tree"]["cost_coefficients"]["build"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +170,7 @@ class TestMakeDecomposition:
 
     def test_auto_still_builds_the_cover_tree(self):
         # Structure-level auto keeps the paper's general-metric default;
-        # cost-based dispatch happens one level up, in the planner.
+        # registry dispatch happens one level up, in the planner.
         tps = random_tps(n=15, seed=1)
         dec = make_decomposition(tps, 0.25, backend="auto")
         assert type(dec).__name__ == "CoverTreeDecomposition"
@@ -208,6 +205,39 @@ class TestLazyApiEngine:
 # ----------------------------------------------------------------------
 # Deterministic auto resolution
 # ----------------------------------------------------------------------
+AUTO_METRICS = ("l1", "l2", "linf", ("lp", 3), "function")
+
+_V, _C, _X, _E = "vector", "cover-tree", "linf-exact", "error"
+
+#: exact → winner under each of AUTO_METRICS for every non-triangle
+#: kind ("error": the spec or the registry rejects the combination).
+_APPROX_ONLY = {None: (_V, _V, _V, _V, _C), True: (_E,) * 5, False: (_E,) * 5}
+
+AUTO_TABLE = {
+    ("triangles", ()): {
+        None: (_V, _V, _X, _V, _C),
+        True: (_E, _E, _X, _E, _E),
+        False: (_V, _V, _V, _V, _C),
+    },
+    ("pairs-sum", ()): _APPROX_ONLY,
+    ("pairs-sum", (("sum_backend", "tree"),)): _APPROX_ONLY,
+    ("pairs-union", (("kappa", 2),)): _APPROX_ONLY,
+    ("cliques", ()): _APPROX_ONLY,
+    ("paths", ()): _APPROX_ONLY,
+    ("stars", ()): _APPROX_ONLY,
+}
+
+
+def _dataset_under(metric):
+    if metric != "function":
+        return random_tps(n=30, seed=5, metric=metric)
+    tps = random_tps(n=30, seed=5)
+    return TemporalPointSet(
+        tps.points, tps.starts, tps.ends,
+        metric=lambda x, y: float(np.abs(x - y).max()),
+    )
+
+
 class TestAutoResolution:
     KINDS_AND_EXTRAS = [
         ("triangles", {}),
@@ -255,7 +285,7 @@ class TestAutoResolution:
             QuerySpec(kind="pairs-sum", taus=2.0), opaque
         )
         assert resolution.name == "cover-tree"
-        assert "grid" not in resolution.costs
+        assert resolution.candidates == ("cover-tree",)
 
     def test_linf_triangles_promote_to_exact_and_exact_false_opts_out(self):
         tps = random_tps(n=25, seed=2, metric="linf")
@@ -279,20 +309,38 @@ class TestAutoResolution:
                 QuerySpec(kind="triangles", taus=2.0, backend="grid"), opaque
             )
 
-    def test_cost_scales_choose_vector_on_lp_inputs(self):
-        # The measured coefficients price the SoA vector backend below
-        # the grid, and the grid far below the cover tree, on lp
-        # metrics — auto should agree with that ordering.
-        tps = random_tps(n=60, seed=4, metric="l2")
-        resolution = default_registry().resolve(
-            QuerySpec(kind="triangles", taus=2.0), tps
-        )
-        assert resolution.name == "vector"
-        assert (
-            resolution.costs["vector"]
-            < resolution.costs["grid"]
-            < resolution.costs["cover-tree"]
-        )
+    def test_auto_follows_the_capability_order(self):
+        # Every cell of AUTO_TABLE is what auto chose before this fixed
+        # order replaced per-shape scoring; a custom backend registered
+        # after the built-ins is always a candidate (listed last), never
+        # chosen.
+        registry = fresh_registry()
+        registry.register(replace(registry.get("cover-tree"), name="custom-any"))
+        for (kind, extras), row in AUTO_TABLE.items():
+            for exact, winners in row.items():
+                for metric, winner in zip(AUTO_METRICS, winners):
+                    cell = (kind, extras, exact, metric)
+                    try:
+                        spec = QuerySpec(
+                            kind=kind, taus=(2.0, 3.0), exact=exact,
+                            **dict(extras),
+                        )
+                        resolution = registry.resolve(spec, _dataset_under(metric))
+                    except ValidationError:
+                        assert winner == "error", cell
+                        continue
+                    assert resolution.name == winner, cell
+                    if exact is True:
+                        assert resolution.candidates == ("linf-exact",), cell
+                        continue
+                    approx = (
+                        ("cover-tree",) if metric == "function"
+                        else ("vector", "grid", "cover-tree")
+                    )
+                    lead = ("linf-exact",) if winner == "linf-exact" else ()
+                    assert resolution.candidates == (
+                        lead + approx + ("custom-any",)
+                    ), cell
 
 
 # ----------------------------------------------------------------------
@@ -361,11 +409,13 @@ class TestKeyStability:
                 IndexKey("pairs-sum", fp, 0.5, "vector", ("profile",)),
             ),
             (
+                # The vector SUM index ignores sum_backend, so "tree"
+                # shares the "profile" key (and the one build).
                 QuerySpec(
                     kind="pairs-sum", taus=3.0, backend="vector",
                     sum_backend="tree",
                 ),
-                IndexKey("pairs-sum", fp, 0.5, "vector", ("tree",)),
+                IndexKey("pairs-sum", fp, 0.5, "vector", ("profile",)),
             ),
             (
                 QuerySpec(kind="pairs-union", taus=3.0, kappa=2, backend="vector"),
@@ -444,6 +494,25 @@ class TestKeyStability:
                 assert hook[2] == plan.key.epsilon
                 assert hook[3] == plan.key.backend
                 assert tuple(hook[4:]) == plan.key.extra
+
+    def test_vector_sum_backends_share_one_build(self):
+        # Regression: "profile" and "tree" on vector used to mint two
+        # keys and build two identical indexes.
+        tps = random_tps(n=60, seed=3)
+        batch = QueryEngine().run_batch(
+            tps,
+            [
+                QuerySpec(kind="pairs-sum", taus=2.0, backend="vector"),
+                QuerySpec(kind="pairs-sum", taus=2.0, backend="vector",
+                          sum_backend="tree"),
+            ],
+        )
+        assert batch.distinct_indexes == 1
+        assert batch.cache_stats["builds"] == 1
+        profile, tree = batch.results
+        assert [(r.key, r.score) for r in profile.records] == [
+            (r.key, r.score) for r in tree.records
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -569,78 +638,6 @@ class TestBackendParity:
 
 
 # ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-class TestCostModel:
-    def test_estimate_is_monotone_in_n_and_taus(self):
-        model = CostModel()
-        small = QueryFeatures(n=100, dim=2, metric="l2", n_taus=1)
-        big = QueryFeatures(n=1000, dim=2, metric="l2", n_taus=1)
-        sweep = QueryFeatures(n=100, dim=2, metric="l2", n_taus=8)
-        for backend in ("cover-tree", "grid", "linf-exact", "vector"):
-            assert model.estimate(backend, small) < model.estimate(backend, big)
-            assert model.estimate(backend, small) < model.estimate(backend, sweep)
-
-    def test_unknown_backend_uses_fallback(self):
-        model = CostModel()
-        features = QueryFeatures(n=100, dim=2, metric="l2")
-        expected = features.unit * (
-            FALLBACK_COEFFICIENTS.build + FALLBACK_COEFFICIENTS.query
-        )
-        assert model.estimate("never-registered", features) == expected
-
-    def test_fit_round_trips_through_bench_payload(self):
-        measurements = [
-            {
-                "backend": "grid", "n": 200, "dim": 2, "metric": "l2",
-                "n_taus": 2, "build_seconds": 0.004, "query_seconds": 0.030,
-            },
-            {
-                "backend": "cover-tree", "n": 200, "dim": 2, "metric": "l2",
-                "n_taus": 2, "build_seconds": 0.016, "query_seconds": 0.040,
-            },
-        ]
-        fitted = fit_coefficients(measurements)
-        assert fitted["grid"].build < fitted["cover-tree"].build
-        rebuilt = CostModel.from_bench({"measurements": measurements})
-        direct = CostModel(fitted)
-        features = QueryFeatures(n=500, dim=2, metric="l2", n_taus=3)
-        for backend in ("grid", "cover-tree"):
-            assert rebuilt.estimate(backend, features) == pytest.approx(
-                direct.estimate(backend, features)
-            )
-        # Pre-fitted coefficients take precedence over raw measurements.
-        override = CostModel.from_bench(
-            {"coefficients": {"grid": {"build": 1.0, "query": 1.0}}}
-        )
-        assert override.estimate("grid", features) == pytest.approx(
-            features.unit * (1.0 + 3 * 1.0)
-        )
-
-    def test_fit_rejects_empty_and_bad_payloads(self):
-        with pytest.raises(ValidationError):
-            fit_coefficients([])
-        with pytest.raises(ValidationError):
-            CostModel.from_bench({})
-        with pytest.raises(ValidationError):
-            CostModel({"grid": {"build": "fast"}})
-
-    def test_recalibrated_registry_can_flip_the_choice(self):
-        # Coefficients that price the cover tree at ~zero must flip an
-        # lp dataset's auto choice away from the grid.
-        registry = fresh_registry()
-        registry.cost_model = CostModel(
-            {
-                "cover-tree": {"build": 1e-12, "query": 1e-12},
-                "grid": {"build": 1e-3, "query": 1e-3},
-            }
-        )
-        tps = random_tps(n=40, seed=6)
-        resolution = registry.resolve(QuerySpec(kind="pairs-sum", taus=2.0), tps)
-        assert resolution.name == "cover-tree"
-
-
-# ----------------------------------------------------------------------
 # Serving integration: per-dataset default backend + /stats counters
 # ----------------------------------------------------------------------
 class TestServeIntegration:
@@ -749,7 +746,7 @@ class TestServeIntegration:
 
     def test_kind_aware_default_leaves_unserved_kinds_on_auto(self, server):
         # A triangles-only default on an linf dataset pins the triangle
-        # queries and leaves pair queries on cost-model dispatch.
+        # queries and leaves pair queries on auto dispatch.
         status, _ = self._request(
             server, "POST", "/datasets",
             {
@@ -828,7 +825,6 @@ class TestCli:
         assert {c["name"] for c in doc["backends"]} == {
             "cover-tree", "grid", "linf-exact", "vector",
         }
-        assert "cover-tree" in doc["cost_coefficients"]
 
     def test_backends_explain_resolves_each_kind(self):
         code, text = run_cli(
@@ -836,7 +832,8 @@ class TestCli:
         )
         assert code == 0
         assert "triangles" in text and "-> linf-exact" in text
-        assert "cheapest by cost model" in text
+        assert "candidates linf-exact, vector, grid, cover-tree" in text
+        assert "pairs-sum   -> vector  (first eligible of vector" in text
 
     def test_one_shot_backend_override_and_resolution_line(self):
         code, text = run_cli(

@@ -290,32 +290,82 @@ class TestRouteCommand:
         args = build_parser().parse_args(
             [
                 "route", "--workers", "3", "--port", "0",
-                "--worker-backends", "grid,cover-tree",
-                "--worker-backends", "any",
                 "--manifest", "/tmp/m.json",
                 "--probe-interval", "0.3",
                 "--queue-limit", "16",
             ]
         )
         assert args.command == "route" and args.workers == 3
-        assert args.worker_backends == ["grid,cover-tree", "any"]
+        assert args.manifest == "/tmp/m.json" and args.queue_limit == 16
 
-    def test_parse_worker_backends(self):
-        from repro.cli import _parse_worker_backends
-        from repro.errors import ValidationError
-
-        assert _parse_worker_backends([]) is None
-        assert _parse_worker_backends(["grid,cover-tree", "any", "*"]) == [
-            ["grid", "cover-tree"], None, None,
-        ]
-        with pytest.raises(ValidationError):
-            _parse_worker_backends([" , "])
-
-    def test_too_many_backend_subsets_rejected(self):
+    def test_worker_pool_needs_at_least_one_worker(self):
         from repro.errors import ValidationError
         from repro.router import WorkerPool
 
-        with pytest.raises(ValidationError, match="backend subsets"):
-            WorkerPool(workers=1, worker_backends=[["grid"], ["cover-tree"]])
         with pytest.raises(ValidationError, match="at least 1 worker"):
             WorkerPool(workers=0)
+
+    def test_route_serves_tenants_and_exits_cleanly(self, tmp_path):
+        """``repro route --api-keys`` end to end: the key passes through
+        to the worker (401 without one), tenant counters come back
+        through the fleet scrape, and ``POST /shutdown`` stops the
+        router and its worker with exit code 0."""
+        import http.client
+        import os
+        import re
+        import threading
+        import time
+
+        from repro.obs import counter_value, parse_exposition
+
+        keys = tmp_path / "tenants.json"
+        keys.write_text(json.dumps(
+            {"tenants": [{"key": "k-acme", "name": "acme", "weight": 1.0}]}
+        ))
+        out = io.StringIO()
+        done = {}
+        argv = [
+            "route", "--port", "0", "--workers", "1",
+            "--api-keys", str(keys),
+            "--dataset", 'forum={"workload": "social", "n": 60, "seed": 7}',
+        ]
+        thread = threading.Thread(
+            target=lambda: done.update(code=main(argv, out=out)), daemon=True
+        )
+        thread.start()
+        deadline = time.monotonic() + 60
+        while "datasets: forum" not in out.getvalue():
+            assert thread.is_alive() and time.monotonic() < deadline, out.getvalue()
+            time.sleep(0.05)
+        text = out.getvalue()
+        host, port = re.search(r"routing on http://([0-9.]+):(\d+)", text).groups()
+        worker_pid = int(re.search(r"worker-0: pid (\d+)", text).group(1))
+
+        def call(method, path, body=None, key=None):
+            conn = http.client.HTTPConnection(host, int(port), timeout=30)
+            headers = {"X-API-Key": key} if key else {}
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            finally:
+                conn.close()
+
+        query = json.dumps({
+            "dataset": "forum", "include_records": False,
+            "queries": [{"kind": "pairs-sum", "tau": 3.0}],
+        })
+        assert call("POST", "/query", query)[0] == 401
+        assert call("POST", "/query", query, key="k-acme")[0] == 200
+        status, data = call("GET", "/metrics")
+        families = parse_exposition(data.decode())
+        assert counter_value(
+            families, "serve_tenant_queries_total",
+            {"tenant": "acme", "worker": "worker-0"},
+        ) == 1.0
+
+        assert call("POST", "/shutdown")[0] == 200
+        thread.join(timeout=60)
+        assert not thread.is_alive() and done["code"] == 0
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker_pid, 0)  # the fleet went down with the router

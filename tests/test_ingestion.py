@@ -976,6 +976,81 @@ class TestRouterIngestion:
         finally:
             handle.stop()
 
+    def test_mixed_batch_cli_append_and_maintained_requery(self, tmp_path):
+        """One worker behind the router: a mixed batch reports per-line
+        verdicts, ``repro append`` works through the router too, the
+        re-query is answered by the maintained index, and the fleet
+        scrape exports the epoch and the append counters."""
+        from repro.obs import counter_value, parse_exposition
+
+        handle = start_router_thread(workers=1, probe_interval=0.3)
+        try:
+            status, doc = router_request_json(
+                handle, "POST", "/datasets",
+                {"name": "forum", "dataset": INGEST_SPEC},
+            )
+            assert status == 201, doc
+
+            def triangle_result():
+                status, data = router_request(
+                    handle, "POST", "/query",
+                    {
+                        "dataset": "forum",
+                        "queries": [{"kind": "triangles", "tau": 2.0}],
+                        "include_records": False,
+                    },
+                )
+                assert status == 200, data
+                lines = [json.loads(l) for l in data.decode().split("\n") if l]
+                result = next(l for l in lines if l["type"] == "result")
+                assert result["ok"], result
+                return result
+
+            pre = triangle_result()
+            mixed = b"\n".join(
+                [json.dumps(e).encode() for e in EVENTS[:2]] + [b"not an event"]
+            )
+            status, body = _raw_router(
+                handle, "POST", "/datasets/forum/events", mixed
+            )
+            assert status == 200, body
+            report = json.loads(body)["appended"]
+            assert (report["epoch"], report["accepted"], report["rejected"]) == (
+                1, 2, 1,
+            )
+            path = tmp_path / "one.ndjson"
+            path.write_text(json.dumps(EVENTS[2]) + "\n")
+            out = io.StringIO()
+            rc = cli_main(
+                [
+                    "append", "forum", str(path),
+                    "--host", handle.host, "--port", str(handle.port),
+                ],
+                out=out,
+            )
+            assert rc == 0 and "accepted 1" in out.getvalue()
+
+            # Three co-located long-lived points: strictly more triangles,
+            # answered by the maintained index rather than a rebuild.
+            post = triangle_result()
+            assert post["counts"]["2.0"] > pre["counts"]["2.0"]
+            assert post["cache_hit"] is True
+
+            status, doc = router_request_json(handle, "GET", "/stats")
+            assert doc["router"]["proxy"]["appends"] == 2
+            status, data = router_request(handle, "GET", "/metrics")
+            families = parse_exposition(data.decode())
+            slot = {"dataset": "forum", "worker": "worker-0"}
+            assert counter_value(families, "serve_dataset_epoch", slot) == 2.0
+            assert counter_value(
+                families, "serve_events_appended_total", slot
+            ) == 3.0
+            assert counter_value(
+                families, "router_forwarded_appends_total"
+            ) == 2.0
+        finally:
+            handle.stop()
+
 
 # ----------------------------------------------------------------------
 # CLI: repro append

@@ -487,6 +487,10 @@ class TestCompositePatternsThroughRouter:
         assert status == 200
         families = parse_exposition(data.decode())
         samples = families["serve_template_queries_total"].samples
+        # Re-exported per worker: every sample names its slot.
+        assert all(
+            dict(s.labels)["worker"].startswith("worker-") for s in samples
+        )
         by_template = {}
         for s in samples:
             labels = dict(s.labels)

@@ -16,16 +16,12 @@ from collections import Counter
 
 import pytest
 
-from repro.backends.cost import CostModel
 from repro.errors import ValidationError
 from repro.router import (
     PlacementManifest,
-    WorkerCandidate,
     choose_worker,
-    features_from_spec,
     start_router_thread,
 )
-from repro.router.placement import placement_scores
 
 SOCIAL_SPEC = {"workload": "social", "n": 90, "seed": 5}
 COAUTHOR_SPEC = {"workload": "coauthor", "n": 80, "seed": 3}
@@ -94,81 +90,49 @@ def wait_for_recovery(handle, dataset, deadline_seconds=30.0):
 # ----------------------------------------------------------------------
 # Placement (pure units)
 # ----------------------------------------------------------------------
+TWO = ("worker-0", "worker-1")
+THREE = ("worker-0", "worker-1", "worker-2")
+
+
 class TestPlacement:
-    model = CostModel()
-    features = features_from_spec({"n": 200, "dim": 2, "metric": "l2"})
-
-    def two(self):
-        return [WorkerCandidate("worker-0"), WorkerCandidate("worker-1")]
-
     def test_deterministic_and_order_invariant(self):
-        cands = self.two()
-        first = choose_worker("ds", self.features, cands, self.model)
-        assert first == choose_worker("ds", self.features, cands, self.model)
-        assert first == choose_worker(
-            "ds", self.features, list(reversed(cands)), self.model
-        )
+        first = choose_worker("ds", TWO)
+        assert first == choose_worker("ds", TWO)
+        assert first == choose_worker("ds", tuple(reversed(TWO)))
 
     def test_spreads_across_workers(self):
-        cands = [WorkerCandidate(f"worker-{i}") for i in range(3)]
-        counts = Counter(
-            choose_worker(f"ds-{i}", self.features, cands, self.model)
-            for i in range(120)
-        )
-        assert set(counts) == {"worker-0", "worker-1", "worker-2"}
+        counts = Counter(choose_worker(f"ds-{i}", THREE) for i in range(120))
+        assert set(counts) == set(THREE)
         assert min(counts.values()) > 10  # no pathological skew
 
     def test_minimal_churn_on_worker_removal(self):
         """Rendezvous property: dropping a worker only moves its own."""
-        three = [WorkerCandidate(f"worker-{i}") for i in range(3)]
         names = [f"ds-{i}" for i in range(60)]
-        before = {
-            n: choose_worker(n, self.features, three, self.model) for n in names
-        }
-        two = [c for c in three if c.worker != "worker-2"]
+        before = {n: choose_worker(n, THREE) for n in names}
         for name in names:
-            after = choose_worker(name, self.features, two, self.model)
+            after = choose_worker(name, TWO)
             if before[name] != "worker-2":
                 assert after == before[name]
 
-    def test_cost_weight_biases_toward_cheaper_backend(self):
-        grid_only = self.model.placement_weight(self.features, ["grid"])
-        tree_only = self.model.placement_weight(self.features, ["cover-tree"])
-        assert grid_only > tree_only  # grid is the cheaper backend
-        het = [
-            WorkerCandidate("worker-0", ("grid",)),
-            WorkerCandidate("worker-1", ("cover-tree",)),
-        ]
-        counts = Counter(
-            choose_worker(f"ds-{i}", self.features, het, self.model)
-            for i in range(300)
+    def test_pinned_slot_assignments(self):
+        # Literal assignments: a change here moves datasets between
+        # workers on every router restart, so it must be deliberate.
+        names = (
+            "alpha", "beta", "gamma", "delta", "social", "coauthor", "forum",
+            "ds-0", "ds-1", "ds-2", "ds-3", "ds-4", "ds-5", "ds-6", "ds-7",
         )
-        assert counts["worker-0"] > counts["worker-1"]
-
-    def test_scores_expose_every_candidate(self):
-        scores = placement_scores("ds", self.features, self.two(), self.model)
-        assert set(scores) == {"worker-0", "worker-1"}
-        assert all(score > 0 for score in scores.values())
+        on_two = [int(choose_worker(n, TWO)[-1]) for n in names]
+        on_three = [int(choose_worker(n, THREE)[-1]) for n in names]
+        assert on_two == [1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0]
+        assert on_three == [1, 1, 1, 1, 0, 1, 0, 1, 2, 2, 0, 1, 0, 2, 0]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):
-            choose_worker("ds", self.features, [], self.model)
-
-    def test_features_from_spec_defaults(self):
-        features = features_from_spec({"csv": "points.csv"})
-        assert features.n == 1 and features.dim == 2 and features.metric == "l2"
-        features = features_from_spec({"n": "not-a-number", "metric": "linf"})
-        assert features.n == 1 and features.metric == "linf"
-        assert features_from_spec(None).dim == 2
+            choose_worker("ds", [])
 
     def test_split_names_really_split(self):
-        placed = {
-            name: choose_worker(
-                name, features_from_spec({"n": 90}), self.two(), self.model
-            )
-            for name in SPLIT_NAMES
-        }
-        assert set(placed.values()) == {"worker-0", "worker-1"}
+        placed = {name: choose_worker(name, TWO) for name in SPLIT_NAMES}
+        assert set(placed.values()) == set(TWO)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +345,7 @@ class TestRouterProtocol:
             server = entry["stats"]["server"]
             assert server["connections"]["opened"] >= 1
         assert doc["totals"]["queries_total"] >= 1
-        assert doc["router"]["placement"]["policy"].startswith("cost-weighted")
+        assert doc["router"]["placement"]["policy"] == "rendezvous (HRW)"
         assert doc["router"]["proxy"]["queries"] >= 1
 
     def test_stats_aggregates_backend_counters(self, router):
@@ -577,14 +541,7 @@ class TestFailover:
         second = boot_and_place()
         assert first == second
         # ... and both match the pure placement function's prediction.
-        candidates = [WorkerCandidate("worker-0"), WorkerCandidate("worker-1")]
-        predicted = {
-            name: choose_worker(
-                name, features_from_spec(spec), candidates, CostModel()
-            )
-            for name in names
-        }
-        assert first == predicted
+        assert first == {name: choose_worker(name, TWO) for name in names}
 
     def test_manifest_restores_datasets_across_router_restarts(self, tmp_path):
         path = str(tmp_path / "manifest.json")

@@ -29,6 +29,7 @@ from repro.obs.trace import (
     parse_traceparent,
     span_tree,
 )
+from repro.cli import main as cli_main
 from repro.obs.tracestore import TraceStore
 from repro.router import start_router_thread
 from repro.serve import start_server_thread
@@ -454,7 +455,11 @@ class TestTracingDisabled:
 # ----------------------------------------------------------------------
 class TestRouterStitching:
     def test_stitched_tree_spans_both_processes(self):
-        handle = start_router_thread(workers=2, probe_interval=0.2)
+        # slow_query_ms=1: every routed request counts as slow, so the
+        # slow listing below has something to show.
+        handle = start_router_thread(
+            workers=2, probe_interval=0.2, slow_query_ms=1
+        )
         conn = None
         try:
             conn = connect(handle.host, handle.port)
@@ -510,6 +515,23 @@ class TestRouterStitching:
                 s["attrs"]["outcome"] in ("hit", "build", "wait")
                 for s in stage_gets
             )
+            # The router's slow listing, filtered by route, flags it.
+            status, doc = fetch_traces(conn, min_duration_ms=1, route="/query")
+            assert status == 200
+            assert any(t["slow"] for t in doc["traces"]), doc["traces"]
+
+            # The CLI renders the same stitched trace as a waterfall,
+            # and lists the slow traces.
+            where = ["--host", handle.host, "--port", str(handle.port)]
+            out = io.StringIO()
+            assert cli_main(["trace", trace_id, *where], out=out) == 0
+            assert "router.proxy" in out.getvalue()
+            assert "serve.request" in out.getvalue()
+            out = io.StringIO()
+            assert cli_main(
+                ["trace", "--slow", "--min-ms", "1", *where], out=out
+            ) == 0
+            assert "[slow]" in out.getvalue()
         finally:
             if conn is not None:
                 conn.close()
