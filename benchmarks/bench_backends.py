@@ -4,9 +4,11 @@
 A measurement, not a calibration: for every registered backend
 eligible for a (dataset shape, query kind) pair, the bench builds the
 index from scratch (no cache — builds are the point), times a τ-sweep
-query, reports the vector-over-grid speedups that justify ``vector``
-leading ``auto``'s preference order (and gates them at n ≥ 5000), and
-records what ``auto`` chooses per shape and why.
+query on it (cold: anything an index builds lazily is charged here) and
+then the same sweep again (warm: what a cached index serves), reports
+the vector-over-grid speedups that justify ``vector`` leading
+``auto``'s preference order (and gates them at n ≥ 5000), and records
+what ``auto`` chooses per shape and why.
 
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
 and ``BENCH_serve.json``.
@@ -46,8 +48,14 @@ KIND_SPECS = [
 
 
 def _measure(builder, runner, taus, repeat: int):
-    """Best-of-``repeat`` build and query wall times (fresh build each)."""
-    build_s, query_s = float("inf"), float("inf")
+    """Best-of-``repeat`` build, cold-sweep and warm-sweep wall times.
+
+    Each repetition builds a fresh index, sweeps ``taus`` on it, then
+    sweeps again on the same index.  Also returns the records of one
+    sweep.
+    """
+    build_s = query_s = warm_s = float("inf")
+    records = 0
     for _ in range(repeat):
         t0 = time.perf_counter()
         index = builder()
@@ -56,7 +64,10 @@ def _measure(builder, runner, taus, repeat: int):
         for tau in taus:
             runner(index, tau)
         query_s = min(query_s, time.perf_counter() - t0)
-    return build_s, query_s
+        t0 = time.perf_counter()
+        records = sum(len(runner(index, tau)) for tau in taus)
+        warm_s = min(warm_s, time.perf_counter() - t0)
+    return build_s, query_s, warm_s, records
 
 
 def main(argv=None) -> int:
@@ -98,12 +109,13 @@ def main(argv=None) -> int:
             for descriptor in registry.serving(spec.kind):
                 if not descriptor.supports_metric(tps.metric):
                     continue
-                build_s, query_s = _measure(
+                build_s, query_s, warm_s, records = _measure(
                     descriptor.make_builder(spec, tps),
                     _runner_for(spec),
                     spec.taus,
                     args.repeat,
                 )
+                warm_us = warm_s * 1e6 / max(records, 1)
                 row = {
                     "shape": shape["name"],
                     "kind": spec.kind,
@@ -112,13 +124,18 @@ def main(argv=None) -> int:
                     "dim": tps.dim,
                     "metric": tps.metric.name,
                     "n_taus": len(spec.taus),
+                    "records": records,
                     "build_seconds": build_s,
                     "query_seconds": query_s,
+                    "warm_query_seconds": warm_s,
+                    # per sweep when the sweep reports nothing
+                    "warm_us_per_record": warm_us,
                 }
                 measurements.append(row)
                 print(
                     f"{shape['name']:>13} {spec.kind:<11} {descriptor.name:<11}"
-                    f" build {build_s * 1e3:8.1f} ms  query {query_s * 1e3:8.1f} ms",
+                    f" build {build_s * 1e3:8.1f} ms  query {query_s * 1e3:8.1f} ms"
+                    f"  warm {warm_s * 1e3:8.1f} ms ({warm_us:7.1f} us/record)",
                     file=sys.stderr,
                 )
 

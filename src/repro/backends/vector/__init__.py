@@ -2,9 +2,9 @@
 
 Registered on the backend registry as ``backend="vector"`` (see
 :func:`repro.backends.builtin.register_builtin_backends`).  Serves all
-four shared-index families under ``ℓ_α`` metrics with record sets
-identical to the ``grid`` backend, from flat-array structures instead of
-per-point object graphs:
+four shared-index families under ``ℓ_α`` metrics with the ``grid``
+backend's records, in the same order, from flat-array structures
+instead of per-point object graphs:
 
 * :mod:`.soa` — the SoA snapshot + CSR grid-cell layout (cached per
   dataset fingerprint) and the blocked distance kernels;

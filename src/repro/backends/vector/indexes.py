@@ -2,8 +2,8 @@
 
 Each class subclasses its legacy counterpart — same constructor shape,
 same ``cache_key()`` family (with ``backend="vector"``), same public
-query surface — but replaces the hot paths with batched numpy kernels
-over the shared :class:`~repro.backends.vector.soa.SoALayout`:
+query surface — and answers queries with batched numpy kernels over the
+shared :class:`~repro.backends.vector.soa.SoALayout`:
 
 * Candidate generation (:func:`_candidate_pairs`) searches the *sorted
   integer lattice* of occupied cells: per anchor, the cells whose key
@@ -18,31 +18,35 @@ over the shared :class:`~repro.backends.vector.soa.SoALayout`:
   ragged ``i<j`` pair generation batched across *all* anchors, and one
   rowwise linked-ball test per pair chunk.  Record construction is the
   only per-output loop.
-* :class:`VectorSumPairIndex` — Algorithm 4 with both the partner and
-  the witness dimension collapsed: witness pools are one batched
-  cell-linkage pass, and every ``Σ_u |I_u ∩ I_p ∩ I_q|`` evaluation in
-  the sweep becomes a row of one grouped coverage-profile batch
-  (:class:`VecProfile`, float-identical to
-  :class:`~repro.temporal.sum_index.CoverageProfile`).
-* :class:`VectorUnionPairIndex` — Algorithm 8 with batched candidate
-  generation and witness pools; the greedy max-κ-coverage itself stays
-  sequential per reported partner (its heap is inherently iterative).
-* :class:`VectorPatternIndex` — the Appendix D reporters over batched
-  per-(τ, radius) anchor contexts and a vectorised link table.
+* :class:`VectorSumPairIndex` — Algorithm 4.  Every cell's coverage
+  profile is packed into CSR arrays at build time
+  (:class:`PackedProfiles`), and all ``Σ_u |I_u ∩ I_p ∩ I_q|`` requests
+  of a sweep — one per (witness cell, pair) — are scored with one
+  ``searchsorted`` on an exact integer key.
+* :class:`VectorUnionPairIndex` — Algorithm 8.  The κ-round greedy
+  max-coverage runs for a whole chunk of pairs at once
+  (:func:`_greedy_cover`): each round scores every (uncovered segment ×
+  witness member) entry and picks each segment's witness by
+  ``MaxOverlapIndex``'s tie rule.
+* :class:`VectorPatternIndex` — Appendix D.  Cliques are level-wise
+  joins over the anchors' partner arrays with ball-link tests, put in
+  the recursion's order by one sort; paths and stars run the inherited
+  recursion over one batched context map per call.
 
-Record sets are identical to the legacy ``grid`` backend's for every
-family (the canonical cells coincide), which the three-way hypothesis
-parity harness in ``tests/test_backends.py`` asserts.
+Every family returns the ``grid`` backend's records bit for bit and in
+the same order (the canonical cells coincide; DESIGN.md note 8 gives the
+exactness arguments, ``tests/test_backends.py`` compares the lists).
+All per-cell state is built with the index, so a cache hit leaves no
+structure work and a query writes nothing to the index.
 
 All four implement ``maintained()`` — the layout recompute over the
 merged set is vectorised and produces the canonical cell order a fresh
-build yields, so maintained indexes are *identical* to fresh ones;
-per-cell derived structures (profiles, overlap indexes) are carried
-over for cells the append did not touch (:func:`transfer_cell_cache`).
+build yields, so maintained indexes are *identical* to fresh ones.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -53,8 +57,7 @@ from ...core.triangles import DurableTriangleIndex
 from ...errors import ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
 from ...temporal.interval import Interval
-from ...temporal.max_overlap import MaxOverlapIndex
-from ...types import PairRecord, TemporalPointSet, TriangleRecord
+from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
     SoALayout,
@@ -69,8 +72,7 @@ __all__ = [
     "VectorSumPairIndex",
     "VectorUnionPairIndex",
     "VectorPatternIndex",
-    "VecProfile",
-    "transfer_cell_cache",
+    "PackedProfiles",
 ]
 
 
@@ -259,27 +261,6 @@ def _witness_pools(
     return wit_run, wit_cell, np.bincount(wit_run, minlength=n_runs)
 
 
-def transfer_cell_cache(
-    old_lay: SoALayout, new_lay: SoALayout, n_old: int, cache: Dict[int, object]
-) -> Dict[int, object]:
-    """Re-key per-cell derived structures across an append.
-
-    A cell's structure stays valid iff the append put no point into it;
-    cells are identified by their absolute integer key (cell indexes
-    shift when the append creates cells that sort earlier).
-    """
-    if not cache:
-        return {}
-    changed = set(np.unique(new_lay.cell_of[n_old:]).tolist())
-    new_index = {tuple(key): gi for gi, key in enumerate(new_lay.cell_keys.tolist())}
-    out: Dict[int, object] = {}
-    for gi_old, value in cache.items():
-        gi_new = new_index.get(tuple(old_lay.cell_keys[gi_old].tolist()))
-        if gi_new is not None and gi_new not in changed:
-            out[gi_new] = value
-    return out
-
-
 # ----------------------------------------------------------------------
 # Triangles
 # ----------------------------------------------------------------------
@@ -377,119 +358,88 @@ class VectorTriangleIndex(DurableTriangleIndex):
 
 
 # ----------------------------------------------------------------------
-# Coverage profiles over arrays
-# ----------------------------------------------------------------------
-class VecProfile:
-    """Array form of :class:`~repro.temporal.sum_index.CoverageProfile`.
-
-    Construction and evaluation replicate the legacy arithmetic term by
-    term (sorted endpoint events, sequential ``np.cumsum`` integration,
-    ``searchsorted`` interpolation), so every returned float is
-    bit-identical to the legacy profile's — asserted by the SUM-pair
-    parity tests.
-    """
-
-    __slots__ = ("times", "integral", "slopes", "n")
-
-    def __init__(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        k = len(starts)
-        self.n = k
-        if k == 0:
-            self.times = np.empty(0)
-            self.integral = np.zeros(1)
-            self.slopes = np.empty(0)
-            return
-        events = np.concatenate((starts, ends))
-        deltas = np.concatenate(
-            (np.ones(k, dtype=np.int64), -np.ones(k, dtype=np.int64))
-        )
-        order = np.lexsort((deltas, events))  # time asc, -1 before +1 on ties
-        ts = events[order]
-        new = np.flatnonzero(np.diff(ts) > 0)
-        self.times = np.concatenate(([ts[0]], ts[new + 1]))
-        cover = np.cumsum(deltas[order])
-        self.slopes = cover[new].astype(np.float64)
-        self.integral = np.concatenate(
-            ([0.0], np.cumsum(self.slopes * np.diff(self.times)))
-        )
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """``F(t)`` for a batch of query times."""
-        times = self.times
-        if len(times) < 2:
-            return np.zeros(np.shape(ts))
-        idx = np.searchsorted(times, ts, side="right") - 1
-        safe = np.clip(idx, 0, len(times) - 2)
-        out = self.integral[safe] + self.slopes[safe] * (ts - times[safe])
-        out = np.where(ts <= times[0], 0.0, out)
-        return np.where(ts >= times[-1], self.integral[-1], out)
-
-    def interval_sums(self, a: float, bs: np.ndarray) -> np.ndarray:
-        """``Σ_I |I ∩ [a, b]|`` for a batch of right endpoints ``b``."""
-        if self.n == 0:
-            return np.zeros(np.shape(bs))
-        va = self.values(np.asarray([a]))[0]
-        return np.where(bs <= a, 0.0, self.values(bs) - va)
-
-    def sum_intersections(self, a: float, b: float) -> float:
-        """Scalar form, matching ``CoverageProfile.sum_intersections``."""
-        if b <= a or self.n == 0:
-            return 0.0
-        vs = self.values(np.asarray([a, b]))
-        return float(vs[1] - vs[0])
-
-
-class LazyProfiles:
-    """``cell index -> VecProfile``, built on first use per cell."""
-
-    __slots__ = ("layout", "cache")
-
-    def __init__(self, layout: SoALayout) -> None:
-        self.layout = layout
-        self.cache: Dict[int, VecProfile] = {}
-
-    def __getitem__(self, gi: int) -> VecProfile:
-        prof = self.cache.get(gi)
-        if prof is None:
-            members = self.layout.cell_members(gi)
-            prof = VecProfile(
-                self.layout.starts[members], self.layout.ends[members]
-            )
-            self.cache[gi] = prof
-        return prof
-
-
-class LazyOverlaps:
-    """``cell index -> MaxOverlapIndex``, built on first witness use."""
-
-    __slots__ = ("layout", "cache")
-
-    def __init__(self, layout: SoALayout) -> None:
-        self.layout = layout
-        self.cache: Dict[int, MaxOverlapIndex] = {}
-
-    def __getitem__(self, gi: int) -> MaxOverlapIndex:
-        idx = self.cache.get(gi)
-        if idx is None:
-            members = self.layout.cell_members(gi)
-            idx = MaxOverlapIndex(
-                self.layout.starts[members].tolist(),
-                self.layout.ends[members].tolist(),
-                members.tolist(),
-            )
-            self.cache[gi] = idx
-        return idx
-
-
-# ----------------------------------------------------------------------
 # SUM pairs
 # ----------------------------------------------------------------------
+def _segmented_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Running sums restarting at every ``offsets`` boundary.
+
+    Accumulates left to right within each segment, exactly as
+    ``np.cumsum`` would on the segment alone (one vectorised step per
+    position, so the loop runs as long as the longest segment).
+    """
+    out = x.copy()
+    starts, lens = offsets[:-1], np.diff(offsets)
+    for k in range(1, int(lens.max(initial=0))):
+        idx = starts[lens > k] + k
+        out[idx] += out[idx - 1]
+    return out
+
+
+class PackedProfiles:
+    """Every cell's coverage profile, packed into CSR arrays.
+
+    Cell ``g`` owns rows ``offsets[g]:offsets[g + 1]``: its distinct
+    endpoint times ascending, the integrated coverage ``F`` at each, and
+    the covering count up to the next time (0 after the last).  The
+    arithmetic replicates :class:`~repro.temporal.sum_index.CoverageProfile`
+    term by term — events by time with ends first on ties, one
+    sequential running sum per cell — so every value is bit-identical.
+
+    ``keys`` is ``cell × len(ranks) + rank``, where ``ranks`` holds all
+    profile times sorted and distinct: strictly increasing integers, so
+    one ``searchsorted`` locates a time in every requested cell at once.
+    """
+
+    __slots__ = ("offsets", "times", "integral", "slopes", "ranks", "keys")
+
+    def __init__(self, lay: SoALayout) -> None:
+        n = lay.n
+        cells = np.concatenate((lay.cell_of, lay.cell_of))
+        events = np.concatenate((lay.starts, lay.ends))
+        deltas = np.concatenate((np.ones(n, np.int64), -np.ones(n, np.int64)))
+        order = np.lexsort((deltas, events, cells))
+        cells, ts = cells[order], events[order]
+        # Each cell's deltas sum to zero, so one global running sum is
+        # every cell's own covering count.
+        cover = np.cumsum(deltas[order])
+        first = np.ones(2 * n, dtype=bool)  # first event at its (cell, time)
+        first[1:] = (cells[1:] != cells[:-1]) | (ts[1:] > ts[:-1])
+        last = np.append(first[1:], True)
+        row_cell = cells[first]
+        self.times = ts[first]
+        self.slopes = cover[last].astype(np.float64)
+        self.offsets = np.searchsorted(row_cell, np.arange(lay.n_cells + 1))
+        steps = np.zeros(len(self.times))
+        steps[1:] = self.slopes[:-1] * np.diff(self.times)
+        steps[self.offsets[:-1]] = 0.0
+        self.integral = _segmented_cumsum(steps, self.offsets)
+        ranks = np.sort(self.times)
+        self.ranks = ranks[np.append(True, ranks[1:] > ranks[:-1])]
+        self.keys = row_cell * len(self.ranks) + np.searchsorted(self.ranks, self.times)
+
+    def values(
+        self, cells: np.ndarray, ts: np.ndarray, rank_right: np.ndarray
+    ) -> np.ndarray:
+        """``F_cell(t)`` per request, given ``searchsorted(ranks, t, "right")``.
+
+        A cell's times ``≤ t`` are exactly those of rank ``< rank_right``,
+        so the integer search lands where a per-cell float search would.
+        """
+        lo = self.offsets[cells]
+        hi = self.offsets[cells + 1] - 1
+        j = np.searchsorted(self.keys, cells * len(self.ranks) + rank_right) - 1
+        j = np.minimum(np.maximum(j, lo), hi)
+        out = self.integral[j] + self.slopes[j] * (ts - self.times[j])
+        out = np.where(ts <= self.times[lo], 0.0, out)
+        return np.where(ts >= self.times[hi], self.integral[hi], out)
+
+
 class VectorSumPairIndex(SumPairIndex):
     """Algorithm 4 with batched partner *and* witness scoring.
 
-    Witness sums always come from the coverage-profile arrays (the two
-    legacy SUM structures are output-identical by design), so the
-    cache identity carries ``"profile"`` whatever the query asked for.
+    Witness sums always come from the packed coverage profiles (the two
+    legacy SUM structures are output-identical by design), so the cache
+    identity carries ``"profile"`` whatever the query asked for.
     """
 
     #: Read by the inherited ``cache_key()``.
@@ -505,7 +455,7 @@ class VectorSumPairIndex(SumPairIndex):
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._sums = LazyProfiles(self.structure.layout)
+        self._profiles = PackedProfiles(self.structure.layout)
 
     def maintained(self, tps: TemporalPointSet) -> "VectorSumPairIndex":
         clone = object.__new__(type(self))
@@ -513,15 +463,7 @@ class VectorSumPairIndex(SumPairIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
-        clone._sums = LazyProfiles(clone.structure.layout)
-        clone._sums.cache.update(
-            transfer_cell_cache(
-                self.structure.layout,
-                clone.structure.layout,
-                self.tps.n,
-                self._sums.cache,
-            )
-        )
+        clone._profiles = PackedProfiles(clone.structure.layout)
         return clone
 
     # ------------------------------------------------------------------
@@ -532,6 +474,7 @@ class VectorSumPairIndex(SumPairIndex):
         metric = self.tps.metric
         res = st.resolution
         link_thr = _link_threshold(res)
+        prof = self._profiles
         out: List[PairRecord] = []
         eligible = _eligible_anchor_array(lay, tau)
         if not len(eligible):
@@ -548,33 +491,23 @@ class VectorSumPairIndex(SumPairIndex):
             his = np.minimum(lay.ends[pp], lay.ends[qq])
             window = his - sp_pair
             run_cell = ci[run_src]
-            wit_run, wit_cell, wit_counts = _witness_pools(
+            wit_run, wit_cell, _ = _witness_pools(
                 lay, metric, ai, ci, run_src, link_thr
             )
-            # Expand to one evaluation request per (witness cell, pair),
-            # then batch all requests touching one cell into a single
-            # profile sweep.  ``np.bincount`` accumulates sequentially
-            # in input order; sorting requests by cell keeps each pair's
-            # contributions in ascending-cell order — exactly the legacy
-            # scalar accumulation, so scores stay float-identical.
-            total = np.zeros(n_pairs)
-            if len(wit_run):
-                req_m = run_m[wit_run]
-                val_pair = ragged_arange(run_start[wit_run], req_m)
-                val_gi = np.repeat(wit_cell, req_m)
-                order = np.argsort(val_gi, kind="stable")
-                vp, vg = val_pair[order], val_gi[order]
-                contrib = np.empty(len(vp))
-                cell_bounds = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(vg)) + 1, [len(vg)])
-                )
-                for b0, b1 in zip(cell_bounds[:-1], cell_bounds[1:]):
-                    prof = self._sums[int(vg[b0])]
-                    sel = vp[b0:b1]
-                    contrib[b0:b1] = prof.values(his[sel]) - prof.values(
-                        sp_pair[sel]
-                    )
-                total = np.bincount(vp, weights=contrib, minlength=n_pairs)
+            # One request per (witness cell, pair).  Requests run
+            # witness-major within each run, so every pair meets its
+            # witness cells in ascending order and ``np.bincount``
+            # (sequential in input order) adds them up exactly like the
+            # legacy scalar loop.
+            req_m = run_m[wit_run]
+            req_pair = ragged_arange(run_start[wit_run], req_m)
+            req_cell = np.repeat(wit_cell, req_m)
+            hi_rank = np.searchsorted(prof.ranks, his, side="right")
+            lo_rank = np.searchsorted(prof.ranks, sp_pair, side="right")
+            contrib = prof.values(
+                req_cell, his[req_pair], hi_rank[req_pair]
+            ) - prof.values(req_cell, sp_pair[req_pair], lo_rank[req_pair])
+            total = np.bincount(req_pair, weights=contrib, minlength=n_pairs)
             # Discount the self-contributions of q (always counted) and
             # of p when its own cell is in the witness pool.
             total = total - window
@@ -587,25 +520,168 @@ class VectorSumPairIndex(SumPairIndex):
                 <= link_thr
             )
             total = np.where(np.repeat(p_counted, run_m), total - window, total)
-            # Partners are in shrinking-window order within a run: the
-            # first failing partner ends the run (Algorithm 4's break).
-            pos = np.arange(n_pairs)
-            first_fail = np.minimum.reduceat(
-                np.where(total < tau, pos, n_pairs), run_start
-            )
-            keep = np.nonzero(pos < np.repeat(first_fail, run_m))[0]
-            out.extend(
-                PairRecord(p=int(pp[i]), q=int(qq[i]), score=float(total[i]))
-                for i in keep
-            )
+            keep = _until_first_failure(total >= tau, run_start, run_m)
+            out.extend(_pair_records(pp[keep], qq[keep], total[keep]))
         return out
+
+
+def _until_first_failure(
+    ok: np.ndarray, run_start: np.ndarray, run_m: np.ndarray
+) -> np.ndarray:
+    """Positions reported by Algorithm 4/8's early break.
+
+    Partners are in shrinking-window order within a run, and the first
+    failing partner ends the run: keep each run's prefix before it.
+    """
+    pos = np.arange(len(ok))
+    first_fail = np.minimum.reduceat(np.where(ok, len(ok), pos), run_start)
+    return np.flatnonzero(pos < np.repeat(first_fail, run_m))
+
+
+def _pair_records(
+    p: np.ndarray, q: np.ndarray, score: np.ndarray
+) -> Iterator[PairRecord]:
+    for a, b, s in zip(p.tolist(), q.tolist(), score.tolist()):
+        yield PairRecord(p=a, q=b, score=s)
 
 
 # ----------------------------------------------------------------------
 # UNION pairs
 # ----------------------------------------------------------------------
+def _slices(weights: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``[i0, i1)`` ranges whose weights sum to at most
+    ``cap`` (a single heavier item gets a range of its own)."""
+    cum = np.cumsum(weights)
+    i0 = 0
+    while i0 < len(weights):
+        base = cum[i0 - 1] if i0 else 0
+        i1 = max(int(np.searchsorted(cum, base + cap, side="right")), i0 + 1)
+        yield i0, i1
+        i0 = i1
+
+
+def _best_witnesses(
+    lay: SoALayout,
+    pool: np.ndarray,
+    pool_cell: np.ndarray,
+    off: np.ndarray,
+    cnt: np.ndarray,
+    excl: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``ComputeMaxUnionD`` for a batch of segments ``[a_s, b_s]``.
+
+    Segment ``s`` draws on ``pool[off_s : off_s + cnt_s]`` (its witness
+    cells' members, cells ascending, ids ascending within a cell) minus
+    the id ``excl_s``.  Each segment gets the member
+    :meth:`~repro.temporal.max_overlap.MaxOverlapIndex.best_overlap` and
+    the legacy cell loop would pick: the largest overlap; among ties the
+    first witness cell; within it the stab-start candidate over the
+    stab-end one over a contained one — the latest end, the earliest
+    start, and then the smallest id deciding within each (DESIGN.md
+    note 8).  Returns ``(segments, overlap, start, end)`` for the
+    segments that have a witness of positive overlap.
+    """
+    seg = np.repeat(np.arange(len(a)), cnt)
+    pos = ragged_arange(off, cnt)
+    u = pool[pos]
+    u_lo, u_hi = lay.starts[u], lay.ends[u]
+    sa, sb = a[seg], b[seg]
+    # One formula for all three candidate kinds: for a member stabbing
+    # a it is min(end, b) − a, for one stabbing b it is b − max(start, a),
+    # for a contained one end − start.
+    ov = np.minimum(u_hi, sb) - np.maximum(u_lo, sa)
+    ok = np.flatnonzero((ov > 0) & (u != excl[seg]))
+    seg, pos, ov = seg[ok], pos[ok], ov[ok]
+    u_lo, u_hi, sa, sb = u_lo[ok], u_hi[ok], sa[ok], sb[ok]
+    if not len(seg):
+        return seg, ov, u_lo, u_hi
+    new = np.diff(seg, prepend=-1) != 0
+    heads = np.flatnonzero(new)
+    grp = np.cumsum(new) - 1
+    idx = np.arange(len(seg))
+
+    def first_of(mask):
+        return np.minimum.reduceat(np.where(mask, idx, len(idx)), heads)
+
+    # The largest overlap, then the first cell holding it.
+    top = ov == np.maximum.reduceat(ov, heads)[grp]
+    top &= pool_cell[pos] == pool_cell[pos[first_of(top)]][grp]
+    # Stab-start (0) over stab-end (1) over contained (2).
+    kind = np.where(u_lo <= sa, 0, np.where(u_hi >= sb, 1, 2))
+    top &= kind == np.minimum.reduceat(np.where(top, kind, 3), heads)[grp]
+    # The latest end, or the earliest start; ids ascend within a cell, so
+    # the first member left has the smallest id.
+    tie = np.where(kind == 0, -u_hi, np.where(kind == 1, u_lo, 0.0))
+    top &= tie == np.minimum.reduceat(np.where(top, tie, np.inf), heads)[grp]
+    pick = first_of(top)
+    return seg[heads], ov[pick], u_lo[pick], u_hi[pick]
+
+
+def _greedy_cover(
+    lay: SoALayout,
+    pool: np.ndarray,
+    pool_cell: np.ndarray,
+    off: np.ndarray,
+    cnt: np.ndarray,
+    excl: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    kappa: int,
+) -> np.ndarray:
+    """:meth:`~repro.core.aggregate.UnionPairIndex.greedy_union` for a
+    batch of windows ``[lo_i, hi_i]`` at once.
+
+    Every window keeps its heap as one row of slots, one column per
+    push in push order, so ``argmax``'s first-maximum rule is the legacy
+    ``(−overlap, push counter)`` heap order.  Each round pops every
+    row's best slot, adds its overlap in pop order, and scores both
+    remainders of every popped segment in one :func:`_best_witnesses`
+    batch.
+    """
+    # Popped pieces are disjoint and end at the window's or a witness's
+    # endpoints, so a window with c witnesses pops at most 2c + 1 times.
+    kappa = min(kappa, 2 * int(cnt.max(initial=0)) + 1)
+    n = len(lo)
+    covered = np.zeros(n)
+    heap = np.full((n, 1 + 2 * kappa), -np.inf)
+    seg_lo, seg_hi = np.zeros(heap.shape), np.zeros(heap.shape)
+    wit_lo, wit_hi = np.zeros(heap.shape), np.zeros(heap.shape)
+
+    def push(rows, cols, a, b):
+        live = b > a
+        rows, cols, a, b = rows[live], cols[live], a[live], b[live]
+        s, ov, w_lo, w_hi = _best_witnesses(
+            lay, pool, pool_cell, off[rows], cnt[rows], excl[rows], a, b
+        )
+        r, c = rows[s], cols[s]
+        heap[r, c], seg_lo[r, c], seg_hi[r, c] = ov, a[s], b[s]
+        wit_lo[r, c], wit_hi[r, c] = w_lo, w_hi
+
+    rows = np.arange(n)
+    push(rows, np.zeros(n, dtype=np.int64), lo, hi)
+    for k in range(kappa):
+        rows = np.flatnonzero(heap.max(axis=1) > -np.inf)
+        if not len(rows):
+            break
+        col = heap[rows].argmax(axis=1)
+        covered[rows] += heap[rows, col]
+        heap[rows, col] = -np.inf
+        a, b = seg_lo[rows, col], seg_hi[rows, col]
+        w_lo, w_hi = wit_lo[rows, col], wit_hi[rows, col]
+        m = len(rows)
+        push(
+            np.concatenate((rows, rows)),
+            np.repeat(np.array([1 + 2 * k, 2 + 2 * k]), m),
+            np.concatenate((a, np.maximum(a, w_hi))),
+            np.concatenate((np.minimum(b, w_lo), b)),
+        )
+    return covered
+
+
 class VectorUnionPairIndex(UnionPairIndex):
-    """Algorithm 8 over array candidate generation + lazy ``IT∪``."""
+    """Algorithm 8 with batched candidates, witness pools and greedy."""
 
     def __init__(
         self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
@@ -614,7 +690,6 @@ class VectorUnionPairIndex(UnionPairIndex):
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._overlaps = LazyOverlaps(self.structure.layout)
 
     def maintained(self, tps: TemporalPointSet) -> "VectorUnionPairIndex":
         clone = object.__new__(type(self))
@@ -622,15 +697,6 @@ class VectorUnionPairIndex(UnionPairIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
-        clone._overlaps = LazyOverlaps(clone.structure.layout)
-        clone._overlaps.cache.update(
-            transfer_cell_cache(
-                self.structure.layout,
-                clone.structure.layout,
-                self.tps.n,
-                self._overlaps.cache,
-            )
-        )
         return clone
 
     # ------------------------------------------------------------------
@@ -638,6 +704,7 @@ class VectorUnionPairIndex(UnionPairIndex):
         self._check_params(tau)
         if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
             raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
+        kappa = int(kappa)
         st = self.structure
         lay = st.layout
         metric = self.tps.metric
@@ -655,30 +722,42 @@ class VectorUnionPairIndex(UnionPairIndex):
             if expanded is None:
                 continue
             pp, qq, run_start, run_m, run_src = expanded
+            n_runs = len(run_start)
+            sp = lay.starts[pp]
             his = np.minimum(lay.ends[pp], lay.ends[qq])
-            _, wit_cell, wit_counts = _witness_pools(
+            wit_run, wit_cell, _ = _witness_pools(
                 lay, metric, ai, ci, run_src, link_thr
             )
-            wit_offsets = np.concatenate(([0], np.cumsum(wit_counts)))
-            # Candidate generation and witness pools are batched; the
-            # greedy max-κ-coverage itself stays sequential per reported
-            # partner (its heap is inherently iterative), with the
-            # legacy early break.
-            for g in range(len(run_start)):
-                witnesses = wit_cell[wit_offsets[g] : wit_offsets[g + 1]].tolist()
-                if not witnesses:
-                    continue
-                p = int(pp[run_start[g]])
-                sp = float(lay.starts[p])
-                for i in range(run_start[g], run_start[g] + run_m[g]):
-                    covered = self.greedy_union(
-                        sp, float(his[i]), witnesses, kappa,
-                        exclude=(p, int(qq[i])),
-                    )
-                    if covered >= target:
-                        out.append(PairRecord(p=p, q=int(qq[i]), score=covered))
-                    else:
-                        break
+            # Each run's witness pool: its witness cells' members in the
+            # legacy order (cells ascending, ids ascending), less the
+            # anchor and any member that cannot overlap the run's widest
+            # window (the first partner's).
+            wcount = lay.counts[wit_cell]
+            pool = lay.order_id[ragged_arange(lay.offsets[wit_cell], wcount)]
+            pool_run = np.repeat(wit_run, wcount)
+            pool_cell = np.repeat(wit_cell, wcount)
+            run_anchor = pp[run_start]
+            usable = (
+                (pool != run_anchor[pool_run])
+                & (lay.ends[pool] > lay.starts[run_anchor][pool_run])
+                & (lay.starts[pool] < his[run_start][pool_run])
+            )
+            pool, pool_run, pool_cell = pool[usable], pool_run[usable], pool_cell[usable]
+            pool_len = np.bincount(pool_run, minlength=n_runs)
+            pool_off = np.cumsum(pool_len) - pool_len
+            pair_run = np.repeat(np.arange(n_runs), run_m)
+            off, cnt = pool_off[pair_run], pool_len[pair_run]
+            covered = np.empty(len(pp))
+            # Bound the (segment × witness member) expansion and the heap
+            # slots of one greedy batch.
+            slots = 1 + 2 * np.minimum(kappa, 2 * cnt + 1)
+            for i0, i1 in _slices(2 * cnt + slots, BLOCK_ELEMS):
+                covered[i0:i1] = _greedy_cover(
+                    lay, pool, pool_cell, off[i0:i1], cnt[i0:i1], qq[i0:i1],
+                    sp[i0:i1], his[i0:i1], kappa,
+                )
+            keep = _until_first_failure(covered >= target, run_start, run_m)
+            out.extend(_pair_records(pp[keep], qq[keep], covered[keep]))
         return out
 
 
@@ -688,12 +767,17 @@ class VectorUnionPairIndex(UnionPairIndex):
 class VectorPatternIndex(PatternIndex):
     """Appendix D reporters over the array-backed ball structure.
 
-    The enumeration recursions are inherited (they are output-bound);
-    the win is the build — no per-ball dominance trees — plus batched
-    anchor contexts: one ``durableBallQ`` sweep per ``(τ, radius)``
-    serves every anchor, and the link table is one small distance
-    matrix instead of O(k²) scalar ``linked()`` calls.
+    Cliques are batched end to end (:meth:`iter_cliques`).  Paths and
+    stars keep the inherited per-anchor recursion (it is output-bound)
+    but read their anchor contexts from one batched ``durableBallQ``
+    sweep per call, carried by a per-call copy of the index, and their
+    link tables are one small distance matrix instead of O(k²) scalar
+    ``linked()`` calls.
     """
+
+    #: ``anchor -> (cells, counts, partner ids)`` for one path/star
+    #: call; only the per-call copies made by :meth:`_for_call` have it.
+    _call_map: Dict[int, tuple]
 
     def __init__(
         self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
@@ -702,7 +786,7 @@ class VectorPatternIndex(PatternIndex):
         self.epsilon = _check_epsilon(epsilon)
         self.backend = "vector"
         self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._contexts: Dict[Tuple[float, float], Dict[int, tuple]] = {}
+        self._start_keys = _start_keys(self.structure.layout)
 
     def maintained(self, tps: TemporalPointSet) -> "VectorPatternIndex":
         clone = object.__new__(type(self))
@@ -710,64 +794,222 @@ class VectorPatternIndex(PatternIndex):
         clone.epsilon = self.epsilon
         clone.backend = self.backend
         clone.structure = self.structure.extended(tps)
-        clone._contexts = {}
+        clone._start_keys = _start_keys(clone.structure.layout)
         return clone
 
     # ------------------------------------------------------------------
-    def _context_map(self, tau: float, radius: float) -> Dict[int, tuple]:
-        ctx = self._contexts.get((tau, radius))
-        if ctx is not None:
-            return ctx
-        ctx = {}
+    # Cliques
+    # ------------------------------------------------------------------
+    def iter_cliques(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        """τ-durable ``m``-cliques, in the inherited recursion's order.
+
+        A clique is an anchor plus ``m − 1`` of its partners whose balls
+        are pairwise linked and linked to the anchor's ball.  They are
+        enumerated level-wise over the partners in ``(cell, id)`` order
+        and sorted by the recursion's key: anchor, then the (ball, take)
+        signature of the ball multiset, then the member ids ball by ball
+        (DESIGN.md note 8).
+        """
+        self._check(m, tau)
         st = self.structure
         lay = st.layout
+        metric = self.tps.metric
+        link_thr = _link_threshold(st.resolution)
         eligible = _eligible_anchor_array(lay, tau)
-        if len(eligible):
-            cai, cci = _candidate_pairs(
-                lay, self.tps.metric, eligible, radius, st.resolution
-            )
-            for e0, e1 in _anchor_chunks(lay, cai, cci):
-                ai, ci = cai[e0:e1], cci[e0:e1]
-                expanded = _expand_partners(lay, eligible, ai, ci, tau)
-                if expanded is None:
-                    continue
-                _, qq, run_start, run_m, run_src = expanded
-                run_row = ai[run_src]
-                rb = np.concatenate(
-                    ([0], np.flatnonzero(np.diff(run_row)) + 1, [len(run_row)])
+        if not len(eligible):
+            return
+        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, st.resolution)
+        for e0, e1 in _anchor_chunks(lay, cai, cci):
+            ai, ci = cai[e0:e1], cci[e0:e1]
+            expanded = _expand_partners(lay, eligible, ai, ci, tau)
+            if expanded is None:
+                continue
+            p, q, _, run_m, run_src = expanded
+            run_cell = ci[run_src]
+            linked = np.repeat(
+                rowwise_dists(
+                    metric,
+                    lay.centers[run_cell],
+                    lay.centers[lay.cell_of[eligible[ai[run_src]]]],
                 )
-                for g0, g1 in zip(rb[:-1], rb[1:]):
-                    p = int(eligible[run_row[g0]])
-                    q0 = run_start[g0]
-                    q1 = run_start[g1 - 1] + run_m[g1 - 1]
-                    ctx[p] = (ci[run_src[g0:g1]], run_m[g0:g1], qq[q0:q1])
-        self._contexts[(tau, radius)] = ctx
+                <= link_thr,
+                run_m,
+            )
+            run_of = np.repeat(np.arange(len(run_m)), run_m)[linked]
+            p, q, cell = p[linked], q[linked], run_cell[run_of]
+            # Runs ascend in (anchor, cell); add id order within a run.
+            order = np.lexsort((q, run_of))
+            yield from self._clique_records(
+                p[order], q[order], cell[order], m, link_thr
+            )
+
+    def _clique_records(
+        self, p: np.ndarray, q: np.ndarray, cell: np.ndarray, m: int, link_thr: float
+    ) -> List[PatternRecord]:
+        lay = self.structure.layout
+        metric = self.tps.metric
+        bounds = np.flatnonzero(np.diff(p, prepend=-1, append=-1))
+        seg_end = np.repeat(bounds[1:], np.diff(bounds))
+        # Level-wise join: extend each partial clique (positions in
+        # canonical order) by every later partner of the same anchor
+        # whose ball is linked to all members' balls.
+        tup = np.arange(len(q))[:, None]
+        for _ in range(m - 2):
+            last = tup[:, -1]
+            grow = seg_end[last] - last - 1
+            parts = []
+            for i0, i1 in _slices(grow, BLOCK_ELEMS):
+                rows = np.repeat(np.arange(i0, i1), grow[i0:i1])
+                nxt = ragged_arange(last[i0:i1] + 1, grow[i0:i1])
+                ok = np.ones(len(nxt), dtype=bool)
+                for j in range(tup.shape[1]):
+                    ok &= rowwise_dists(
+                        metric,
+                        lay.centers[cell[nxt]],
+                        lay.centers[cell[tup[rows, j]]],
+                    ) <= link_thr
+                parts.append(np.column_stack((tup[rows[ok]], nxt[ok])))
+            tup = np.concatenate(parts) if parts else tup[:0]
+        if not len(tup):
+            return []
+        balls, ids, anchors = cell[tup], q[tup], p[tup[:, 0]]
+        # (ball, take) signature: the run-length encoding of each row's
+        # ball sequence, padded (no signature is a prefix of another).
+        rows = np.arange(len(tup))
+        fresh = np.ones(balls.shape, dtype=bool)
+        fresh[:, 1:] = balls[:, 1:] != balls[:, :-1]
+        slot = np.cumsum(fresh, axis=1) - 1
+        sig_ball = np.full(balls.shape, -1, dtype=np.int64)
+        sig_take = np.zeros(balls.shape, dtype=np.int64)
+        for j in range(balls.shape[1]):
+            sig_ball[rows, slot[:, j]] = balls[:, j]
+            sig_take[rows, slot[:, j]] += 1
+        keys = [ids[:, j] for j in reversed(range(ids.shape[1]))]
+        for j in reversed(range(balls.shape[1])):
+            keys += [sig_take[:, j], sig_ball[:, j]]
+        order = np.lexsort(keys + [anchors])
+        members = np.sort(np.column_stack((anchors, ids))[order], axis=1)
+        # intersect_many over the sorted members, comparison for
+        # comparison.
+        lo, hi = lay.starts[members[:, 0]], lay.ends[members[:, 0]]
+        for j in range(1, m):
+            s, e = lay.starts[members[:, j]], lay.ends[members[:, j]]
+            lo = np.where(s > lo, s, lo)
+            hi = np.where(e < hi, e, hi)
+        return [
+            PatternRecord(kind="clique", members=tuple(mem), lifespan=Interval(a, b))
+            for mem, a, b in zip(members.tolist(), lo.tolist(), hi.tolist())
+        ]
+
+    # ------------------------------------------------------------------
+    # Paths and stars: the inherited recursion over per-call contexts
+    # ------------------------------------------------------------------
+    def iter_paths(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        self._check(m, tau)
+        view = self._for_call(tau, float(m - 1))
+        for p in view._call_map:
+            yield from view._paths_for_anchor(p, m, tau)
+
+    def iter_stars(self, m: int, tau: float) -> Iterator[PatternRecord]:
+        self._check(m, tau)
+        view = self._for_call(tau, 2.0)
+        for p in view._call_map:
+            yield from view._stars_for_anchor(p, m, tau)
+
+    def star_summaries(self, m: int, tau: float) -> List[Tuple[int, List[int]]]:
+        self._check(m, tau)
+        return PatternIndex.star_summaries(self._for_call(tau, 2.0), m, tau)
+
+    def _for_call(self, tau: float, radius: float) -> "VectorPatternIndex":
+        """A shallow copy of this index carrying one call's contexts, so
+        the map lives exactly as long as the call and the index itself
+        is never written."""
+        view = copy.copy(self)
+        view._call_map = self._context_map(tau, radius)
+        return view
+
+    def _context_map(self, tau: float, radius: float) -> Dict[int, tuple]:
+        """The contexts of every eligible anchor with partners, in anchor
+        order, from one batched ``durableBallQ`` sweep.  Partners within
+        a cell come in the grid reference's order
+        (:meth:`_dominance_order`)."""
+        ctx: Dict[int, tuple] = {}
+        st = self.structure
+        lay = st.layout
+        anchors = _eligible_anchor_array(lay, tau)
+        if not len(anchors):
+            return ctx
+        cai, cci = _candidate_pairs(lay, self.tps.metric, anchors, radius, st.resolution)
+        for e0, e1 in _anchor_chunks(lay, cai, cci):
+            ai, ci = cai[e0:e1], cci[e0:e1]
+            expanded = _expand_partners(lay, anchors, ai, ci, tau)
+            if expanded is None:
+                continue
+            pp, qq, run_start, run_m, run_src = expanded
+            run_cell = ci[run_src]
+            qq = qq[self._dominance_order(pp, qq, run_m, run_cell)]
+            run_row = ai[run_src]
+            rb = np.concatenate(
+                ([0], np.flatnonzero(np.diff(run_row)) + 1, [len(run_row)])
+            )
+            for g0, g1 in zip(rb[:-1], rb[1:]):
+                p = int(anchors[run_row[g0]])
+                q0 = run_start[g0]
+                q1 = run_start[g1 - 1] + run_m[g1 - 1]
+                ctx[p] = (run_cell[g0:g1], run_m[g0:g1], qq[q0:q1])
         return ctx
 
+    def _dominance_order(
+        self, pp: np.ndarray, qq: np.ndarray, run_m: np.ndarray, run_cell: np.ndarray
+    ) -> np.ndarray:
+        """Permutation of the partners into the grid reference's order.
+
+        The grid's per-cell :class:`~repro.temporal.dominance.DominanceIndex`
+        splits the ``(start, id)``-prefix ``[0, t)`` below the anchor into
+        aligned power-of-two blocks and reports them smallest first, each
+        in ``(end desc, id asc)`` order.  A member at prefix position
+        ``pos`` lies in the block of the highest bit where ``pos`` and
+        ``t`` differ, so a stable sort of each run (already in ``(end
+        desc, id asc)`` order) by that bit reproduces the reference.
+        """
+        lay = self.structure.layout
+        keys, ranks = self._start_keys
+        cells = np.repeat(run_cell, run_m)
+        base = lay.offsets[cells]
+        t = np.searchsorted(keys, cells * lay.n + ranks[pp]) - base
+        pos = np.searchsorted(keys, cells * lay.n + ranks[qq]) - base
+        block = np.frexp((pos ^ t).astype(np.float64))[1]
+        return np.lexsort((block, np.repeat(np.arange(len(run_m)), run_m)))
+
     def _anchor_context(self, anchor, tau, radius):
-        entry = self._context_map(float(tau), float(radius)).get(int(anchor))
-        groups_all = self.structure.groups
-        own = groups_all[self.structure.group_index_of(anchor)]
+        own = int(self.structure.layout.cell_of[anchor])
+        entry = self._call_map.get(int(anchor))
         if entry is None:
-            return [], {int(anchor): 0}, [own]
+            return [], {int(anchor): 0}, np.asarray([own])
         cells, counts, qids = entry
-        groups = [groups_all[int(c)] for c in cells]
         candidates = qids.tolist()
         ball_of = dict(
             zip(candidates, np.repeat(np.arange(len(cells)), counts).tolist())
         )
-        ball_of[int(anchor)] = len(groups)
-        groups.append(own)
-        return candidates, ball_of, groups
+        ball_of[int(anchor)] = len(cells)
+        return candidates, ball_of, np.append(cells, own)
 
-    def _link_table(self, groups):
-        # All groups are grid cells: one small distance matrix replaces
-        # O(k²) scalar linked() calls, with the legacy float association
-        # ((1 + r_a) + r_b) + slack.
-        k = len(groups)
-        reps = np.stack([np.asarray(g.rep, dtype=np.float64) for g in groups])
-        rb = np.fromiter((g.radius_bound for g in groups), dtype=np.float64, count=k)
-        d = pairwise_dists(self.tps.metric, reps, reps)
-        table = d <= (((1.0 + rb[:, None]) + rb[None, :]) + GEOMETRY_SLACK)
+    def _link_table(self, cells):
+        # The "groups" here are cell indices: one small distance matrix
+        # over their centers replaces O(k²) scalar linked() calls, with
+        # the legacy threshold arithmetic.
+        centers = self.structure.layout.centers[cells]
+        table = pairwise_dists(self.tps.metric, centers, centers) <= _link_threshold(
+            self.structure.resolution
+        )
         np.fill_diagonal(table, True)
         return table
+
+
+def _start_keys(lay: SoALayout) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, ranks)``: every point's rank in global ``(start, id)``
+    order, and ``cell × n + rank`` sorted — each cell's members in
+    ``(start, id)`` order, addressable by one ``searchsorted``."""
+    ranks = np.empty(lay.n, dtype=np.int64)
+    ranks[np.lexsort((np.arange(lay.n), lay.starts))] = np.arange(lay.n)
+    return np.sort(lay.cell_of * lay.n + ranks), ranks

@@ -172,9 +172,7 @@ class VectorBallStructure:
         is implicit: the merged set's arrays are bucketed in one pass,
         producing the canonical sorted-cell order a fresh build yields),
         so maintenance is cheap and the result is *identical* to a fresh
-        build — per-cell derived structures for unchanged cells are
-        carried over by the index classes (see
-        :func:`~repro.backends.vector.indexes.transfer_cell_cache`).
+        build.
         """
         n_old = self.tps.n
         if tps.n <= n_old:

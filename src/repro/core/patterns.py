@@ -250,12 +250,12 @@ class PatternIndex:
         self._check(m, tau)
         out: List[Tuple[int, List[int]]] = []
         for p in self._eligible_anchors(tau):
-            for center, leaves, need in self._star_contexts(p, m, tau):
+            for center, leaves, need in self._star_centers(p, m, tau):
                 if len(leaves) >= need:
                     out.append((center, sorted(leaves)))
         return out
 
-    def _star_contexts(
+    def _star_centers(
         self, p: int, m: int, tau: float
     ) -> Iterator[Tuple[int, List[int], int]]:
         candidates, ball_of, groups = self._anchor_context(p, tau, radius=2.0)
@@ -273,7 +273,7 @@ class PatternIndex:
         return
 
     def _stars_for_anchor(self, p: int, m: int, tau: float) -> Iterator[PatternRecord]:
-        for center, leaves, need in self._star_contexts(p, m, tau):
+        for center, leaves, need in self._star_centers(p, m, tau):
             if center == p:
                 pool = sorted(leaves)
                 for combo in combinations(pool, m - 1):

@@ -3,11 +3,12 @@
 Plans run on a :class:`~concurrent.futures.ThreadPoolExecutor`; index
 builds are de-duplicated by the cache's single-flight discipline, so a
 batch whose queries share one index performs one build no matter how
-many workers race for it.  Query paths in this library are read-only
-(the indexes memoise nothing after construction), so concurrent queries
-against one shared index are safe and the result of a batch is
-deterministic: results come back in submission order, and each query's
-records are exactly what a sequential run would produce.
+many workers race for it.  The runners' query paths are read-only:
+they write nothing to an index after construction
+(``tests/test_backends.py`` pins this for the ``vector`` families), so
+concurrent queries against one shared index are safe and the result of
+a batch is deterministic: results come back in submission order, and
+each query's records are exactly what a sequential run would produce.
 
 A query whose builder or runner raises does not destroy the rest of the
 batch: with ``raise_on_error=False`` the failure is captured into its

@@ -6,9 +6,10 @@ Covers: registry registration/lookup semantics, pair/pattern kinds
 ``auto``, registry-routed ``make_decomposition`` errors, the ``auto``
 rule pinned over kinds × metrics × exactness, bit-stable cache keys
 for every pre-existing backend name, grid vs cover-tree record-set
-parity on band-free datasets (property test), the serving layer's
-per-dataset default backend + per-backend counters, and the CLI
-surfaces.
+parity on band-free datasets (property test), the vector index classes
+equal to grid as record lists on clustered float sets (property test),
+read-only vector query paths, the serving layer's per-dataset default
+backend + per-backend counters, and the CLI surfaces.
 """
 
 import io
@@ -635,6 +636,145 @@ class TestBackendParity:
                 results["cover-tree"]
             ), b
         assert len(results["grid"]) > 0  # the example is non-degenerate
+
+
+# ----------------------------------------------------------------------
+# The vector index classes against the grid reference, as lists.
+#
+# Both use the same canonical cells, so on ANY input (no band-free
+# lattice needed) they must return the same records in the same order,
+# with ``==`` scores and lifespans: greedy tie order, witness summation
+# order and the pattern recursion order all show up in these lists.
+# ----------------------------------------------------------------------
+#: A few (start, length) values, so many points share a lifespan and
+#: many lifespans share an endpoint.
+_STARTS = (0.0, 0.5, 1.0, 1.25, 2.0, 3.0)
+_LENGTHS = (0.0, 1.0, 2.5, 3.0, 4.0, 5.5, 7.0)
+
+
+@st.composite
+def clustered_tps(draw):
+    metric = draw(st.sampled_from(["l1", "l2", "linf"]))
+    coord = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    centers = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=6))
+    jitter = st.floats(0.0, 0.06, allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(5, 16))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(centers) - 1), jitter, jitter),
+            min_size=n, max_size=n,
+        )
+    )
+    starts = draw(st.lists(st.sampled_from(_STARTS), min_size=n, max_size=n))
+    lengths = draw(st.lists(st.sampled_from(_LENGTHS), min_size=n, max_size=n))
+    pts = np.asarray(
+        [(centers[c][0] + dx, centers[c][1] + dy) for c, dx, dy in picks]
+    )
+    s = np.asarray(starts)
+    return TemporalPointSet(pts, s, s + np.asarray(lengths), metric=metric)
+
+
+class TestVectorListParity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tps=clustered_tps(),
+        tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        epsilon=st.sampled_from([0.5, 1.0]),
+    )
+    def test_vector_indexes_equal_grid_as_lists(self, tps, tau, epsilon):
+        from repro.backends.vector import (
+            VectorPatternIndex,
+            VectorSumPairIndex,
+            VectorUnionPairIndex,
+        )
+
+        assert VectorSumPairIndex(tps, epsilon).query(tau) == SumPairIndex(
+            tps, epsilon, backend="grid"
+        ).query(tau)
+
+        vec_union = VectorUnionPairIndex(tps, epsilon)
+        grid_union = UnionPairIndex(tps, epsilon, backend="grid")
+        for kappa in (1, 2, 3, 5):
+            assert vec_union.query(tau, kappa) == grid_union.query(
+                tau, kappa
+            ), kappa
+
+        vec_pat = VectorPatternIndex(tps, epsilon)
+        grid_pat = PatternIndex(tps, epsilon, backend="grid")
+        for iterate in ("iter_cliques", "iter_paths", "iter_stars"):
+            for m in (2, 3, 4):
+                assert list(getattr(vec_pat, iterate)(m, tau)) == list(
+                    getattr(grid_pat, iterate)(m, tau)
+                ), (iterate, m)
+
+
+def _attrs(obj):
+    if hasattr(obj, "__dict__"):
+        return dict(vars(obj))
+    slots = [s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ())]
+    return {s: getattr(obj, s) for s in slots if hasattr(obj, s)}
+
+
+def _state(obj):
+    """Identity of every attribute and sub-attribute of ``obj``, plus
+    the size of every dict among them (a memo grows in place)."""
+
+    def entry(value):
+        return id(value), len(value) if isinstance(value, dict) else None
+
+    state = {}
+    for name, value in _attrs(obj).items():
+        state[name] = entry(value)
+        if not isinstance(value, (np.ndarray, dict, str, int, float)):
+            for sub, inner in _attrs(value).items():
+                state[f"{name}.{sub}"] = entry(inner)
+    return state
+
+
+class TestVectorQueriesAreReadOnly:
+    """The engine shares one index across concurrent queries, so a
+    query must leave the index (and its ball structure) untouched."""
+
+    def test_served_families_write_nothing(self):
+        from repro.backends.vector import (
+            VectorPatternIndex,
+            VectorSumPairIndex,
+            VectorTriangleIndex,
+            VectorUnionPairIndex,
+        )
+
+        tps = random_tps(n=150, seed=5)
+        families = {
+            "triangles": (VectorTriangleIndex, lambda ix, t: ix.query(t)),
+            "pairs-sum": (VectorSumPairIndex, lambda ix, t: ix.query(t)),
+            "pairs-union": (VectorUnionPairIndex, lambda ix, t: ix.query(t, 3)),
+            "cliques": (
+                VectorPatternIndex, lambda ix, t: list(ix.iter_cliques(3, t))
+            ),
+        }
+        taus = [2.0 + 0.05 * i for i in range(20)]
+        for family, (cls, run) in families.items():
+            index = cls(tps, 0.5)
+            before = _state(index)
+            answers = [run(index, tau) for tau in taus]
+            assert any(answers), family  # the queries did real work
+            assert _state(index) == before, family
+
+    def test_paths_and_stars_keep_nothing_per_tau(self):
+        # Regression: a per-(τ, radius) context memo on the index grew
+        # by one entry per distinct τ for the life of the cached index.
+        from repro.backends.vector import VectorPatternIndex
+
+        index = VectorPatternIndex(random_tps(n=40, seed=2), 0.5)
+        before = _state(index)
+        reported = 0
+        for i in range(25):
+            tau = 2.0 + 0.013 * i
+            reported += len(list(index.iter_paths(3, tau)))
+            reported += len(list(index.iter_stars(3, tau)))
+        assert reported
+        assert _state(index) == before
+        assert not any(isinstance(v, dict) for v in vars(index).values())
 
 
 # ----------------------------------------------------------------------
