@@ -21,34 +21,34 @@ def pattern_index():
 
 
 def test_cliques_m4(benchmark, pattern_index):
+    benchmark.group = "E10 patterns (n=400)"
     result = benchmark.pedantic(
         lambda: list(pattern_index.iter_cliques(4, TAU)), rounds=3, iterations=1
     )
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E10 patterns (n=400)"
 
 
 def test_paths_m3(benchmark, pattern_index):
+    benchmark.group = "E10 patterns (n=400)"
     result = benchmark.pedantic(
         lambda: list(pattern_index.iter_paths(3, TAU)), rounds=3, iterations=1
     )
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E10 patterns (n=400)"
 
 
 def test_stars_m4(benchmark, pattern_index):
+    benchmark.group = "E10 patterns (n=400)"
     result = benchmark.pedantic(
         lambda: list(pattern_index.iter_stars(4, TAU)), rounds=3, iterations=1
     )
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E10 patterns (n=400)"
 
 
 def test_star_summaries(benchmark, pattern_index):
     """The implicit star representation the paper reports (centers +
     witness sets) versus the full Cartesian expansion above."""
+    benchmark.group = "E10 patterns (n=400)"
     result = benchmark.pedantic(
         lambda: pattern_index.star_summaries(4, TAU), rounds=3, iterations=1
     )
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E10 patterns (n=400)"

@@ -19,18 +19,18 @@ TAUS = [2.0, 4.0, 8.0, 16.0]
 @pytest.mark.parametrize("tau", TAUS)
 def test_ours_tau_sweep(benchmark, tau):
     idx = triangle_index(N)
+    benchmark.group = "E11 tau sweep: ours (n=1000)"
     result = benchmark.pedantic(idx.query, args=(tau,), rounds=3, iterations=1)
     benchmark.extra_info["tau"] = tau
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E11 tau sweep: ours (n=1000)"
 
 
 @pytest.mark.parametrize("tau", [2.0, 16.0])
 def test_explicit_graph_tau_sweep(benchmark, tau):
     tps = workload(N)
+    benchmark.group = "E11 tau sweep: explicit graph (n=1000)"
     result = benchmark.pedantic(
         explicit_graph_triangles, args=(tps, tau), rounds=3, iterations=1
     )
     benchmark.extra_info["tau"] = tau
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E11 tau sweep: explicit graph (n=1000)"

@@ -21,10 +21,10 @@ TAU = 8.0
 def test_doubling_sweep(benchmark, intrinsic):
     tps = manifold_workload(N, intrinsic, ambient=6)
     idx = DurableTriangleIndex(tps, epsilon=0.5)
+    benchmark.group = "E12 doubling dimension sweep (ambient=6, n=800)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     rho = doubling_dimension_estimate(tps.points, n_centers=12, seed=0)
     benchmark.extra_info["intrinsic_dim"] = intrinsic
     benchmark.extra_info["rho_estimate"] = round(rho, 2)
     benchmark.extra_info["groups"] = len(idx.structure.groups)
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E12 doubling dimension sweep (ambient=6, n=800)"

@@ -33,18 +33,18 @@ def test_compute_sum_primitive(benchmark, cls):
     def run():
         return sum(struct.sum_intersections(a, b) for a, b in queries)
 
+    benchmark.group = "E13 ComputeSumD primitive (4000 intervals, 200 queries)"
     benchmark(run)
     benchmark.extra_info["structure"] = cls.__name__
-    benchmark.group = "E13 ComputeSumD primitive (4000 intervals, 200 queries)"
 
 
 @pytest.mark.parametrize("sum_backend", ["profile", "tree"])
 def test_sum_pair_end_to_end(benchmark, sum_backend):
     idx = sum_index(800, sum_backend=sum_backend)
+    benchmark.group = "E13 ReportSUMPair backend ablation (n=800)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["sum_backend"] = sum_backend
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E13 ReportSUMPair backend ablation (n=800)"
 
 
 @pytest.mark.parametrize("n", [400, 800, 1600])
@@ -56,8 +56,8 @@ def test_delay_guarantee(benchmark, n):
         count = sum(1 for _ in enum)
         return enum, count
 
+    benchmark.group = "E13 delay-guaranteed enumeration"
     enum, count = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["n"] = n
     benchmark.extra_info["out"] = count
     benchmark.extra_info["max_delay_ops"] = enum.max_delay_ops
-    benchmark.group = "E13 delay-guaranteed enumeration"

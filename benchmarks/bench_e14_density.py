@@ -25,18 +25,18 @@ def _tps(density):
 def test_ours_density(benchmark, density):
     tps = _tps(density)
     idx = DurableTriangleIndex(tps, epsilon=0.5)
+    benchmark.group = "E14 density sweep: ours (n=700, selective tau)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["density"] = density
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E14 density sweep: ours (n=700, selective tau)"
 
 
 @pytest.mark.parametrize("density", [5, 20, 80])
 def test_explicit_density(benchmark, density):
     tps = _tps(density)
+    benchmark.group = "E14 density sweep: explicit graph (n=700, selective tau)"
     result = benchmark.pedantic(
         explicit_graph_triangles, args=(tps, TAU), rounds=3, iterations=1
     )
     benchmark.extra_info["density"] = density
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E14 density sweep: explicit graph (n=700, selective tau)"

@@ -25,10 +25,10 @@ SIZES = [400, 800, 1600, 3200]
 @pytest.mark.parametrize("n", SIZES)
 def test_ours_scaling(benchmark, n):
     idx = triangle_index(n)
+    benchmark.group = "E1 ours: n sweep"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["n"] = n
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E1 ours: n sweep"
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -36,11 +36,11 @@ def test_build_scaling(benchmark, n):
     from repro import DurableTriangleIndex
 
     tps = workload(n)
+    benchmark.group = "E1 ours: index build"
     benchmark.pedantic(
         lambda: DurableTriangleIndex(tps, epsilon=EPSILON), rounds=3, iterations=1
     )
     benchmark.extra_info["n"] = n
-    benchmark.group = "E1 ours: index build"
 
 
 @pytest.mark.parametrize("n", [800, 3200])
@@ -58,10 +58,10 @@ def test_vs_baselines(benchmark, n, name, fn):
     if name == "ours":
         idx = triangle_index(n)
         fn = lambda tps, tau: idx.query(tau)
+    benchmark.group = f"E1 vs baselines, sparse (n={n})"
     result = benchmark.pedantic(fn, args=(tps, TAU), rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = name
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = f"E1 vs baselines, sparse (n={n})"
 
 
 def _dense_workload():
@@ -102,7 +102,7 @@ def test_dense_clusters(benchmark, name):
         fn = lambda: explicit_graph_triangles(tps, DENSE_TAU)
     else:
         fn = lambda: durable_join_triangles(tps, DENSE_TAU)
+    benchmark.group = "E1 vs baselines, dense clusters (n=600, selective tau)"
     result = benchmark.pedantic(fn, rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = name
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E1 vs baselines, dense clusters (n=600, selective tau)"

@@ -32,10 +32,10 @@ def test_session_ladder(benchmark):
             total += len(session.query(tau))
         return total
 
+    benchmark.group = "E2 incremental ladder (n=2000, selective)"
     out = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = "session"
     benchmark.extra_info["delta_results"] = out
-    benchmark.group = "E2 incremental ladder (n=2000, selective)"
 
 
 def test_index_recompute_ladder(benchmark):
@@ -51,10 +51,10 @@ def test_index_recompute_ladder(benchmark):
             seen = {r.key for r in full}
         return total
 
+    benchmark.group = "E2 incremental ladder (n=2000, selective)"
     out = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = "index-recompute"
     benchmark.extra_info["delta_results"] = out
-    benchmark.group = "E2 incremental ladder (n=2000, selective)"
 
 
 def test_brute_recompute_ladder(benchmark):
@@ -71,10 +71,10 @@ def test_brute_recompute_ladder(benchmark):
             total += len(base.query(tau))
         return total
 
+    benchmark.group = "E2 incremental ladder (n=2000, selective)"
     out = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = "brute-recompute"
     benchmark.extra_info["delta_results"] = out
-    benchmark.group = "E2 incremental ladder (n=2000, selective)"
 
 
 def test_session_build(benchmark):
@@ -82,7 +82,7 @@ def test_session_build(benchmark):
     from repro import IncrementalTriangleSession
 
     tps = workload(N)
+    benchmark.group = "E2 session preprocessing (n=2000)"
     benchmark.pedantic(
         lambda: IncrementalTriangleSession(tps, epsilon=0.5), rounds=2, iterations=1
     )
-    benchmark.group = "E2 session preprocessing (n=2000)"

@@ -18,6 +18,7 @@ N = 800
 @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.25, 0.125])
 def test_epsilon_sweep(benchmark, epsilon):
     idx = triangle_index(N, epsilon=epsilon)
+    benchmark.group = "E5 epsilon sweep (n=800)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     exact = len(brute_force_triangle_keys(workload(N), TAU))
     benchmark.extra_info["epsilon"] = epsilon
@@ -25,4 +26,3 @@ def test_epsilon_sweep(benchmark, epsilon):
     benchmark.extra_info["out"] = len(result)
     benchmark.extra_info["exact"] = exact
     benchmark.extra_info["inflation"] = round(len(result) / max(exact, 1), 3)
-    benchmark.group = "E5 epsilon sweep (n=800)"

@@ -17,18 +17,18 @@ SIZES = [400, 800, 1600]
 @pytest.mark.parametrize("n", SIZES)
 def test_linf_exact_scaling(benchmark, n):
     idx = linf_index(n)
+    benchmark.group = "E6 linf exact: n sweep"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["n"] = n
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E6 linf exact: n sweep"
 
 
 def test_linf_build(benchmark):
     from repro.core.linf import LinfTriangleIndex
 
     tps = workload(800, "linf")
-    benchmark.pedantic(lambda: LinfTriangleIndex(tps), rounds=2, iterations=1)
     benchmark.group = "E6 linf exact: build (n=800)"
+    benchmark.pedantic(lambda: LinfTriangleIndex(tps), rounds=2, iterations=1)
 
 
 @pytest.mark.parametrize(
@@ -46,7 +46,7 @@ def test_linf_vs_alternatives(benchmark, name):
         fn = lambda: idx.query(TAU)
     else:
         fn = lambda: brute_force_triangles(tps, TAU)
+    benchmark.group = "E6 linf: exact vs approx vs brute (n=800)"
     result = benchmark.pedantic(fn, rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = name
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E6 linf: exact vs approx vs brute (n=800)"

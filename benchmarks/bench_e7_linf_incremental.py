@@ -22,9 +22,9 @@ def test_linf_session_ladder(benchmark):
             total += len(session.query(tau))
         return total
 
+    benchmark.group = "E7 linf incremental ladder (n=700)"
     out = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     benchmark.extra_info["delta_results"] = out
-    benchmark.group = "E7 linf incremental ladder (n=700)"
 
 
 def test_linf_recompute_ladder(benchmark):
@@ -41,6 +41,6 @@ def test_linf_recompute_ladder(benchmark):
             total += len(base.query(tau))
         return total
 
+    benchmark.group = "E7 linf incremental ladder (n=700)"
     out = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     benchmark.extra_info["delta_results"] = out
-    benchmark.group = "E7 linf incremental ladder (n=700)"

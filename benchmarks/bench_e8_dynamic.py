@@ -23,12 +23,12 @@ def test_stream_replay(benchmark, n):
         recs = stream.run()
         return stream, recs
 
+    benchmark.group = "E8 dynamic stream replay"
     stream, recs = benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["n"] = n
     benchmark.extra_info["out"] = len(recs)
     benchmark.extra_info["group_rebuilds"] = stream.structure.n_group_rebuilds
     benchmark.extra_info["full_rebuilds"] = stream.structure.n_full_rebuilds
-    benchmark.group = "E8 dynamic stream replay"
 
 
 def test_offline_reference(benchmark):
@@ -36,6 +36,6 @@ def test_offline_reference(benchmark):
     from helpers import triangle_index
 
     idx = triangle_index(600)
+    benchmark.group = "E8 offline reference (n=600)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = "E8 offline reference (n=600)"

@@ -18,20 +18,20 @@ N = 800
 @pytest.mark.parametrize("metric", ["l2", "l1"])
 def test_backend_query(benchmark, backend, metric):
     idx = triangle_index(N, backend=backend, metric=metric)
+    benchmark.group = f"E9 backend query ({metric}, n=800)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["backend"] = backend
     benchmark.extra_info["metric"] = metric
     benchmark.extra_info["out"] = len(result)
-    benchmark.group = f"E9 backend query ({metric}, n=800)"
 
 
 @pytest.mark.parametrize("backend", ["cover-tree", "grid"])
 def test_backend_build(benchmark, backend):
     tps = workload(N)
+    benchmark.group = "E9 backend build (l2, n=800)"
     benchmark.pedantic(
         lambda: DurableTriangleIndex(tps, epsilon=0.5, backend=backend),
         rounds=3,
         iterations=1,
     )
     benchmark.extra_info["backend"] = backend
-    benchmark.group = "E9 backend build (l2, n=800)"

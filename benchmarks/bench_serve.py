@@ -46,8 +46,8 @@ happens before the server's request clock starts), but its connection
 counters are metrics diffs too.
 
 The emitted JSON carries client latency percentiles, the metrics-diff
-facts, per-shard cache statistics from ``GET /stats``, the overload
-counts, and a ``connection_reuse`` section comparing the two reuse
+facts, per-dataset cache counts from a final ``/metrics`` scrape, the
+overload counts, and a ``connection_reuse`` section comparing the two reuse
 modes; the driver fails (non-zero exit) unless keep-alive opened fewer
 connections than it served requests *and* beat the
 per-request-connection mean latency on the identical workload, and the
@@ -780,15 +780,21 @@ def main(argv=None) -> int:
             failures,
         )
 
-        # -- per-shard and connection statistics ----------------------
-        status, data = admin.request("GET", "/stats")
-        stats = json.loads(data) if status == 200 else {}
-        shards = stats.get("shards", {})
+        # -- registered shards, cache and connection counts -----------
+        status, data = admin.request("GET", "/datasets")
+        shards = (
+            {d["name"] for d in json.loads(data)["datasets"]}
+            if status == 200 else set()
+        )
         expected_shards = set(DATASETS) | {"sweep"}
-        if set(shards) != expected_shards:
-            failures.append(f"expected shards {expected_shards}, got {set(shards)}")
-        server_connections = stats.get("server", {}).get("connections", {})
-        if not server_connections.get("keepalive_reuses"):
+        if shards != expected_shards:
+            failures.append(f"expected shards {expected_shards}, got {shards}")
+        final = scrape_metrics(admin)
+        server_connections = {
+            "opened": counter_value(final, "http_connections_opened_total"),
+            "keepalive_reuses": counter_value(final, "http_keepalive_reuses_total"),
+        }
+        if not server_connections["keepalive_reuses"]:
             failures.append(
                 f"server saw no keep-alive reuse: {server_connections}"
             )
@@ -800,7 +806,12 @@ def main(argv=None) -> int:
                 "errors": load_phase["errors"][name],
                 "warmup_seconds": build_seconds.get(name),
                 "latency_ms": _latency_ms(values),
-                "shard": shards.get(name, {}),
+                "cache": {
+                    field: counter_value(
+                        final, f"serve_cache_{field}_total", {"dataset": name}
+                    )
+                    for field in ("hits", "misses")
+                },
             }
 
         total_requests = load_phase["requests"]
@@ -856,12 +867,11 @@ def main(argv=None) -> int:
 
         for name, entry in per_dataset.items():
             lat = entry["latency_ms"]
-            cache = entry["shard"].get("cache", {})
+            cache = entry["cache"]
             print(
                 f"{name:10s} {entry['requests']:4d} req  "
                 f"p50 {lat['p50']:6.1f} ms  p99 {lat['p99']:6.1f} ms  "
-                f"cache hits {cache.get('hits', '?')} "
-                f"builds {cache.get('builds', '?')}"
+                f"cache hits {cache['hits']:g} builds {cache['misses']:g}"
             )
         print(
             f"keep-alive: {ka_phase['requests']} req over "

@@ -2,10 +2,11 @@
 """Talk to the serving front end from plain stdlib ``http.client``.
 
 Registers a dataset, streams a durable-pattern query batch line by
-line (NDJSON), and reads the per-shard cache statistics — the complete
-client lifecycle of :mod:`repro.serve` — all over **one keep-alive
-connection**: the server holds HTTP/1.1 connections open, so a client
-sweeping many τ thresholds pays TCP setup once, not per request.  It
+line (NDJSON), asks ``GET /stats`` who answered, and reads the shard's
+cache counts from ``GET /metrics`` — the complete client lifecycle of
+:mod:`repro.serve` — all over **one keep-alive connection**: the
+server holds HTTP/1.1 connections open, so a client sweeping many τ
+thresholds pays TCP setup once, not per request.  It
 also scrapes ``GET /metrics`` before and after its own traffic and
 prints the diff — the server's accounting of exactly what this script
 did (see ``docs/metrics.md``).  If no server is listening on
@@ -123,36 +124,42 @@ def main() -> int:
             f"maintained={report.get('maintained_families')}"
         )
 
-        # -- per-shard statistics plus the server's connection counters
+        # -- /stats says who answered and how its connections are set;
+        #    it holds no counts (those are all in /metrics).
         status, data = request(conn, "GET", "/stats")
-        stats = json.loads(data)
-        shard = stats["shards"]["forum"]
-        cache = shard["cache"]
+        server = json.loads(data)["server"]
+        identity = server["identity"]
         print(
-            f"GET /stats -> {status}: shard 'forum' holds "
-            f"{shard['resident_indexes']} indexes, "
-            f"{cache['hits']} hits / {cache['builds']} builds, "
-            f"{shard['in_flight']} in flight (limit {shard['queue_limit']})"
-        )
-        connections = stats["server"]["connections"]
-        print(
-            f"connections: {connections['opened']} opened, "
-            f"{connections['keepalive_reuses']} keep-alive reuses — "
-            "register, query and stats all rode this one socket"
-        )
-        identity = stats["server"]["identity"]
-        print(
-            f"served by: pid {identity['pid']} on "
+            f"GET /stats -> {status}: pid {identity['pid']} on "
             f"{identity['host']}:{identity['port']}, up "
-            f"{identity['started_age_seconds']:.1f}s — the identity block "
-            "a routing tier uses to attribute aggregated counters"
+            f"{identity['started_age_seconds']:.1f}s, idle timeout "
+            f"{server['connections']['idle_timeout_seconds']:g}s"
         )
 
-        # -- scrape /metrics again and print the diff: the server-side
-        #    account of exactly the traffic this script generated, the
-        #    same subtraction a Prometheus rate() does between scrapes.
+        # -- scrape /metrics again: the shard's cache and queue, the
+        #    connection counts, and the diff against the baseline — the
+        #    server-side account of exactly the traffic this script
+        #    generated, the same subtraction a Prometheus rate() does.
         status, data = request(conn, "GET", "/metrics")
         after = parse_exposition(data.decode())
+        forum = {"dataset": "forum"}
+
+        def now(name, labels=None):
+            return counter_value(after, name, labels)
+
+        print(
+            f"GET /metrics -> {status}: shard 'forum' holds "
+            f"{now('serve_cache_resident_indexes', forum):g} indexes, "
+            f"{now('serve_cache_hits_total', forum):g} hits / "
+            f"{now('serve_cache_misses_total', forum):g} builds, "
+            f"{now('serve_queue_depth', forum):g} in flight "
+            f"(limit {now('serve_queue_limit', forum):g})"
+        )
+        print(
+            f"connections: {now('http_connections_opened_total'):g} opened, "
+            f"{now('http_keepalive_reuses_total'):g} keep-alive reuses — "
+            "register, query, stats and scrapes all rode this one socket"
+        )
 
         def diff(name, labels=None):
             return counter_value(after, name, labels) - counter_value(
@@ -162,7 +169,7 @@ def main() -> int:
         latency = histogram_snapshot(
             after, "serve_query_seconds", {"dataset": "forum"}
         ) - histogram_snapshot(before, "serve_query_seconds", {"dataset": "forum"})
-        print(f"GET /metrics -> {status}: diff vs the baseline scrape —")
+        print("diff vs the baseline scrape —")
         print(
             f"  http_requests_total          +{diff('http_requests_total'):g} "
             "(register + query + stats + the scrapes themselves)"

@@ -78,6 +78,7 @@ def run_served(tps):
     appends exercise epoch-aware incremental maintenance (the index
     migrates across epochs instead of rebuilding).
     """
+    from repro.obs import counter_value, parse_exposition
     from repro.serve import start_server_thread
     from repro.serve.client import append_events, connect, request
 
@@ -150,12 +151,17 @@ def run_served(tps):
                         tuple(sorted(r["ids"])) for r in doc["records"]
                     )
 
-            status, data = request(conn, "GET", "/stats")
-            cache = json.loads(data)["shards"]["stream"]["cache"]
+            status, data = request(conn, "GET", "/metrics")
+            families = parse_exposition(data.decode())
+            stream = {"dataset": "stream"}
+            migrated = counter_value(families, "serve_cache_migrated_total", stream)
+            invalidated = counter_value(
+                families, "serve_cache_invalidated_total", stream
+            )
             print(
                 f"served: epoch {report['epoch']}, "
                 f"{len(served)} triangles reported, cache migrations "
-                f"{cache['migrated']} / invalidations {cache['invalidated']}"
+                f"{migrated:g} / invalidations {invalidated:g}"
             )
         finally:
             conn.close()

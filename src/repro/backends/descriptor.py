@@ -125,7 +125,7 @@ class BackendDescriptor:
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
-        """JSON-ready capability card (CLI listing, ``/stats``)."""
+        """JSON-ready capability card (the CLI listing)."""
         kinds: List[str] = sorted(self.kinds)
         return {
             "name": self.name,

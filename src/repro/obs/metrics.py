@@ -8,21 +8,22 @@ module is that path: :class:`Counter`, :class:`Gauge` and
 :class:`MetricsRegistry` and rendered in the Prometheus text
 exposition format (version 0.0.4) by :func:`render_families`.
 
-Two instrument styles cover everything the system measures:
-
-* **event-driven** — the code path that observes the event calls
-  ``counter.labels(dataset="x").inc()`` or ``histogram.observe(dt)``;
-  used for request/latency/error accounting where the event is the
-  only witness;
-* **callback** — the instrument holds a function returning
-  ``[(labels, value), ...]`` evaluated at scrape time; used for values
-  the system already tracks (queue depth, cache counters, resident
-  indexes, worker liveness), so scraping never duplicates state.
+One rule decides which of the two instrument styles a value uses.  A
+count that exists only to be reported is an **instrument**: the code
+path that sees the event calls ``counter.labels(dataset="x").inc()``
+or ``histogram.observe(dt)``, and no other copy of the count exists.
+A **callback** (a function returning ``[(labels, value), ...]`` at
+scrape time) only reads state the code keeps for its own decisions —
+index-cache statistics, admission occupancy, the supervisor's
+per-slot records, the trace ring — so scraping never duplicates it.
 
 Every registered family renders its ``# HELP``/``# TYPE`` header even
-while it has no samples yet, so the set of family names in a scrape is
-stable from boot — the property the docs-sync CI check and the bench
-differs rely on.
+while it has no samples yet, and a label-less instrument renders its
+``0`` sample from registration, so the set of family names in a scrape
+is stable from boot — the property the docs-sync CI check and the
+bench differs rely on.  :meth:`MetricsRegistry.discard` drops the
+series of something that went away (a deleted dataset), so label
+cardinality follows what exists.
 
 Thread-safety: instruments take a lock per update; collection
 snapshots under the same lock.  Callbacks run on the scraping thread
@@ -151,15 +152,20 @@ class _LabelledMetric:
         self.labelnames = _validate_labelnames(labelnames, self._reserved_labels)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: The label-less child, created now so it renders from boot.
+        self._unlabelled = None if self.labelnames else self.labels()
 
     def labels(self, **labelvalues: str):
         """The child instrument for one concrete label-value set."""
-        if set(labelvalues) != set(self.labelnames):
+        try:
+            key = tuple([str(labelvalues[label]) for label in self.labelnames])
+        except KeyError:
+            key = None
+        if key is None or len(labelvalues) != len(key):
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames!r}, "
                 f"got {tuple(labelvalues)!r}"
             )
-        key = tuple(str(labelvalues[label]) for label in self.labelnames)
         with self._lock:
             child = self._children.get(key)
             if child is None:
@@ -172,11 +178,20 @@ class _LabelledMetric:
 
     def _default_child(self):
         """The label-less child (instruments declared without labels)."""
-        if self.labelnames:
+        if self._unlabelled is None:
             raise ValueError(
                 f"{self.name} has labels {self.labelnames!r}; call .labels() first"
             )
-        return self.labels()
+        return self._unlabelled
+
+    def discard(self, **labels: str) -> None:
+        """Drop every child whose label values include ``labels``."""
+        if not labels or not set(labels) <= set(self.labelnames):
+            return
+        wanted = [(self.labelnames.index(k), str(v)) for k, v in labels.items()]
+        with self._lock:
+            for key in [k for k in self._children if all(k[i] == v for i, v in wanted)]:
+                del self._children[key]
 
     def _items(self) -> List[Tuple[Dict[str, str], Any]]:
         with self._lock:
@@ -321,13 +336,13 @@ class Histogram(_LabelledMetric):
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help_, labelnames)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(f"buckets must be sorted and distinct, got {buckets!r}")
         if bounds and bounds[-1] == math.inf:
             bounds = bounds[:-1]  # +Inf is implicit
-        self.buckets = bounds
+        self.buckets = bounds  # before super(): the label-less child needs it
+        super().__init__(name, help_, labelnames)
 
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
@@ -408,6 +423,18 @@ class MetricsRegistry:
         fn: Callable[[], Iterable[Tuple[Dict[str, str], float]]],
     ) -> CallbackMetric:
         return self.register(CallbackMetric(name, type_, help_, fn))
+
+    def discard(self, **labels: str) -> None:
+        """Drop the series carrying ``labels`` from every instrument.
+
+        Instruments without all of those label names are untouched;
+        callbacks need nothing, since they read live state.
+        """
+        with self._lock:
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            if isinstance(metric, _LabelledMetric):
+                metric.discard(**labels)
 
     # -- collection ----------------------------------------------------
     def collect(self) -> List[Family]:

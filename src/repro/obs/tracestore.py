@@ -15,8 +15,8 @@ Kept traces live in a ring buffer (``capacity`` newest traces; older
 ones are evicted FIFO), so memory is bounded no matter the traffic
 rate.  Slow queries additionally emit one NDJSON record to the
 configured stream (stderr by default) with the trace id, dataset,
-tenant, template and a per-span-name stage breakdown — greppable
-without any endpoint.
+tenant, template and a per-span-name breakdown of self time —
+greppable without any endpoint.
 
 The store is also the source for ``GET /debug/traces`` (recent
 summaries, filterable) and ``GET /debug/traces/<id>`` (full span set).
@@ -30,7 +30,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .trace import TraceRecorder
 
@@ -45,6 +45,30 @@ DEFAULT_TRACE_SAMPLE = 1.0
 
 #: Root duration at/above which a trace counts as slow.
 DEFAULT_SLOW_QUERY_MS = 500.0
+
+
+def _self_ms_by_name(spans: List[Dict[str, Any]]) -> Dict[str, float]:
+    """Self time per span name.  A span's self time is its duration
+    minus the part of its interval its children cover, so nested time
+    is counted once."""
+    children: Dict[Any, List[Tuple[float, float]]] = {}
+    for span in spans:
+        children.setdefault(span["parent_id"], []).append(
+            (span["start"] * 1000.0, span["duration_ms"])
+        )
+    out: Dict[str, float] = {}
+    for span in spans:
+        lo = span["start"] * 1000.0
+        hi = lo + span["duration_ms"]
+        covered, reach = 0.0, lo
+        for c_lo, c_ms in sorted(children.get(span["span_id"], ())):
+            c_hi = min(c_lo + c_ms, hi)
+            if c_hi > reach:
+                covered += c_hi - max(c_lo, reach)
+                reach = c_hi
+        name = span["name"]
+        out[name] = out.get(name, 0.0) + span["duration_ms"] - covered
+    return out
 
 
 class TraceStore:
@@ -125,12 +149,7 @@ class TraceStore:
 
     def _emit_slow(self, record: Dict[str, Any]) -> None:
         """One NDJSON line per slow query: correlatable and greppable."""
-        breakdown: Dict[str, float] = {}
-        for span in record["spans"]:
-            name = span["name"]
-            breakdown[name] = round(
-                breakdown.get(name, 0.0) + span["duration_ms"], 3
-            )
+        breakdown = _self_ms_by_name(record["spans"])
         line = {
             "slow_query": True,
             "trace_id": record["trace_id"],
@@ -140,7 +159,7 @@ class TraceStore:
             "dataset": record.get("dataset"),
             "tenant": record.get("tenant"),
             "template": record.get("template"),
-            "breakdown_ms": breakdown,
+            "breakdown_ms": {k: round(v, 3) for k, v in breakdown.items()},
         }
         with self._lock:
             self.slow_queries_total += 1

@@ -18,7 +18,7 @@ N ``repro serve`` worker processes that own the shards.
   end: same NDJSON-over-HTTP protocol as ``repro serve``, queries
   proxied to the owning worker with streaming and fault isolation
   preserved end to end, ``503`` (never a hang) for queries racing a
-  dead worker, aggregated ``/stats``.
+  dead worker, and one fleet-wide ``/metrics`` scrape.
 
 Start one with ``python -m repro route --workers N`` or, in-process,
 :func:`start_router_thread` (the tests' and bench driver's fixture).

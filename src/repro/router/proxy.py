@@ -19,15 +19,15 @@ but owns **placement** instead of shards:
   router boots then restore appended state, not just the seed;
 * ``DELETE /datasets/<name>`` forwards to the owner and releases the
   placement (the rebalancing primitive);
-* ``GET    /stats`` fans out to every worker and aggregates their
-  stats — connections, per-backend counters, identity — under a
-  ``workers`` key, next to the router's own placement and proxy
-  counters and a fleet-wide ``totals`` block (summed queries, errors,
-  connections and datasets across the live workers);
+* ``GET    /stats`` answers from the router alone: its identity and
+  connection settings, the placement map, and the supervisor's record
+  of every worker slot (pid, address, generation, restarts); it
+  reports no counts and makes no upstream request;
 * ``GET    /metrics`` scrapes every live worker's ``/metrics``,
   re-labels each worker's samples with ``worker="<slot>"``, and merges
   them with the router's own families into one Prometheus text
-  exposition — one scrape covers the whole fleet;
+  exposition — one scrape covers the whole fleet, and every count in
+  it is there;
 * ``POST   /shutdown`` drains the router's connections, then fans the
   shutdown out to the fleet.
 
@@ -92,9 +92,9 @@ CONNECT_TIMEOUT = 5.0
 #: (register may materialise a workload, so it gets a generous bound).
 UPSTREAM_TIMEOUT = 120.0
 
-#: Seconds for one worker's /stats during aggregation fan-out; a slow
-#: worker degrades to an error entry instead of stalling the response.
-STATS_TIMEOUT = 5.0
+#: Seconds for one worker's answer during a fan-out (the fleet scrape,
+#: trace stitching); a slow worker is skipped instead of stalling it.
+FANOUT_TIMEOUT = 5.0
 
 #: Everything that can go wrong talking to a worker over a socket.
 _UPSTREAM_ERRORS = (
@@ -131,13 +131,6 @@ class RouterApp(AsyncApp):
         )
         self.pool = pool
         self.manifest = manifest if manifest is not None else pool.manifest
-        self.proxied_queries = 0
-        self.proxy_unavailable = 0
-        self.registrations = 0
-        self.deletions = 0
-        self.forwarded_appends = 0
-        self.upstream_connects = 0
-        self.upstream_reuses = 0
         #: Idle upstream keep-alive sockets per (slot, generation).
         self._upstream: Dict[
             Tuple[str, int],
@@ -148,10 +141,10 @@ class RouterApp(AsyncApp):
     def _register_router_metrics(self) -> None:
         """The ``router_*`` families (on top of AsyncApp's ``http_*``).
 
-        All callbacks: the router already counts everything for
-        ``/stats``, and callbacks run on the event-loop thread (the
-        scrape is served there), so reading the un-locked proxy
-        counters and the upstream pool is race-free.
+        Proxy and upstream counts are instruments, incremented where
+        the event happens.  Callbacks read the supervisor's records
+        and the upstream pool; they run on the event-loop thread (the
+        scrape is served there), so reading the pool is race-free.
         """
         m = self.metrics
 
@@ -191,30 +184,23 @@ class RouterApp(AsyncApp):
             "Manifest replay registrations that failed after a restart.",
             per_worker("replay_errors"),
         )
-        m.callback(
-            "router_proxied_queries_total", "counter",
-            "Query streams proxied to workers.",
-            lambda: [({}, self.proxied_queries)],
+        self._m_proxied = m.counter(
+            "router_proxied_queries_total", "Query streams proxied to workers."
         )
-        m.callback(
-            "router_proxy_unavailable_total", "counter",
+        self._m_unavailable = m.counter(
+            "router_proxy_unavailable_total",
             "Requests answered 503 because the owning worker was gone.",
-            lambda: [({}, self.proxy_unavailable)],
         )
-        m.callback(
-            "router_registrations_total", "counter",
+        self._m_registrations = m.counter(
+            "router_registrations_total",
             "Dataset registrations placed onto workers.",
-            lambda: [({}, self.registrations)],
         )
-        m.callback(
-            "router_deletions_total", "counter",
-            "Dataset deletions forwarded to workers.",
-            lambda: [({}, self.deletions)],
+        self._m_deletions = m.counter(
+            "router_deletions_total", "Dataset deletions forwarded to workers."
         )
-        m.callback(
-            "router_forwarded_appends_total", "counter",
+        self._m_appends = m.counter(
+            "router_forwarded_appends_total",
             "Event-batch appends forwarded to owning workers and accepted.",
-            lambda: [({}, self.forwarded_appends)],
         )
         m.callback(
             "router_replayed_event_batches_total", "counter",
@@ -222,15 +208,13 @@ class RouterApp(AsyncApp):
             "(worker restarts and router boots).",
             lambda: [({}, self.pool.replayed_event_batches_total)],
         )
-        m.callback(
-            "router_upstream_connects_total", "counter",
+        self._m_upstream_connects = m.counter(
+            "router_upstream_connects_total",
             "Fresh TCP connections opened to workers.",
-            lambda: [({}, self.upstream_connects)],
         )
-        m.callback(
-            "router_upstream_reuses_total", "counter",
+        self._m_upstream_reuses = m.counter(
+            "router_upstream_reuses_total",
             "Upstream requests served on a pooled keep-alive socket.",
-            lambda: [({}, self.upstream_reuses)],
         )
 
         def pool_idle():
@@ -268,7 +252,7 @@ class RouterApp(AsyncApp):
             )
         status = self.pool.status(entry.worker)
         if not status.running:
-            self.proxy_unavailable += 1
+            self._m_unavailable.inc()
             raise UnavailableError(
                 f"worker {entry.worker!r} owning dataset {name!r} is "
                 "restarting; retry shortly",
@@ -284,10 +268,10 @@ class RouterApp(AsyncApp):
                 asyncio.open_connection(status.host, status.port),
                 CONNECT_TIMEOUT,
             )
-            self.upstream_connects += 1
+            self._m_upstream_connects.inc()
             return conn
         except (OSError, asyncio.TimeoutError) as exc:
-            self.proxy_unavailable += 1
+            self._m_unavailable.inc()
             raise UnavailableError(
                 f"worker {status.slot!r} at {status.host}:{status.port} is not "
                 f"accepting connections ({type(exc).__name__}); retry shortly",
@@ -306,7 +290,7 @@ class RouterApp(AsyncApp):
             if writer.is_closing() or reader.at_eof():
                 writer.close()
                 continue
-            self.upstream_reuses += 1
+            self._m_upstream_reuses.inc()
             return reader, writer
         return None
 
@@ -415,7 +399,7 @@ class RouterApp(AsyncApp):
                 writer.close()
                 if pooled:
                     continue  # stale keep-alive socket: retry fresh once
-                self.proxy_unavailable += 1
+                self._m_unavailable.inc()
                 raise UnavailableError(
                     f"worker {status.slot!r} dropped the proxied request "
                     f"({type(exc).__name__}); retry shortly",
@@ -440,7 +424,7 @@ class RouterApp(AsyncApp):
             # The head arrived but the body did not: the worker really
             # failed mid-response; no retry.
             writer.close()
-            self.proxy_unavailable += 1
+            self._m_unavailable.inc()
             raise UnavailableError(
                 f"worker {status.slot!r} dropped the proxied reply "
                 f"({type(exc).__name__}); retry shortly",
@@ -496,7 +480,7 @@ class RouterApp(AsyncApp):
                 },
             )
         elif route == ("GET", "/stats"):
-            await self._respond(writer, state, 200, await self._aggregate_stats())
+            await self._respond(writer, state, 200, self.stats())
         elif route == ("GET", "/datasets"):
             await self._respond(
                 writer,
@@ -587,7 +571,7 @@ class RouterApp(AsyncApp):
                 code, doc = await self._roundtrip(
                     status, "GET",
                     f"/debug/traces/{quote(trace_id, safe='')}",
-                    timeout=STATS_TIMEOUT,
+                    timeout=FANOUT_TIMEOUT,
                 )
             except UnavailableError:
                 return None
@@ -636,10 +620,10 @@ class RouterApp(AsyncApp):
                 return None
             try:
                 code, headers, reader, writer = await self._upstream_request(
-                    status, "GET", "/metrics", b"", STATS_TIMEOUT
+                    status, "GET", "/metrics", b"", FANOUT_TIMEOUT
                 )
                 raw = await self._read_upstream_body(
-                    status, headers, reader, writer, STATS_TIMEOUT
+                    status, headers, reader, writer, FANOUT_TIMEOUT
                 )
                 if code != 200:
                     raise ExpositionError(0, f"worker answered HTTP {code}")
@@ -688,7 +672,7 @@ class RouterApp(AsyncApp):
         slot = choose_worker(name, self.pool.slots())
         status = self.pool.status(slot)
         if not status.running:
-            self.proxy_unavailable += 1
+            self._m_unavailable.inc()
             raise UnavailableError(
                 f"placement chose worker {slot!r}, which is restarting; "
                 "retry shortly",
@@ -698,7 +682,7 @@ class RouterApp(AsyncApp):
             status, "POST", "/datasets", dict(doc, replace=replace)
         )
         if code == 201:
-            self.registrations += 1
+            self._m_registrations.inc()
             old = self.manifest.record(name, slot, doc)
             if old is not None and old.worker != slot:
                 # replace=True moved the dataset (fleet changed since it
@@ -742,7 +726,7 @@ class RouterApp(AsyncApp):
         # a dataset, a later worker restart must not resurrect it.  An
         # unreachable worker's stale shard dies with its process.
         self.manifest.remove(name)
-        self.deletions += 1
+        self._m_deletions.inc()
         payload: Dict[str, Any] = {"removed": name, "worker": entry.worker}
         if code == 200 and isinstance(body, dict):
             payload["dataset"] = body.get("removed")
@@ -780,7 +764,7 @@ class RouterApp(AsyncApp):
         except json.JSONDecodeError:
             body = {"error": raw.decode("utf-8", "replace")}
         if code == 200:
-            self.forwarded_appends += 1
+            self._m_appends.inc()
             report = body.get("appended") if isinstance(body, dict) else None
             accepted = report.get("accepted", 0) if isinstance(report, dict) else 0
             if accepted:
@@ -867,7 +851,7 @@ class RouterApp(AsyncApp):
         # Streaming answer: re-frame the worker's chunked NDJSON to the
         # client chunk by chunk.  Every chunk is one NDJSON line, so the
         # incremental τ-sweep delivery survives the hop.
-        self.proxied_queries += 1
+        self._m_proxied.inc()
         chunked = request.version != "HTTP/1.0"
         if not chunked:
             state.keep_alive = False  # raw NDJSON is close-delimited
@@ -965,68 +949,14 @@ class RouterApp(AsyncApp):
             return False, relayed
 
     # ------------------------------------------------------------------
-    async def _aggregate_stats(self) -> Dict[str, Any]:
-        """Router + per-worker statistics (the ``GET /stats`` document)."""
-        supervision = self.pool.stats()
-
-        async def fetch(slot: str) -> Tuple[str, Optional[Dict[str, Any]]]:
-            status = self.pool.status(slot)
-            if not status.running:
-                return slot, None
-            try:
-                code, doc = await self._roundtrip(
-                    status, "GET", "/stats", timeout=STATS_TIMEOUT
-                )
-            except UnavailableError:
-                return slot, None
-            return slot, doc if code == 200 and isinstance(doc, dict) else None
-
-        fetched = dict(
-            await asyncio.gather(*(fetch(slot) for slot in self.pool.slots()))
-        )
-
-        workers: Dict[str, Any] = {}
-        totals = {
-            "queries_total": 0,
-            "errors_total": 0,
-            "connections_opened": 0,
-            "datasets": 0,
-        }
-        for slot, info in supervision.items():
-            doc = fetched.get(slot)
-            entry = dict(info)
-            if doc is not None:
-                server = doc.get("server", {})
-                entry["identity"] = server.get("identity")
-                entry["stats"] = doc
-                shards = doc.get("shards", {})
-                totals["datasets"] += len(shards)
-                totals["connections_opened"] += (
-                    server.get("connections", {}).get("opened", 0)
-                )
-                for shard in shards.values():
-                    totals["queries_total"] += shard.get("queries_total", 0)
-                    totals["errors_total"] += shard.get("errors_total", 0)
-            else:
-                entry["stats"] = None
-            workers[slot] = entry
-
-        router = self.server_stats()
-        router["datasets"] = len(self.manifest)
-        router["restarts_total"] = self.pool.restarts_total
-        router["proxy"] = {
-            "queries": self.proxied_queries,
-            "registrations": self.registrations,
-            "deletions": self.deletions,
-            "appends": self.forwarded_appends,
-            "unavailable": self.proxy_unavailable,
-            "replayed_event_batches": self.pool.replayed_event_batches_total,
-        }
+    def stats(self) -> Dict[str, Any]:
+        """The ``GET /stats`` document, answered without an upstream hop."""
+        router = super().stats()["server"]
         router["placement"] = {
             "policy": "rendezvous (HRW)",
             "datasets": self.manifest.placements(),
         }
-        return {"router": router, "workers": workers, "totals": totals}
+        return {"router": router, "workers": self.pool.stats()}
 
     # ------------------------------------------------------------------
     def bootstrap(self) -> int:

@@ -230,7 +230,6 @@ class WorkerPool:
         self.probe_interval = probe_interval
         self.boot_timeout = boot_timeout
         self.python = python
-        self.restarts_total = 0
         #: Event batches re-appended during replay, fleet-wide (both the
         #: supervisor's restart replay and the router's boot replay
         #: count here — the ``router_replayed_event_batches_total``
@@ -403,7 +402,6 @@ class WorkerPool:
                 state.generation = proc.generation
                 state.restarts += 1
                 state.replay_errors += replay_errors
-                self.restarts_total += 1
         if not adopt:
             proc.kill()
 
@@ -513,7 +511,8 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Supervision-side counters for the router's ``/stats``."""
+        """Each slot's supervision record (the router's ``/stats`` and
+        its ``router_worker_*`` callbacks)."""
         out: Dict[str, Any] = {}
         for status in self.statuses():
             with self._lock:

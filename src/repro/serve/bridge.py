@@ -60,10 +60,8 @@ class AdmissionQueue:
         self.limit = limit
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._rejected = 0
         self._shares: Dict[str, int] = {}
         self._tenant_in_flight: Dict[str, int] = {}
-        self._tenant_rejected: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def set_tenant_weights(self, weights: Mapping[str, float]) -> None:
@@ -97,20 +95,11 @@ class AdmissionQueue:
         """
         with self._lock:
             if self._in_flight + n > self.limit:
-                self._rejected += n
-                if tenant is not None:
-                    self._tenant_rejected[tenant] = (
-                        self._tenant_rejected.get(tenant, 0) + n
-                    )
                 return "queue"
             if tenant is not None:
                 share = self._shares.get(tenant)
                 held = self._tenant_in_flight.get(tenant, 0)
                 if share is not None and held + n > share:
-                    self._rejected += n
-                    self._tenant_rejected[tenant] = (
-                        self._tenant_rejected.get(tenant, 0) + n
-                    )
                     return "share"
                 self._tenant_in_flight[tenant] = held + n
             self._in_flight += n
@@ -128,26 +117,11 @@ class AdmissionQueue:
         with self._lock:
             return self._in_flight
 
-    @property
-    def rejected(self) -> int:
-        """Cumulative count of slots denied at admission (telemetry)."""
+    def tenant_in_flight(self) -> Dict[str, int]:
+        """Slots each known tenant holds (every weighted tenant included)."""
         with self._lock:
-            return self._rejected
-
-    def tenant_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant occupancy/share/rejection counters (stats + metrics)."""
-        with self._lock:
-            tenants = set(self._tenant_in_flight) | set(self._tenant_rejected) | set(
-                self._shares
-            )
-            return {
-                tenant: {
-                    "in_flight": self._tenant_in_flight.get(tenant, 0),
-                    "rejected": self._tenant_rejected.get(tenant, 0),
-                    "share": self._shares.get(tenant, 0),
-                }
-                for tenant in tenants
-            }
+            tenants = set(self._tenant_in_flight) | set(self._shares)
+            return {t: self._tenant_in_flight.get(t, 0) for t in tenants}
 
 
 def submit_plans(
@@ -162,9 +136,10 @@ def submit_plans(
     The whole batch is admitted atomically — all-or-nothing — so a
     half-admitted request can never wedge the queue.  Raises
     :class:`OverloadedError` when the slots don't fit (the shard limit,
-    or ``tenant``'s fair share).  Each returned future releases its
-    admission slot and bumps the shard's counters from a done-callback,
-    whether or not the caller is still around to await it.
+    or ``tenant``'s fair share), after counting the denied slots.  Each
+    returned future releases its admission slot and counts its query
+    from a done-callback, whether or not the caller is still around to
+    await it.
 
     When ``recorder`` is set, each plan carries an
     :class:`~repro.obs.trace.ExecTrace` into the executor — explicit,
@@ -174,6 +149,8 @@ def submit_plans(
     """
     n = len(plans)
     denied = shard.admission.acquire_for(tenant, n)
+    if denied is not None:
+        shard.record_rejected(n)
     if denied == "share":
         raise OverloadedError(
             f"tenant {tenant!r} is at its fair share of dataset "
@@ -222,24 +199,16 @@ def _release_callback(
     def _done(future: "asyncio.Future[QueryResult]") -> None:
         shard.admission.release(1, tenant=tenant)
         # The plan key's backend is the registry-resolved name, so the
-        # shard's per-backend counters attribute work (and failures) to
-        # the backend that actually ran — even when the future itself
-        # died before producing a result envelope.
+        # per-backend counts attribute work (and failures) to the
+        # backend that actually ran — even when the future itself died
+        # before producing a result envelope.
+        template = plan.template or plan.spec.kind
         if not future.cancelled() and future.exception() is None:
             result = future.result()
             shard.record_result(
-                result.ok,
-                backend=result.key.backend,
-                cache_hit=result.cache_hit,
-                build_seconds=result.build_seconds,
-                query_seconds=result.query_seconds,
-                template=plan.template or plan.spec.kind,
+                result.ok, result.key.backend, template, result.query_seconds
             )
         else:
-            shard.record_result(
-                False,
-                backend=plan.key.backend,
-                template=plan.template or plan.spec.kind,
-            )
+            shard.record_result(False, plan.key.backend, template)
 
     return _done

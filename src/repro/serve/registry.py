@@ -17,7 +17,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,6 +139,96 @@ def _normalise_default_backend(
     return default_backend
 
 
+class ServeMetrics:
+    """The serve tier's event-driven families on one metrics registry.
+
+    :class:`DatasetRegistry` creates them once, on the registry of the
+    front end that owns it.  Every shard increments them where the
+    event happens, labelled with its dataset name, and no other copy
+    of these counts exists.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.queries = registry.counter(
+            "serve_queries_total",
+            "Finished queries by resolved backend.",
+            ("dataset", "backend"),
+        )
+        self.query_errors = registry.counter(
+            "serve_query_errors_total",
+            "Failed queries by resolved backend.",
+            ("dataset", "backend"),
+        )
+        self.template_queries = registry.counter(
+            "serve_template_queries_total",
+            "Finished queries by plan template (query kind).",
+            ("dataset", "template"),
+        )
+        self.template_errors = registry.counter(
+            "serve_template_query_errors_total",
+            "Failed queries by plan template (query kind).",
+            ("dataset", "template"),
+        )
+        self.query_seconds = registry.histogram(
+            "serve_query_seconds",
+            "Per-query execution wall seconds (successful queries).",
+            ("dataset",),
+        )
+        self.stream_bytes = registry.counter(
+            "serve_stream_bytes_total",
+            "NDJSON payload bytes streamed to query clients.",
+            ("dataset",),
+        )
+        #: Per-dataset totals that render ``0`` from registration.
+        self.admission_rejected = registry.counter(
+            "serve_admission_rejected_total",
+            "Query slots denied at admission (any bound).",
+            ("dataset",),
+        )
+        self.events_appended = registry.counter(
+            "serve_events_appended_total",
+            "Events accepted into the dataset by appends.",
+            ("dataset",),
+        )
+        self.events_rejected = registry.counter(
+            "serve_events_rejected_total",
+            "Event lines rejected by append validation.",
+            ("dataset",),
+        )
+        self.append_batches = registry.counter(
+            "serve_append_batches_total",
+            "Append requests processed (including all-rejected ones).",
+            ("dataset",),
+        )
+        self.append_seconds = registry.counter(
+            "serve_append_seconds_total",
+            "Wall seconds spent merging appends and maintaining indexes.",
+            ("dataset",),
+        )
+
+    def query_series(self, dataset: str, backend: str, template: str) -> tuple:
+        """The children one finished query increments: queries, errors,
+        template queries, template errors and the latency histogram."""
+        by_backend = {"dataset": dataset, "backend": backend}
+        by_template = {"dataset": dataset, "template": template}
+        return (
+            self.queries.labels(**by_backend),
+            self.query_errors.labels(**by_backend),
+            self.template_queries.labels(**by_template),
+            self.template_errors.labels(**by_template),
+            self.query_seconds.labels(dataset=dataset),
+        )
+
+    def start(self, dataset: str) -> None:
+        """Create ``dataset``'s per-dataset totals at ``0``."""
+        for counter in (
+            self.admission_rejected, self.events_appended,
+            self.events_rejected, self.append_batches, self.append_seconds,
+        ):
+            counter.labels(dataset=dataset)
+
+
 class DatasetShard:
     """One registered dataset plus everything needed to serve it."""
 
@@ -151,6 +241,7 @@ class DatasetShard:
         max_workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         default_backend: Optional[str] = None,
+        metrics: Optional[ServeMetrics] = None,
     ) -> None:
         self.name = name
         self.tps = tps
@@ -169,89 +260,64 @@ class DatasetShard:
             max_workers=self.workers, thread_name_prefix=f"shard-{name}"
         )
         self.admission = AdmissionQueue(queue_limit)
-        # monotonic: uptime must survive wall-clock steps (NTP, DST,
-        # manual adjustment) without jumping or going negative.
-        self.created_monotonic = time.monotonic()
+        self.metrics = metrics if metrics is not None else ServeMetrics(MetricsRegistry())
+        #: Guards ``_retired``: every increment checks it under this
+        #: lock, so a retired shard records nothing.
         self._lock = threading.Lock()
-        self._queries_total = 0
-        self._errors_total = 0
-        #: Per-resolved-backend serving counters (``/stats``): how many
-        #: queries each backend answered, how many builds it paid for,
-        #: and the wall time spent building vs querying.
-        self._backend_counters: Dict[str, Dict[str, Any]] = {}
-        #: Per-plan-template serving counters — which registered
-        #: template (legacy kind or ``pattern-dsl``) answered each query.
-        self._template_counters: Dict[str, Dict[str, Any]] = {}
+        self._retired = False
+        #: (backend, template) → :meth:`ServeMetrics.query_series`.  The
+        #: children stay registered until this shard retires: only its
+        #: own :meth:`retire` discards series labelled with its name.
+        self._query_series: Dict[Tuple[str, str], tuple] = {}
         #: Single-writer gate for appends: one epoch bump at a time, so
         #: the ``tps`` swap plus cache advance is atomic w.r.t. other
         #: appenders (readers snapshot ``self.tps`` at plan time and
         #: are epoch-consistent by construction).
         self._append_lock = threading.Lock()
-        self._events_accepted_total = 0
-        self._events_rejected_total = 0
-        self._append_batches_total = 0
-        self._append_seconds_total = 0.0
-        self._closed = False
-        #: Event hook set by :meth:`DatasetRegistry.bind_metrics`; called
-        #: (outside the shard lock) for every finished query so latency
-        #: histograms observe through the same path /stats counts.
-        self.metrics_observer = None
 
     # ------------------------------------------------------------------
     def record_result(
-        self,
-        ok: bool,
-        backend: Optional[str] = None,
-        cache_hit: bool = False,
-        build_seconds: float = 0.0,
-        query_seconds: float = 0.0,
-        template: Optional[str] = None,
+        self, ok: bool, backend: str, template: str, query_seconds: float = 0.0
     ) -> None:
-        """Bump the served/failed counters for one finished query.
+        """Count one finished query.
 
         ``backend`` is the *resolved* backend name off the plan's cache
         key — per-backend accounting therefore reflects what actually
         ran, not what the client asked for (``auto`` never appears).
         ``template`` is the plan template that served the query (the
         spec's kind for legacy queries, ``pattern-dsl`` for compiled
-        patterns) and feeds the per-template metric families.
+        patterns).
         """
+        # An error series exists from its first query on, at 0 until a
+        # query fails, so a failure rate has a denominator.
+        failed = 0.0 if ok else 1.0
         with self._lock:
-            self._queries_total += 1
-            if not ok:
-                self._errors_total += 1
-            if template:
-                tmpl = self._template_counters.setdefault(
-                    template, {"queries": 0, "errors": 0}
-                )
-                tmpl["queries"] += 1
-                if not ok:
-                    tmpl["errors"] += 1
-            if backend is None:
+            if self._retired:
                 return
-            counters = self._backend_counters.setdefault(
-                backend,
-                {
-                    "queries": 0,
-                    "errors": 0,
-                    "builds": 0,
-                    "cache_hits": 0,
-                    "build_seconds": 0.0,
-                    "query_seconds": 0.0,
-                },
-            )
-            counters["queries"] += 1
-            if not ok:
-                counters["errors"] += 1
-            if cache_hit:
-                counters["cache_hits"] += 1
-            elif build_seconds > 0.0:
-                counters["builds"] += 1
-                counters["build_seconds"] += build_seconds
-            counters["query_seconds"] += query_seconds
-        observer = self.metrics_observer
-        if observer is not None:
-            observer(self.name, ok, backend, cache_hit, build_seconds, query_seconds)
+            series = self._query_series.get((backend, template))
+            if series is None:
+                series = self.metrics.query_series(self.name, backend, template)
+                self._query_series[(backend, template)] = series
+            queries, errors, template_queries, template_errors, seconds = series
+            queries.inc()
+            errors.inc(failed)
+            template_queries.inc()
+            template_errors.inc(failed)
+            if ok:
+                seconds.observe(query_seconds)
+
+    def record_rejected(self, slots: int) -> None:
+        """Count query slots denied at admission."""
+        self._inc(self.metrics.admission_rejected, slots)
+
+    def record_streamed(self, nbytes: int) -> None:
+        """Count NDJSON payload bytes streamed to a query client."""
+        self._inc(self.metrics.stream_bytes, nbytes)
+
+    def _inc(self, counter, amount: float) -> None:
+        with self._lock:
+            if not self._retired:
+                counter.labels(dataset=self.name).inc(amount)
 
     # ------------------------------------------------------------------
     def append_events(
@@ -343,11 +409,13 @@ class DatasetShard:
                 self.tps = merged
             append_seconds = time.perf_counter() - t0
             current = self.tps
+            m = self.metrics
             with self._lock:
-                self._append_batches_total += 1
-                self._events_accepted_total += len(docs)
-                self._events_rejected_total += rejected
-                self._append_seconds_total += append_seconds
+                if not self._retired:
+                    m.append_batches.labels(dataset=self.name).inc()
+                    m.events_appended.labels(dataset=self.name).inc(len(docs))
+                    m.events_rejected.labels(dataset=self.name).inc(rejected)
+                    m.append_seconds.labels(dataset=self.name).inc(append_seconds)
         return {
             "name": self.name,
             "epoch": current.epoch,
@@ -373,67 +441,21 @@ class DatasetShard:
             "default_backend": self.default_backend,
         }
 
-    def backend_counters(self) -> Dict[str, Dict[str, Any]]:
-        """A consistent copy of the per-backend counters (metrics callbacks)."""
-        with self._lock:
-            return {
-                name: dict(counters)
-                for name, counters in self._backend_counters.items()
-            }
+    def retire(self) -> None:
+        """Stop recording and drop every series of this dataset (idempotent).
 
-    def template_counters(self) -> Dict[str, Dict[str, Any]]:
-        """A consistent copy of the per-template counters (metrics callbacks)."""
+        The registry calls this under its own lock, before the name can
+        be published again, so a successor shard's series survive.
+        """
         with self._lock:
-            return {
-                name: dict(counters)
-                for name, counters in self._template_counters.items()
-            }
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-ready serving + cache statistics (the ``GET /stats`` shape)."""
-        with self._lock:
-            queries_total = self._queries_total
-            errors_total = self._errors_total
-            backends = {
-                name: dict(counters)
-                for name, counters in self._backend_counters.items()
-            }
-            templates = {
-                name: dict(counters)
-                for name, counters in self._template_counters.items()
-            }
-            events = {
-                "accepted_total": self._events_accepted_total,
-                "rejected_total": self._events_rejected_total,
-                "batches_total": self._append_batches_total,
-                "append_seconds_total": self._append_seconds_total,
-            }
-        tenants = self.admission.tenant_snapshot()
-        out = {
-            "dataset": self.describe(),
-            "cache": self.cache.stats.snapshot().as_dict(),
-            "resident_indexes": len(self.cache),
-            "workers": self.workers,
-            "queue_limit": self.admission.limit,
-            "in_flight": self.admission.in_flight,
-            "rejected": self.admission.rejected,
-            "queries_total": queries_total,
-            "errors_total": errors_total,
-            "backends": backends,
-            "templates": templates,
-            "events": events,
-            "uptime_seconds": time.monotonic() - self.created_monotonic,
-        }
-        if tenants:
-            out["tenants"] = tenants
-        return out
+            if self._retired:
+                return
+            self._retired = True
+            self.metrics.registry.discard(dataset=self.name)
 
     def close(self) -> None:
-        """Shut the shard's executor down (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        """Retire the shard and shut its executor down (idempotent)."""
+        self.retire()
         self.executor.shutdown(wait=True, cancel_futures=True)
 
 
@@ -446,6 +468,7 @@ class DatasetRegistry:
         max_workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         default_backend: Optional[str] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValidationError(f"queue_limit must be >= 1, got {queue_limit!r}")
@@ -458,14 +481,70 @@ class DatasetRegistry:
         #: Tenant name → admission weight, applied to every shard's
         #: queue (see :meth:`set_tenant_weights`).
         self.tenant_weights: Dict[str, float] = {}
-        self._metrics: Optional[MetricsRegistry] = None
-        self._metrics_query_seconds = None
         self._lock = threading.Lock()
         self._shards: Dict[str, DatasetShard] = {}
         #: Names whose registration is materialising right now — reserved
         #: under the lock so a racing duplicate fails fast instead of
         #: wasting a full workload build.
         self._reserved: set = set()
+        #: The ``serve_*`` families, on the front end's metrics registry
+        #: (``ServeApp`` passes its own; a bare registry keeps a private one).
+        self.metrics = ServeMetrics(metrics if metrics is not None else MetricsRegistry())
+        self._register_callbacks(self.metrics.registry)
+
+    def _register_callbacks(self, metrics: MetricsRegistry) -> None:
+        """Scrape-time families over state the shards keep for their own
+        decisions: index-cache statistics and admission occupancy."""
+
+        def per_shard(read):
+            return lambda: [({"dataset": s.name}, read(s)) for s in self.shards()]
+
+        metrics.callback(
+            "serve_datasets", "gauge", "Registered datasets.",
+            lambda: [({}, len(self))],
+        )
+        for name, type_, help_, read in (
+            ("serve_cache_hits_total", "counter",
+             "Index-cache hits (an index was resident).",
+             lambda s: s.cache.stats.hits),
+            ("serve_cache_misses_total", "counter",
+             "Index-cache misses (a build was needed).",
+             lambda s: s.cache.stats.misses),
+            ("serve_cache_evictions_total", "counter",
+             "Indexes evicted by the shard's resident-entry bound.",
+             lambda s: s.cache.stats.evictions),
+            ("serve_cache_build_seconds_total", "counter",
+             "Wall seconds spent building indexes.",
+             lambda s: s.cache.stats.build_seconds),
+            ("serve_cache_resident_indexes", "gauge",
+             "Indexes currently resident in the shard's cache.",
+             lambda s: len(s.cache)),
+            ("serve_cache_migrated_total", "counter",
+             "Indexes carried across an epoch bump by incremental maintenance.",
+             lambda s: s.cache.stats.migrated),
+            ("serve_cache_invalidated_total", "counter",
+             "Indexes invalidated by an epoch bump (rebuild on next query).",
+             lambda s: s.cache.stats.invalidated),
+            ("serve_queue_depth", "gauge",
+             "Admitted (queued + running) queries on the shard.",
+             lambda s: s.admission.in_flight),
+            ("serve_queue_limit", "gauge",
+             "The shard's admission limit.",
+             lambda s: s.admission.limit),
+            ("serve_dataset_epoch", "gauge",
+             "Dataset version: event batches appended since registration.",
+             lambda s: s.tps.epoch),
+        ):
+            metrics.callback(name, type_, help_, per_shard(read))
+        metrics.callback(
+            "serve_tenant_in_flight", "gauge",
+            "Admission slots a tenant currently holds on the shard.",
+            lambda: [
+                ({"dataset": shard.name, "tenant": tenant}, held)
+                for shard in self.shards()
+                for tenant, held in shard.admission.tenant_in_flight().items()
+            ],
+        )
 
     # ------------------------------------------------------------------
     def register(
@@ -487,7 +566,7 @@ class DatasetRegistry:
         queries against this dataset that name no backend of their own.
         Registering an existing name raises
         :class:`DuplicateDatasetError` unless ``replace=True``, in
-        which case the old shard is closed.  The name is reserved
+        which case the old shard is closed and its series dropped.  The name is reserved
         before the (possibly slow) workload build, so a duplicate —
         racing or not — is rejected before any work.
         """
@@ -524,13 +603,16 @@ class DatasetRegistry:
                     if default_backend is not None
                     else self.default_backend
                 ),
+                metrics=self.metrics,
             )
             if self.tenant_weights:
                 shard.admission.set_tenant_weights(self.tenant_weights)
-            shard.metrics_observer = self._observe_query
             with self._lock:
                 old = self._shards.get(name)
+                if old is not None:
+                    old.retire()  # drops the old series before the new shard counts
                 self._shards[name] = shard
+                self.metrics.start(name)
         finally:
             with self._lock:
                 self._reserved.discard(name)
@@ -550,198 +632,6 @@ class DatasetRegistry:
         with self._lock:
             return list(self._shards.values())
 
-    def _observe_query(
-        self,
-        dataset: str,
-        ok: bool,
-        backend: Optional[str],
-        cache_hit: bool,
-        build_seconds: float,
-        query_seconds: float,
-    ) -> None:
-        hist = self._metrics_query_seconds
-        if hist is not None and ok:
-            hist.labels(dataset=dataset).observe(query_seconds)
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Register the ``serve_*`` families against this registry.
-
-        Almost everything is a render-time callback over the live
-        shards — cache counters, queue occupancy, per-backend totals
-        are already tracked by the shards for ``/stats``, so scraping
-        reads the same state instead of double-counting.  The one
-        event-driven family is the per-query latency histogram, fed by
-        each shard's ``metrics_observer`` hook.
-
-        Rebinding (a registry handed to a second app) simply registers
-        the families against the new app's metrics registry; the old
-        binding's callbacks keep reading the same live shards.
-        """
-        self._metrics = metrics
-        self._metrics_query_seconds = metrics.histogram(
-            "serve_query_seconds",
-            "Per-query execution wall seconds (successful queries).",
-            ("dataset",),
-        )
-
-        def per_shard(fn):
-            def collect():
-                return [
-                    ({"dataset": shard.name}, fn(shard)) for shard in self.shards()
-                ]
-
-            return collect
-
-        metrics.callback(
-            "serve_datasets", "gauge", "Registered datasets.",
-            lambda: [({}, len(self))],
-        )
-        metrics.callback(
-            "serve_cache_hits_total", "counter",
-            "Index-cache hits (an index was resident).",
-            per_shard(lambda s: s.cache.stats.hits),
-        )
-        metrics.callback(
-            "serve_cache_misses_total", "counter",
-            "Index-cache misses (a build was needed).",
-            per_shard(lambda s: s.cache.stats.misses),
-        )
-        metrics.callback(
-            "serve_cache_evictions_total", "counter",
-            "Indexes evicted by the shard's resident-entry bound.",
-            per_shard(lambda s: s.cache.stats.evictions),
-        )
-        metrics.callback(
-            "serve_cache_build_seconds_total", "counter",
-            "Wall seconds spent building indexes.",
-            per_shard(lambda s: s.cache.stats.build_seconds),
-        )
-        metrics.callback(
-            "serve_cache_resident_indexes", "gauge",
-            "Indexes currently resident in the shard's cache.",
-            per_shard(lambda s: len(s.cache)),
-        )
-        metrics.callback(
-            "serve_queue_depth", "gauge",
-            "Admitted (queued + running) queries on the shard.",
-            per_shard(lambda s: s.admission.in_flight),
-        )
-        metrics.callback(
-            "serve_queue_limit", "gauge",
-            "The shard's admission limit.",
-            per_shard(lambda s: s.admission.limit),
-        )
-        metrics.callback(
-            "serve_admission_rejected_total", "counter",
-            "Query slots denied at admission (any bound).",
-            per_shard(lambda s: s.admission.rejected),
-        )
-        metrics.callback(
-            "serve_dataset_epoch", "gauge",
-            "Dataset version: event batches appended since registration.",
-            per_shard(lambda s: s.tps.epoch),
-        )
-        metrics.callback(
-            "serve_events_appended_total", "counter",
-            "Events accepted into the dataset by appends.",
-            per_shard(lambda s: s._events_accepted_total),
-        )
-        metrics.callback(
-            "serve_events_rejected_total", "counter",
-            "Event lines rejected by append validation.",
-            per_shard(lambda s: s._events_rejected_total),
-        )
-        metrics.callback(
-            "serve_append_batches_total", "counter",
-            "Append requests processed (including all-rejected ones).",
-            per_shard(lambda s: s._append_batches_total),
-        )
-        metrics.callback(
-            "serve_append_seconds_total", "counter",
-            "Wall seconds spent merging appends and maintaining indexes.",
-            per_shard(lambda s: s._append_seconds_total),
-        )
-        metrics.callback(
-            "serve_cache_migrated_total", "counter",
-            "Indexes carried across an epoch bump by incremental maintenance.",
-            per_shard(lambda s: s.cache.stats.migrated),
-        )
-        metrics.callback(
-            "serve_cache_invalidated_total", "counter",
-            "Indexes invalidated by an epoch bump (rebuild on next query).",
-            per_shard(lambda s: s.cache.stats.invalidated),
-        )
-
-        def backend_samples(field):
-            def collect():
-                out = []
-                for shard in self.shards():
-                    for backend, counters in shard.backend_counters().items():
-                        out.append(
-                            (
-                                {"dataset": shard.name, "backend": backend},
-                                counters[field],
-                            )
-                        )
-                return out
-
-            return collect
-
-        metrics.callback(
-            "serve_queries_total", "counter",
-            "Finished queries by resolved backend.",
-            backend_samples("queries"),
-        )
-        metrics.callback(
-            "serve_query_errors_total", "counter",
-            "Failed queries by resolved backend.",
-            backend_samples("errors"),
-        )
-
-        def template_samples(field):
-            def collect():
-                out = []
-                for shard in self.shards():
-                    for template, counters in shard.template_counters().items():
-                        out.append(
-                            (
-                                {"dataset": shard.name, "template": template},
-                                counters[field],
-                            )
-                        )
-                return out
-
-            return collect
-
-        metrics.callback(
-            "serve_template_queries_total", "counter",
-            "Finished queries by plan template (query kind).",
-            template_samples("queries"),
-        )
-        metrics.callback(
-            "serve_template_query_errors_total", "counter",
-            "Failed queries by plan template (query kind).",
-            template_samples("errors"),
-        )
-
-        def tenant_in_flight():
-            out = []
-            for shard in self.shards():
-                for tenant, counters in shard.admission.tenant_snapshot().items():
-                    out.append(
-                        (
-                            {"dataset": shard.name, "tenant": tenant},
-                            counters["in_flight"],
-                        )
-                    )
-            return out
-
-        metrics.callback(
-            "serve_tenant_in_flight", "gauge",
-            "Admission slots a tenant currently holds on the shard.",
-            tenant_in_flight,
-        )
-
     def get(self, name: str) -> DatasetShard:
         with self._lock:
             shard = self._shards.get(name)
@@ -757,11 +647,14 @@ class DatasetRegistry:
         Closing waits for the shard's running queries (their admission
         slots release via done-callbacks) and cancels queued work, then
         the shard's index cache is dropped so its indexes can be
-        reclaimed.  The name is immediately free for re-registration.
-        Raises :class:`UnknownDatasetError` for names never registered.
+        reclaimed.  The dataset's series leave ``/metrics`` with it.
+        The name is immediately free for re-registration.  Raises
+        :class:`UnknownDatasetError` for names never registered.
         """
         with self._lock:
             shard = self._shards.pop(name, None)
+            if shard is not None:
+                shard.retire()
         if shard is None:
             raise UnknownDatasetError(
                 f"unknown dataset {name!r}; registered: {self.names() or '(none)'}"
@@ -781,12 +674,6 @@ class DatasetRegistry:
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._shards
-
-    def stats(self) -> Dict[str, Any]:
-        """Per-shard statistics keyed by dataset name."""
-        with self._lock:
-            shards = list(self._shards.values())
-        return {shard.name: shard.stats() for shard in shards}
 
     def close(self) -> None:
         """Close every shard (idempotent)."""

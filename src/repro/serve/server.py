@@ -27,13 +27,12 @@ bridge into an HTTP/NDJSON protocol:
   query its ``records`` lines (one per τ, so a huge τ-sweep is never
   buffered as one document) and a ``result`` status line, then a
   ``batch-end`` line with per-batch cache stats;
-* ``GET    /stats``    — per-shard cache/admission statistics (including
-  per-resolved-backend build/query counters) plus the server's
-  connection counters and its **identity block** (``pid``, bound
-  address, monotonic age) so an aggregating router can attribute
-  counters to the worker process that produced them;
+* ``GET    /stats``    — who this process is (``pid``, bound address,
+  monotonic age) and its effective connection settings; it reports no
+  counts;
 * ``GET    /metrics``  — the Prometheus text exposition of the app's
-  metrics registry (see ``docs/metrics.md`` for the family reference);
+  metrics registry, where every count lives (see ``docs/metrics.md``
+  for the family reference);
 * ``POST   /shutdown`` — graceful stop: new connections are refused,
   in-flight requests drain, idle keep-alive connections are closed.
 
@@ -257,12 +256,8 @@ class AsyncApp:
         # monotonic: wall-clock steps (NTP, DST, manual) must never make
         # the reported uptime jump or go negative.
         self.started_monotonic = time.monotonic()
-        self.requests_total = 0
-        self.connections_opened = 0
-        self.connections_active = 0
-        self.keepalive_reuses = 0
         #: Bound address, recorded when the listener comes up — the
-        #: stable identity /stats reports (aggregators key on it).
+        #: stable identity /stats reports.
         self.bound_host: Optional[str] = None
         self.bound_port: Optional[int] = None
         self._shutdown = asyncio.Event()
@@ -288,20 +283,15 @@ class AsyncApp:
             "Seconds since this front end started (monotonic clock).",
             lambda: [({}, time.monotonic() - self.started_monotonic)],
         )
-        self.metrics.callback(
-            "http_connections_opened_total", "counter",
-            "TCP connections accepted.",
-            lambda: [({}, self.connections_opened)],
+        self._m_connections_opened = self.metrics.counter(
+            "http_connections_opened_total", "TCP connections accepted."
         )
-        self.metrics.callback(
-            "http_connections_active", "gauge",
-            "Connections currently open.",
-            lambda: [({}, self.connections_active)],
+        self._m_connections_active = self.metrics.gauge(
+            "http_connections_active", "Connections currently open."
         )
-        self.metrics.callback(
-            "http_keepalive_reuses_total", "counter",
+        self._m_keepalive_reuses = self.metrics.counter(
+            "http_keepalive_reuses_total",
             "Requests served on an already-open connection.",
-            lambda: [({}, self.keepalive_reuses)],
         )
         #: Per-process trace retention; ``None`` when tracing is off
         #: (the bench's untraced baseline) — no recorder is created and
@@ -358,8 +348,8 @@ class AsyncApp:
         task = asyncio.current_task()
         if task is not None:
             self._conn_busy[task] = False
-        self.connections_opened += 1
-        self.connections_active += 1
+        self._m_connections_opened.inc()
+        self._m_connections_active.inc()
         served = 0
         try:
             while not self._shutdown.is_set():
@@ -387,9 +377,8 @@ class AsyncApp:
                 if request is None:
                     break  # clean EOF between requests
                 served += 1
-                self.requests_total += 1
                 if served > 1:
-                    self.keepalive_reuses += 1
+                    self._m_keepalive_reuses.inc()
                 state = ConnectionState(
                     keep_alive=(
                         want_keep_alive(request)
@@ -469,7 +458,7 @@ class AsyncApp:
         except (ConnectionError, asyncio.TimeoutError):
             pass  # peer went away; admission slots are freed by callbacks
         finally:
-            self.connections_active -= 1
+            self._m_connections_active.dec()
             if task is not None:
                 self._conn_busy.pop(task, None)
             try:
@@ -641,9 +630,7 @@ class AsyncApp:
 
     # ------------------------------------------------------------------
     def identity(self) -> Dict[str, Any]:
-        """Stable process identity for ``/stats`` (who produced these
-        numbers): pid, bound address, monotonic age.  An aggregating
-        router keys per-worker counters on this block."""
+        """Stable process identity: pid, bound address, monotonic age."""
         return {
             "pid": os.getpid(),
             "host": self.bound_host,
@@ -651,23 +638,20 @@ class AsyncApp:
             "started_age_seconds": time.monotonic() - self.started_monotonic,
         }
 
-    def server_stats(self) -> Dict[str, Any]:
-        """The front-end-agnostic ``server`` block of ``/stats``."""
-        return {
-            "uptime_seconds": time.monotonic() - self.started_monotonic,
-            "requests_total": self.requests_total,
-            "identity": self.identity(),
-            "connections": {
-                "opened": self.connections_opened,
-                "active": self.connections_active,
-                "keepalive_reuses": self.keepalive_reuses,
-                "idle_timeout_seconds": self.idle_timeout,
-                "max_requests_per_connection": self.max_requests_per_connection,
-            },
-        }
-
     def stats(self) -> Dict[str, Any]:
-        return {"server": self.server_stats()}
+        """The ``GET /stats`` document: identity and connection settings.
+
+        It holds no counts; every count is an instrument in ``/metrics``.
+        """
+        return {
+            "server": {
+                "identity": self.identity(),
+                "connections": {
+                    "idle_timeout_seconds": self.idle_timeout,
+                    "max_requests_per_connection": self.max_requests_per_connection,
+                },
+            }
+        }
 
     # ------------------------------------------------------------------
     async def serve(self, host: str, port: int) -> "asyncio.AbstractServer":
@@ -752,7 +736,6 @@ class ServeApp(AsyncApp):
 
     def __init__(
         self,
-        registry: Optional[DatasetRegistry] = None,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         max_workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -773,11 +756,12 @@ class ServeApp(AsyncApp):
             slow_query_ms=slow_query_ms,
             tracing=tracing,
         )
-        self.registry = registry if registry is not None else DatasetRegistry(
+        self.registry = DatasetRegistry(
             max_entries=max_entries,
             max_workers=max_workers,
             queue_limit=queue_limit,
             default_backend=default_backend,
+            metrics=self.metrics,
         )
         #: Optional tenant table (``--api-keys``): when set, ``POST
         #: /query`` requires a known ``X-API-Key`` and is metered per
@@ -785,12 +769,6 @@ class ServeApp(AsyncApp):
         self.tenants = tenants
         if tenants is not None:
             self.registry.set_tenant_weights(tenants.weights())
-        self.registry.bind_metrics(self.metrics)
-        self._m_stream_bytes = self.metrics.counter(
-            "serve_stream_bytes_total",
-            "NDJSON payload bytes streamed to query clients.",
-            ("dataset",),
-        )
         # Tenant families are registered unconditionally — with no
         # tenant table they render as empty families — so the metric
         # name set is identical with and without QoS enabled (the
@@ -1136,16 +1114,9 @@ class ServeApp(AsyncApp):
         finally:
             # Counted whether or not the stream finished: a truncated
             # stream's bytes still crossed the wire.
-            self._m_stream_bytes.labels(dataset=name).inc(streamed)
+            shard.record_streamed(streamed)
 
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        server = self.server_stats()
-        server["datasets"] = len(self.registry)
-        if self.tenants is not None:
-            server["tenants"] = self.tenants.names()
-        return {"server": server, "shards": self.registry.stats()}
-
     def _cleanup(self) -> None:
         self.registry.close()
 
@@ -1191,7 +1162,6 @@ def _result_lines(index: int, result: QueryResult, include_records: bool,
 def run_server(
     host: str = "127.0.0.1",
     port: int = 8765,
-    registry: Optional[DatasetRegistry] = None,
     max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     max_workers: Optional[int] = None,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -1207,7 +1177,6 @@ def run_server(
 ) -> None:
     """Blocking entry point for ``python -m repro serve``."""
     app = ServeApp(
-        registry=registry,
         max_entries=max_entries,
         max_workers=max_workers,
         queue_limit=queue_limit,
@@ -1293,7 +1262,6 @@ def start_app_thread(
 def start_server_thread(
     host: str = "127.0.0.1",
     port: int = 0,
-    registry: Optional[DatasetRegistry] = None,
     max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
     max_workers: Optional[int] = None,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
@@ -1309,7 +1277,6 @@ def start_server_thread(
 ) -> ServerHandle:
     """Start a server on a daemon thread; returns once it is listening."""
     app = ServeApp(
-        registry=registry,
         max_entries=max_entries,
         max_workers=max_workers,
         queue_limit=queue_limit,

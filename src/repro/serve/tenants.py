@@ -191,9 +191,6 @@ class TenantTable:
         """Tenant name → admission weight (feeds the admission queues)."""
         return dict(self._weights)
 
-    def names(self) -> List[str]:
-        return sorted(self._weights)
-
     # ------------------------------------------------------------------
     def check_and_consume(
         self, tenant_name: str, n: int, now: Optional[float] = None

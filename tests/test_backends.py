@@ -36,6 +36,7 @@ from repro.core.patterns import PatternIndex
 from repro.core.triangles import DurableTriangleIndex
 from repro.engine import IndexKey, QueryEngine, QuerySpec, plan_query
 from repro.errors import BackendError, ValidationError
+from repro.obs import counter_value, parse_exposition
 from repro.structures.durable_ball import make_decomposition
 
 from conftest import random_tps
@@ -778,7 +779,7 @@ class TestVectorQueriesAreReadOnly:
 
 
 # ----------------------------------------------------------------------
-# Serving integration: per-dataset default backend + /stats counters
+# Serving integration: per-dataset default backend + served counts
 # ----------------------------------------------------------------------
 class TestServeIntegration:
     @pytest.fixture()
@@ -808,6 +809,18 @@ class TestServeIntegration:
         finally:
             conn.close()
 
+    @classmethod
+    def _served(cls, handle, dataset):
+        """``serve_queries_total`` for ``dataset`` by resolved backend."""
+        status, data = cls._request(handle, "GET", "/metrics")
+        assert status == 200
+        families = parse_exposition(data.decode())
+        return {
+            s.labels["backend"]: s.value
+            for s in families["serve_queries_total"].samples
+            if s.labels["dataset"] == dataset
+        }, families
+
     def test_default_backend_threads_through_query_and_stats(self, server):
         status, data = self._request(
             server, "POST", "/datasets",
@@ -834,15 +847,19 @@ class TestServeIntegration:
             },
         )
         assert status == 200
-        status, data = self._request(server, "GET", "/stats")
-        assert status == 200
-        shard_stats = json.loads(data)["shards"]["pinned"]
-        backends = shard_stats["backends"]
-        assert backends["cover-tree"]["queries"] == 1
-        assert backends["cover-tree"]["builds"] == 1
-        assert backends["grid"]["queries"] == 1
-        assert backends["grid"]["builds"] == 1
-        assert shard_stats["dataset"]["default_backend"] == "cover-tree"
+        lines = [json.loads(line) for line in data.decode().splitlines()]
+        results = [line for line in lines if line["type"] == "result"]
+        assert [r["cache_hit"] for r in results] == [False, False]  # both built
+        served, families = self._served(server, "pinned")
+        assert served == {"cover-tree": 1, "grid": 1}
+        assert counter_value(
+            families, "serve_cache_misses_total", {"dataset": "pinned"}
+        ) == 2
+        status, data = self._request(server, "GET", "/datasets")
+        (pinned,) = [
+            d for d in json.loads(data)["datasets"] if d["name"] == "pinned"
+        ]
+        assert pinned["default_backend"] == "cover-tree"
 
     def test_counters_attribute_cache_hits_and_resolved_auto(self, server):
         status, _ = self._request(
@@ -860,15 +877,15 @@ class TestServeIntegration:
         }
         status, _ = self._request(server, "POST", "/query", body)
         assert status == 200
-        status, data = self._request(server, "GET", "/stats")
-        backends = json.loads(data)["shards"]["auto-ds"]["backends"]
+        served, families = self._served(server, "auto-ds")
         # auto resolved to one concrete backend ('auto' never appears),
         # shared one build, and the second query was a cache hit.
-        assert "auto" not in backends
-        (name, counters), = backends.items()
-        assert counters["queries"] == 2
-        assert counters["builds"] == 1
-        assert counters["cache_hits"] == 1
+        assert "auto" not in served
+        (name, queries), = served.items()
+        assert queries == 2
+        where = {"dataset": "auto-ds"}
+        assert counter_value(families, "serve_cache_misses_total", where) == 1
+        assert counter_value(families, "serve_cache_hits_total", where) == 1
 
     def test_metric_incompatible_default_backend_is_a_400(self, server):
         # linf-exact cannot serve an l2 dataset: the *registration* must
@@ -909,11 +926,10 @@ class TestServeIntegration:
             },
         )
         assert status == 200
-        status, data = self._request(server, "GET", "/stats")
-        backends = json.loads(data)["shards"]["linf-ds"]["backends"]
-        assert backends["linf-exact"]["queries"] == 1
+        backends, _ = self._served(server, "linf-ds")
+        assert backends["linf-exact"] == 1
         spatial = [n for n in backends if n != "linf-exact"]
-        assert len(spatial) == 1 and backends[spatial[0]]["queries"] == 1
+        assert len(spatial) == 1 and backends[spatial[0]] == 1
 
     def test_unknown_default_backend_is_a_400(self, server):
         status, data = self._request(

@@ -71,10 +71,13 @@ class TestExpositionFormat:
         # CI check depends on this).
         m = MetricsRegistry()
         m.counter("never_incremented_total", "Nothing yet.", ("tenant",))
+        m.counter("unlabelled_total", "No labels.")
         text = m.render()
         assert "# HELP never_incremented_total Nothing yet." in text
         assert "# TYPE never_incremented_total counter" in text
         assert parse_exposition(text)["never_incremented_total"].samples == []
+        # A label-less instrument has its one series from registration.
+        assert "\nunlabelled_total 0\n" in text
 
     def test_label_escaping_round_trips(self):
         m = MetricsRegistry()

@@ -17,11 +17,13 @@ from collections import Counter
 import pytest
 
 from repro.errors import ValidationError
+from repro.obs import counter_value, parse_exposition
 from repro.router import (
     PlacementManifest,
     choose_worker,
     start_router_thread,
 )
+from repro.router.supervisor import worker_request
 
 SOCIAL_SPEC = {"workload": "social", "n": 90, "seed": 5}
 COAUTHOR_SPEC = {"workload": "coauthor", "n": 80, "seed": 3}
@@ -212,8 +214,6 @@ class TestRouterProtocol:
         assert len({placements["social"], placements["coauthor"]}) == 2
 
     def test_metrics_fleet_scrape_relabels_workers(self, router):
-        from repro.obs import counter_value, parse_exposition
-
         # Touch both datasets so both workers have served something
         # (they sit on distinct slots — asserted elsewhere).
         for name, tau in (("social", 2.0), ("coauthor", 15.0)):
@@ -338,27 +338,41 @@ class TestRouterProtocol:
         router_pid = os.getpid()
         for slot, entry in doc["workers"].items():
             assert entry["alive"] is True
-            identity = entry["identity"]
-            assert identity["pid"] not in (None, router_pid)  # real subprocess
-            assert f'{identity["host"]}:{identity["port"]}' == entry["address"]
-            assert identity["started_age_seconds"] >= 0
-            server = entry["stats"]["server"]
-            assert server["connections"]["opened"] >= 1
-        assert doc["totals"]["queries_total"] >= 1
+            assert entry["pid"] not in (None, router_pid)  # real subprocess
+            assert int(entry["address"].rsplit(":", 1)[1]) > 0
+        identity = doc["router"]["identity"]
+        assert identity["pid"] == router_pid  # in-process fixture router
+        assert f'{identity["host"]}:{identity["port"]}' == router.address
+        assert identity["started_age_seconds"] >= 0
+        assert doc["router"]["connections"]["max_requests_per_connection"] >= 1
         assert doc["router"]["placement"]["policy"] == "rendezvous (HRW)"
-        assert doc["router"]["proxy"]["queries"] >= 1
+        # Counts live in the fleet scrape, not in /stats.
+        assert "totals" not in doc and "proxy" not in doc["router"]
+        status, data = request(router, "GET", "/metrics")
+        families = parse_exposition(data.decode())
+        assert counter_value(families, "router_proxied_queries_total") >= 1
+        assert counter_value(
+            families, "serve_queries_total", {"dataset": "social"}
+        ) >= 1
+        for slot in doc["workers"]:
+            assert counter_value(
+                families, "http_connections_opened_total", {"worker": slot}
+            ) >= 1
 
-    def test_stats_aggregates_backend_counters(self, router):
-        query_lines(router, "social", [{"kind": "triangles", "tau": 2.0}])
+    def test_stats_makes_no_upstream_request(self, router):
+        def upstream_requests():
+            # The router's own families exactly as GET /metrics renders
+            # them, read in process: a real scrape would itself fan out
+            # to every worker over the upstream pool.
+            families = parse_exposition(router.app.metrics.render())
+            return counter_value(
+                families, "router_upstream_connects_total"
+            ) + counter_value(families, "router_upstream_reuses_total")
+
+        before = upstream_requests()
         status, doc = request_json(router, "GET", "/stats")
-        assert status == 200
-        backends = {}
-        for entry in doc["workers"].values():
-            for shard in entry["stats"]["shards"].values():
-                for backend, counters in shard["backends"].items():
-                    backends[backend] = counters
-        assert backends, "no per-backend counters aggregated"
-        assert all(c["queries"] >= 1 for c in backends.values())
+        assert status == 200 and set(doc["workers"]) == {"worker-0", "worker-1"}
+        assert upstream_requests() == before
 
     def test_datasets_listing_names_workers(self, router):
         status, doc = request_json(router, "GET", "/datasets")
@@ -510,12 +524,13 @@ class TestFailover:
             assert worker["restarts"] >= 1
             assert worker["generation"] > old_generation
             assert worker["pid"] != victim_pid
-            assert doc["router"]["restarts_total"] >= 1
             # Replay restored every dataset the manifest pins to the
             # slot — both placements are unchanged (slots are stable).
             assert doc["router"]["placement"]["datasets"]["social"] == owner
-            shard_names = set(worker["stats"]["shards"])
-            assert "social" in shard_names
+            host, port = worker["address"].rsplit(":", 1)
+            status, body = worker_request(host, int(port), "GET", "/datasets")
+            assert status == 200
+            assert "social" in {d["name"] for d in json.loads(body)["datasets"]}
         finally:
             handle.stop()
 

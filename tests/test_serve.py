@@ -11,6 +11,7 @@ in ``test_serve_keepalive.py``.
 import asyncio
 import json
 import http.client
+import sys
 import threading
 import time
 
@@ -19,6 +20,7 @@ import pytest
 from repro import QueryEngine, QuerySpec, ValidationError
 from repro.datasets import workload_from_spec
 from repro.engine import QueryResult, plan_batch
+from repro.obs import counter_value, parse_exposition
 from repro.serve import (
     AdmissionQueue,
     DatasetRegistry,
@@ -64,6 +66,20 @@ def request_ndjson(handle, method, path, body=None):
     return status, lines
 
 
+def scrape(handle):
+    """``GET /metrics``, strictly parsed."""
+    status, _, data = request(handle, "GET", "/metrics")
+    assert status == 200
+    return parse_exposition(data.decode())
+
+
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------
@@ -89,10 +105,14 @@ class TestProtocol:
     def test_stats_exposes_connection_counters(self, server):
         status, doc = request_json(server, "GET", "/stats")
         assert status == 200
-        connections = doc["server"]["connections"]
-        assert connections["opened"] >= 1
-        assert connections["active"] >= 0
-        assert doc["server"]["uptime_seconds"] >= 0
+        assert doc["server"]["identity"]["started_age_seconds"] >= 0
+        # /stats holds settings only; the counts are in /metrics.
+        assert set(doc["server"]["connections"]) == {
+            "idle_timeout_seconds", "max_requests_per_connection",
+        }
+        families = scrape(server)
+        assert counter_value(families, "http_connections_opened_total") >= 1
+        assert counter_value(families, "http_connections_active") >= 1
 
     def test_register_reports_identity(self, server):
         status, doc = request_json(
@@ -344,6 +364,9 @@ class TestBackpressure:
     def test_full_admission_queue_rejects_with_429(self, server):
         shard = server.app.registry.get("soc")
         limit = shard.admission.limit
+        # Earlier queries' slots are released by done-callbacks on the
+        # event loop, which may run just after their response went out.
+        _wait_until(lambda: shard.admission.in_flight == 0)
         assert shard.admission.try_acquire(limit)  # fill the queue
         try:
             status, headers, data = request(
@@ -358,8 +381,9 @@ class TestBackpressure:
             assert "Retry-After" in headers
         finally:
             shard.admission.release(limit)
-        stats = server.app.registry.get("soc").stats()
-        assert stats["rejected"] >= 1
+        assert counter_value(
+            scrape(server), "serve_admission_rejected_total", {"dataset": "soc"}
+        ) >= 1
         # Released: the next query goes straight through.
         status, lines = request_ndjson(
             server,
@@ -421,13 +445,157 @@ class TestShardIsolation:
         # Each shard built into its own cache: the coauthor queries
         # never touched the social shard's index cache.
         assert coa_cache.stats.builds >= coa_builds_before + 2
-        status, doc = request_json(server, "GET", "/stats")
+        status, doc = request_json(server, "GET", "/datasets")
         assert status == 200
-        assert set(doc["shards"]) >= {"soc", "coa"}
+        assert {d["name"] for d in doc["datasets"]} >= {"soc", "coa"}
+        families = scrape(server)
         for name in ("soc", "coa"):
-            shard_stats = doc["shards"][name]
-            assert "cache" in shard_stats and "failed_waits" in shard_stats["cache"]
-            assert shard_stats["queries_total"] >= 2
+            cache = server.app.registry.get(name).cache
+            assert "failed_waits" in cache.stats.snapshot().as_dict()
+            assert counter_value(
+                families, "serve_queries_total", {"dataset": name}
+            ) >= 2
+
+
+# ----------------------------------------------------------------------
+# A dataset's series live exactly as long as its shard
+# ----------------------------------------------------------------------
+#: Families counted per request rather than read off a live shard.
+REQUEST_FAMILIES = ("serve_query_seconds", "serve_stream_bytes_total")
+
+
+class TestDatasetSeries:
+    @staticmethod
+    def _series(handle, name, kind):
+        """The ``serve_*`` samples labelled ``dataset=name`` (``kind``
+        picks the per-request or the per-shard families), keyed without
+        that label."""
+        return {
+            (sample.name, tuple(sorted(
+                (k, v) for k, v in sample.labels.items() if k != "dataset"
+            ))): sample.value
+            for family in scrape(handle).values()
+            if family.name.startswith("serve_")
+            and (family.name in REQUEST_FAMILIES) == (kind == "request")
+            for sample in family.samples
+            if sample.labels.get("dataset") == name
+        }
+
+    @pytest.mark.parametrize("kind", ["shard", "request"])
+    def test_replace_and_delete_drop_every_dataset_series(self, monkeypatch, kind):
+        import repro.serve.bridge as bridge_mod
+
+        real_execute = bridge_mod.execute_plan
+        gate = threading.Event()
+
+        def gated_execute(plan, *args, **kwargs):
+            if plan.spec.label == "late":
+                gate.wait(30)
+            return real_execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(bridge_mod, "execute_plan", gated_execute)
+        handle = start_server_thread(queue_limit=8)
+        try:
+            spec = {"name": "life", "dataset": SOCIAL_SPEC}
+            query = {"dataset": "life",
+                     "queries": [{"kind": "triangles", "tau": 2.0}]}
+            assert request_json(handle, "POST", "/datasets", spec)[0] == 201
+            assert request_ndjson(handle, "POST", "/query", query)[0] == 200
+            served = {key[0] for key in self._series(handle, "life", kind)}
+            assert served >= (
+                {"serve_query_seconds_count", "serve_stream_bytes_total"}
+                if kind == "request" else {"serve_queries_total"}
+            )
+
+            # replace=true: the successor's series are exactly those of
+            # a dataset that has served nothing yet.
+            status, _ = request_json(
+                handle, "POST", "/datasets", dict(spec, replace=True)
+            )
+            assert status == 201
+            status, _ = request_json(
+                handle, "POST", "/datasets", dict(spec, name="fresh")
+            )
+            assert status == 201
+            assert self._series(handle, "life", kind) == self._series(
+                handle, "fresh", kind
+            )
+
+            # A query still running when DELETE arrives finishes on the
+            # retired shard and records nothing.
+            late = {"dataset": "life", "queries": [
+                {"kind": "triangles", "tau": 2.0, "label": "late"}]}
+            replies = {}
+            running = threading.Thread(target=lambda: replies.update(
+                query=request(handle, "POST", "/query", late)))
+            running.start()
+            shard = handle.app.registry.get("life")
+            _wait_until(lambda: shard.admission.in_flight == 1)
+            deleting = threading.Thread(target=lambda: replies.update(
+                delete=request_json(handle, "DELETE", "/datasets/life")))
+            deleting.start()
+            _wait_until(lambda: "life" not in handle.app.registry)
+            gate.set()
+            running.join(30)
+            deleting.join(30)
+            assert not running.is_alive() and not deleting.is_alive()
+            assert replies["delete"][0] == 200
+            assert replies["query"][0] == 200
+            assert b'"batch-end"' in replies["query"][2]
+            assert self._series(handle, "life", kind) == {}
+            assert self._series(handle, "fresh", "shard")  # others untouched
+        finally:
+            gate.set()
+            handle.stop()
+
+
+    def test_counts_survive_contention_and_stop_at_retire(self):
+        """Recording threads share the shard's instruments: no update is
+        lost, and once the shard is removed nothing comes back."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        registry = DatasetRegistry()
+        try:
+            shard = registry.register("d", random_tps(n=10, seed=0))
+
+            def record(calls):
+                for _ in range(calls):
+                    shard.record_result(True, "grid", "triangles", 0.001)
+                    shard.record_streamed(10)
+
+            threads = [
+                threading.Thread(target=record, args=(5000,)) for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+
+            def count(name):
+                families = parse_exposition(registry.metrics.registry.render())
+                return counter_value(families, name, {"dataset": "d"})
+
+            assert count("serve_queries_total") == 40000
+            assert count("serve_template_queries_total") == 40000
+            assert count("serve_stream_bytes_total") == 400000
+
+            racing = [
+                threading.Thread(target=record, args=(5000,)) for _ in range(8)
+            ]
+            for t in racing:
+                t.start()
+            registry.remove("d")
+            for t in racing:
+                t.join(30)
+                assert not t.is_alive()
+            # A series the shard never touched before it retired stays
+            # unrecorded too.
+            shard.record_result(False, "vector", "cliques")
+            assert 'dataset="d"' not in registry.metrics.registry.render()
+        finally:
+            sys.setswitchinterval(switch)
+            registry.close()
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +706,7 @@ class TestAdmissionQueue:
         q = AdmissionQueue(3)
         assert q.try_acquire(2) and q.in_flight == 2
         assert not q.try_acquire(2)  # 2 + 2 > 3: rejected whole
-        assert q.rejected == 2 and q.in_flight == 2
+        assert q.in_flight == 2
         q.release(2)
         assert q.in_flight == 0
 
@@ -560,6 +728,12 @@ class TestAdmissionQueue:
 
             asyncio.run(overloaded())
 
+            def count(name):
+                families = parse_exposition(registry.metrics.registry.render())
+                return counter_value(families, name, {"dataset": "d"})
+
+            assert count("serve_admission_rejected_total") == 3  # whole batch
+
             async def admitted():
                 futures = submit_plans(shard, plans[:2])
                 results = [await f for f in futures]
@@ -572,12 +746,12 @@ class TestAdmissionQueue:
                 assert shard.admission.in_flight == 0
 
             asyncio.run(admitted())
-            # The done-callbacks also bumped the served counters.
+            # The done-callbacks also counted the served queries.
             for _ in range(100):
-                if shard.stats()["queries_total"] == 2:
+                if count("serve_queries_total") == 2:
                     break
                 time.sleep(0.01)
-            assert shard.stats()["queries_total"] == 2
-            assert shard.stats()["errors_total"] == 0
+            assert count("serve_queries_total") == 2
+            assert count("serve_query_errors_total") == 0
         finally:
             registry.close()

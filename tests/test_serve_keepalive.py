@@ -21,7 +21,8 @@ import types
 
 import pytest
 
-from repro.serve import DatasetRegistry, start_server_thread
+from repro.obs import counter_value, parse_exposition
+from repro.serve import start_server_thread
 from repro.serve.http import MAX_HEADER_BYTES, Request, want_keep_alive
 from repro.serve.server import ConnectionState, ServeApp
 
@@ -126,6 +127,13 @@ def pooled_json(conn, method, path, body=None):
     return resp.status, dict(resp.getheaders()), resp.read()
 
 
+def pooled_scrape(conn):
+    """``GET /metrics`` over a shared connection, strictly parsed."""
+    status, _, data = pooled_json(conn, "GET", "/metrics")
+    assert status == 200
+    return parse_exposition(data.decode())
+
+
 @pytest.fixture(scope="module")
 def server():
     handle = start_server_thread(queue_limit=8)
@@ -166,16 +174,16 @@ class TestKeepAlive:
             status1, _, doc1 = raw.read_json()
             status2, _, doc2 = raw.read_json()
             assert status1 == 200 and doc1["ok"] is True
-            assert status2 == 200 and "shards" in doc2
+            assert status2 == 200 and "identity" in doc2["server"]
         finally:
             raw.close()
 
     def test_interleaved_query_stats_health_on_reused_connection(self, server):
-        app = server.app
         conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
         try:
-            _, _, data = pooled_json(conn, "GET", "/stats")
-            before = json.loads(data)["server"]
+            status, _, data = pooled_json(conn, "GET", "/stats")
+            assert status == 200
+            before = pooled_scrape(conn)
             status, headers, data = pooled_json(
                 conn, "POST", "/query",
                 {"dataset": "soc",
@@ -187,15 +195,16 @@ class TestKeepAlive:
             assert lines[-1]["type"] == "batch-end" and lines[-1]["ok"] is True
             status, _, _ = pooled_json(conn, "GET", "/health")
             assert status == 200
-            status, _, data = pooled_json(conn, "GET", "/stats")
-            after = json.loads(data)["server"]
-            # Three requests since the baseline, zero new connections.
-            assert after["requests_total"] - before["requests_total"] == 3
-            assert after["connections"]["opened"] == before["connections"]["opened"]
-            assert (
-                after["connections"]["keepalive_reuses"]
-                > before["connections"]["keepalive_reuses"]
-            )
+            after = pooled_scrape(conn)
+
+            def grew(name):
+                return counter_value(after, name) - counter_value(before, name)
+
+            # Three requests since the baseline (a scrape counts itself
+            # once it is answered), zero new connections.
+            assert grew("http_requests_total") == 3
+            assert grew("http_connections_opened_total") == 0
+            assert grew("http_keepalive_reuses_total") == 3
         finally:
             conn.close()
 
@@ -378,11 +387,13 @@ class TestConnectionBounds:
         try:
             _, _, data = pooled_json(conn, "GET", "/stats")
             connections = json.loads(data)["server"]["connections"]
-            assert connections["opened"] >= 1
-            assert connections["active"] >= 1  # at least this connection
             assert connections["idle_timeout_seconds"] == 30.0
             assert connections["max_requests_per_connection"] == 1000
-            assert connections["keepalive_reuses"] >= 0
+            families = pooled_scrape(conn)
+            assert counter_value(families, "http_connections_opened_total") >= 1
+            # At least this connection.
+            assert counter_value(families, "http_connections_active") >= 1
+            assert counter_value(families, "http_keepalive_reuses_total") >= 1
         finally:
             conn.close()
 
@@ -554,29 +565,10 @@ class TestFramingRejections:
 
 
 class TestMonotonicUptime:
-    def test_shard_uptime_survives_wall_clock_step(self, monkeypatch):
-        import repro.serve.registry as registry_mod
-
-        registry = DatasetRegistry()
-        try:
-            shard = registry.register("d", random_tps(n=10, seed=0))
-            # A wall clock stepped back to the epoch must not produce a
-            # negative (or wildly jumped) uptime: only monotonic time
-            # may drive it.
-            fake_time = types.SimpleNamespace(
-                time=lambda: 0.0,
-                monotonic=lambda: shard.created_monotonic + 5.0,
-            )
-            monkeypatch.setattr(registry_mod, "time", fake_time)
-            assert shard.stats()["uptime_seconds"] == pytest.approx(5.0)
-        finally:
-            monkeypatch.undo()
-            registry.close()
-
     def test_server_uptime_survives_wall_clock_step(self, monkeypatch):
         import repro.serve.server as server_mod
 
-        app = ServeApp(registry=DatasetRegistry())
+        app = ServeApp()
         fake_time = types.SimpleNamespace(
             time=lambda: 0.0,
             monotonic=lambda: app.started_monotonic + 7.0,
@@ -584,7 +576,8 @@ class TestMonotonicUptime:
         )
         monkeypatch.setattr(server_mod, "time", fake_time)
         try:
-            assert app.stats()["server"]["uptime_seconds"] == pytest.approx(7.0)
+            age = app.stats()["server"]["identity"]["started_age_seconds"]
+            assert age == pytest.approx(7.0)
         finally:
             monkeypatch.undo()
             app.registry.close()
@@ -615,10 +608,9 @@ class TestCancelledMidStream:
             async def wait_closed(self):
                 pass
 
-        registry = DatasetRegistry()
+        app = ServeApp()
         try:
-            registry.register("d", random_tps(n=20, seed=1))
-            app = ServeApp(registry=registry)
+            app.registry.register("d", random_tps(n=20, seed=1))
 
             def never_finishing_submit(shard, plans, tenant=None, **kwargs):
                 return [asyncio.get_running_loop().create_future()]
@@ -652,4 +644,4 @@ class TestCancelledMidStream:
 
             asyncio.run(main())
         finally:
-            registry.close()
+            app.registry.close()

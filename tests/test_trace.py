@@ -180,6 +180,28 @@ class TestTraceStore:
         assert "serve.request" in entry["breakdown_ms"]
         assert store.stats()["slow_queries"] == 1
 
+    def test_slow_query_breakdown_is_self_time(self):
+        # root ⊃ plan ⊃ query ⊃ cache.get, one after another: each entry
+        # is that span's own time, so they add up to the root's.
+        log = io.StringIO()
+        store = TraceStore(capacity=8, sample=1.0, slow_ms=50.0, slow_log=log)
+        rec = TraceRecorder()
+        t0 = 1_700_000_000.0
+        root = rec.add_timed("serve.request", None, t0, 0.200)
+        plan = rec.add_timed("serve.plan", root.span_id, t0 + 0.010, 0.150)
+        query = rec.add_timed("engine.query", plan.span_id, t0 + 0.020, 0.100)
+        rec.add_timed("cache.get", query.span_id, t0 + 0.030, 0.040)
+        store.offer(rec, route="/query", duration_ms=200.0,
+                    attrs={"dataset": "forum"})
+        (entry,) = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert entry["breakdown_ms"] == pytest.approx({
+            "serve.request": 50.0, "serve.plan": 50.0,
+            "engine.query": 60.0, "cache.get": 40.0,
+        }, abs=0.01)
+        assert sum(entry["breakdown_ms"].values()) == pytest.approx(
+            entry["duration_ms"], abs=0.01
+        )
+
     def test_filters_on_recent(self):
         store = TraceStore(capacity=16, sample=1.0, slow_ms=1e9)
         _offer(store, duration_ms=5.0, attrs={"dataset": "a"})
