@@ -3,7 +3,9 @@
 
 A measurement, not a calibration: for every registered backend
 eligible for a (dataset shape, query kind) pair, the bench builds the
-index from scratch (no cache — builds are the point), times a τ-sweep
+index from scratch (no cache — builds are the point — and a fresh
+point-set object per build, so nothing memoised on a dataset version,
+such as the ``vector`` layout, carries over), times a τ-sweep
 query on it (cold: anything an index builds lazily is charged here) and
 then the same sweep again (warm: what a cached index serves), reports
 the vector-over-grid speedups that justify ``vector`` leading
@@ -22,14 +24,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
 import time
 
+from repro import TemporalPointSet
 from repro.backends import default_registry
 from repro.datasets import workload_from_spec
 from repro.engine import QuerySpec
+from repro.engine.planner import plan_query
 
 #: Dataset shapes (≥ 2, per the acceptance criterion): a general ℓ2
 #: cloud and an ℓ∞ cloud where the exact backend competes too.
@@ -47,25 +52,29 @@ KIND_SPECS = [
 ]
 
 
-def _measure(builder, runner, taus, repeat: int):
+def _measure(spec, tps, repeat: int):
     """Best-of-``repeat`` build, cold-sweep and warm-sweep wall times.
 
-    Each repetition builds a fresh index, sweeps ``taus`` on it, then
-    sweeps again on the same index.  Also returns the records of one
-    sweep.
+    Each repetition plans ``spec`` on a fresh point-set object over the
+    arrays of ``tps``, builds the plan's index, sweeps ``spec.taus`` on
+    it, then sweeps again on the same index.  Also returns the records
+    of one sweep.
     """
     build_s = query_s = warm_s = float("inf")
     records = 0
     for _ in range(repeat):
+        plan = plan_query(
+            0, spec, TemporalPointSet(tps.points, tps.starts, tps.ends, tps.metric)
+        )
         t0 = time.perf_counter()
-        index = builder()
+        index = plan.builder()
         build_s = min(build_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        for tau in taus:
-            runner(index, tau)
+        for tau in spec.taus:
+            plan.runner(index, tau)
         query_s = min(query_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        records = sum(len(runner(index, tau)) for tau in taus)
+        records = sum(len(plan.runner(index, tau)) for tau in spec.taus)
         warm_s = min(warm_s, time.perf_counter() - t0)
     return build_s, query_s, warm_s, records
 
@@ -89,10 +98,6 @@ def main(argv=None) -> int:
         parser.error(f"--n must be >= 10 for meaningful timings, got {args.n}")
 
     registry = default_registry()
-    # The runner closure lives on the planner; reuse it via a plan so
-    # the bench exercises exactly the dispatch surface production uses.
-    from repro.engine.planner import _runner_for  # noqa: PLC2701 - bench-only
-
     measurements = []
     auto_choices = {}
     for shape in SHAPES:
@@ -109,10 +114,11 @@ def main(argv=None) -> int:
             for descriptor in registry.serving(spec.kind):
                 if not descriptor.supports_metric(tps.metric):
                     continue
+                # Builder and runner come from a plan, so the bench runs
+                # exactly the dispatch surface production uses.
                 build_s, query_s, warm_s, records = _measure(
-                    descriptor.make_builder(spec, tps),
-                    _runner_for(spec),
-                    spec.taus,
+                    dataclasses.replace(spec, backend=descriptor.name),
+                    tps,
                     args.repeat,
                 )
                 warm_us = warm_s * 1e6 / max(records, 1)

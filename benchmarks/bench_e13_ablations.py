@@ -5,6 +5,11 @@
   end-to-end on ``ReportSUMPair``;
 * the delay-guaranteed enumerator (Remark 2): maximum inter-yield work
   stays flat while ``n`` grows.
+
+Both end-to-end rows run on ``grid``: it is the backend whose
+``sum_backend`` really selects ``ITΣ`` or the profile (``vector``
+always scores through profile arrays, so both choices would time one
+index), and whose durable-ball structure the enumerator walks.
 """
 
 import numpy as np
@@ -40,7 +45,7 @@ def test_compute_sum_primitive(benchmark, cls):
 
 @pytest.mark.parametrize("sum_backend", ["profile", "tree"])
 def test_sum_pair_end_to_end(benchmark, sum_backend):
-    idx = sum_index(800, sum_backend=sum_backend)
+    idx = sum_index(800, sum_backend=sum_backend, backend="grid")
     benchmark.group = "E13 ReportSUMPair backend ablation (n=800)"
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     benchmark.extra_info["sum_backend"] = sum_backend
@@ -49,7 +54,7 @@ def test_sum_pair_end_to_end(benchmark, sum_backend):
 
 @pytest.mark.parametrize("n", [400, 800, 1600])
 def test_delay_guarantee(benchmark, n):
-    idx = triangle_index(n)
+    idx = triangle_index(n, backend="grid")
 
     def run():
         enum = DelayGuaranteedEnumerator(idx, TAU)

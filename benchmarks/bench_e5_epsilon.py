@@ -22,7 +22,7 @@ def test_epsilon_sweep(benchmark, epsilon):
     result = benchmark.pedantic(idx.query, args=(TAU,), rounds=3, iterations=1)
     exact = len(brute_force_triangle_keys(workload(N), TAU))
     benchmark.extra_info["epsilon"] = epsilon
-    benchmark.extra_info["groups"] = len(idx.structure.groups)
+    benchmark.extra_info["groups"] = idx.layout.n_cells
     benchmark.extra_info["out"] = len(result)
     benchmark.extra_info["exact"] = exact
     benchmark.extra_info["inflation"] = round(len(result) / max(exact, 1), 3)

@@ -51,9 +51,10 @@ def linf_index(n: int):
     return ENGINE.get_index(workload(n, "linf"), spec)
 
 
-def sum_index(n: int, sum_backend: str = "profile"):
+def sum_index(n: int, sum_backend: str = "profile", backend: str = "auto"):
     spec = QuerySpec(
-        kind="pairs-sum", taus=TAU, epsilon=EPSILON, sum_backend=sum_backend
+        kind="pairs-sum", taus=TAU, epsilon=EPSILON, backend=backend,
+        sum_backend=sum_backend,
     )
     return ENGINE.get_index(workload(n), spec)
 

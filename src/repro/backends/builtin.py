@@ -201,12 +201,6 @@ def _grid_factory(points, metric, resolution):
     return GridDecomposition(points, metric, resolution)
 
 
-def _vector_factory(points, metric, resolution):
-    from .vector import VectorGridDecomposition
-
-    return VectorGridDecomposition(points, metric, resolution)
-
-
 def _linf_exact_identity(spec: "QuerySpec", fingerprint: str) -> IndexKey:
     # ε is irrelevant to the exact solver; pinning it to 0.0 keeps every
     # ε-variant of an exact triangle query on one shared index (and the
@@ -279,7 +273,9 @@ def register_builtin_backends(registry: BackendRegistry) -> BackendRegistry:
             metric_ok=lambda metric: bool(metric.supports_grid),
             make_builder=_vector_builder,
             index_identity=_spatial_identity("vector", sum_backend="profile"),
-            decomposition_factory=_vector_factory,
+            # The same cells as ``grid``, for code that builds a
+            # durable-ball structure by backend name.
+            decomposition_factory=_grid_factory,
         ),
         replace=True,
     )

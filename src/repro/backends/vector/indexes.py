@@ -1,9 +1,11 @@
 """Vectorised query-family indexes for the ``vector`` backend.
 
-Each class subclasses its legacy counterpart — same constructor shape,
-same ``cache_key()`` family (with ``backend="vector"``), same public
-query surface — and answers queries with batched numpy kernels over the
-shared :class:`~repro.backends.vector.soa.SoALayout`:
+Each class holds its point set, ``epsilon`` and the one
+:class:`~repro.backends.vector.soa.SoALayout` of that dataset version
+(:func:`~repro.backends.vector.soa.layout_for`), emits the legacy
+solvers' ``cache_key()`` family with backend ``"vector"``, exposes
+their query surface, and answers queries with batched numpy kernels
+over the layout:
 
 * Candidate generation (:func:`_candidate_pairs`) searches the *sorted
   integer lattice* of occupied cells: per anchor, the cells whose key
@@ -17,7 +19,7 @@ shared :class:`~repro.backends.vector.soa.SoALayout`:
   layout, one boolean mask for the temporal/lexicographic predicate,
   ragged ``i<j`` pair generation batched across *all* anchors, and one
   rowwise linked-ball test per pair chunk.  Record construction is the
-  only per-output loop.
+  only per-output loop; ``count`` sums run sizes instead.
 * :class:`VectorSumPairIndex` — Algorithm 4.  Every cell's coverage
   profile is packed into CSR arrays at build time
   (:class:`PackedProfiles`), and all ``Σ_u |I_u ∩ I_p ∩ I_q|`` requests
@@ -30,8 +32,9 @@ shared :class:`~repro.backends.vector.soa.SoALayout`:
   ``MaxOverlapIndex``'s tie rule.
 * :class:`VectorPatternIndex` — Appendix D.  Cliques are level-wise
   joins over the anchors' partner arrays with ball-link tests, put in
-  the recursion's order by one sort; paths and stars run the inherited
-  recursion over one batched context map per call.
+  the recursion's order by one sort; paths and stars run the recursion
+  inherited from :class:`~repro.core.patterns.PatternIndex` (the one
+  legacy base class left) over one batched context map per call.
 
 Every family returns the ``grid`` backend's records bit for bit and in
 the same order (the canonical cells coincide; DESIGN.md note 8 gives the
@@ -39,9 +42,9 @@ exactness arguments, ``tests/test_backends.py`` compares the lists).
 All per-cell state is built with the index, so a cache hit leaves no
 structure work and a query writes nothing to the index.
 
-All four implement ``maintained()`` — the layout recompute over the
-merged set is vectorised and produces the canonical cell order a fresh
-build yields, so maintained indexes are *identical* to fresh ones.
+``maintained()`` is a fresh build over the merged set, which is what
+maintenance would produce anyway: the four families of one version
+share its memoised layout, so an append builds one layout for all.
 """
 
 from __future__ import annotations
@@ -51,21 +54,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ...core.aggregate import SumPairIndex, UnionPairIndex
+from ...core.aggregate import UnionPairIndex
 from ...core.patterns import PatternIndex
-from ...core.triangles import DurableTriangleIndex
-from ...errors import ValidationError
+from ...errors import BackendError, ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
 from ...temporal.interval import Interval
 from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
     SoALayout,
+    layout_for,
     pairwise_dists,
     ragged_arange,
     rowwise_dists,
 )
-from .structure import VectorBallStructure
 
 __all__ = [
     "VectorTriangleIndex",
@@ -76,10 +78,9 @@ __all__ = [
 ]
 
 
-def _check_epsilon(epsilon: float) -> float:
-    if not 0 < epsilon <= 1:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    return float(epsilon)
+def _check_tau(tau: float) -> None:
+    if tau <= 0:
+        raise ValidationError(f"durability parameter must be positive, got {tau!r}")
 
 
 def _eligible_anchor_array(lay: SoALayout, tau: float) -> np.ndarray:
@@ -261,42 +262,98 @@ def _witness_pools(
     return wit_run, wit_cell, np.bincount(wit_run, minlength=n_runs)
 
 
+def _segment_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every ``(i, j)`` with ``i < j`` inside one run of equal ``key``
+    values, ascending, in chunks of about ``BLOCK_ELEMS`` pairs.
+
+    Each value of ``key`` must fill one contiguous run.
+    """
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1, [len(key)]))
+    lens = np.diff(bounds)
+    after = (
+        np.repeat(lens, lens)
+        - 1
+        - (np.arange(len(key)) - np.repeat(bounds[:-1], lens))
+    )
+    cum = np.cumsum(after)
+    e = 0
+    while e < len(key):
+        t = int(np.searchsorted(cum, (cum[e - 1] if e else 0) + BLOCK_ELEMS)) + 1
+        t = min(max(t, e + 1), len(key))
+        elems = np.arange(e, t)
+        cc = after[e:t]
+        e = t
+        # For element i with cc[i] later same-run elements, pair it with
+        # each of them: iu repeats i, ju counts up.
+        iu = np.repeat(elems, cc)
+        if len(iu):
+            yield iu, ragged_arange(elems + 1, cc)
+
+
+# ----------------------------------------------------------------------
+# Shared index state
+# ----------------------------------------------------------------------
+class _VectorIndex:
+    """What every family holds: the point set, ε and its layout."""
+
+    #: The ``cache_key()`` family.
+    family: str
+
+    def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
+        if not 0 < epsilon <= 1:
+            raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+        if not tps.metric.supports_grid:
+            raise BackendError(
+                f"the vector backend requires an lp metric, got {tps.metric.name!r}"
+            )
+        self.tps = tps
+        self.epsilon = float(epsilon)
+        side = tps.metric.cell_side_for_diameter(2.0 * self.resolution, tps.dim)
+        self.layout = layout_for(tps, side)
+
+    @property
+    def resolution(self) -> float:
+        """Cell radius bound: ``durableBallQ(p, τ, ε/2)`` uses cells of
+        diameter ``≤ ε/2``."""
+        return self.epsilon / 4.0
+
+    def cache_key(self) -> tuple:
+        """Engine-cache identity (see :mod:`repro.engine.cache`)."""
+        return (self.family, self.tps.fingerprint(), self.epsilon, "vector")
+
+    def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
+        """The index over ``tps``, this dataset plus appended points.
+
+        A fresh build, which is exactly what maintenance would produce;
+        the families of one version share its layout, so an append pays
+        for one layout.  ``self`` is never mutated.
+        """
+        if tps.n <= self.tps.n:
+            raise ValidationError(
+                f"extension target has {tps.n} points, need more than {self.tps.n}"
+            )
+        return type(self)(tps, self.epsilon)
+
+
 # ----------------------------------------------------------------------
 # Triangles
 # ----------------------------------------------------------------------
-class VectorTriangleIndex(DurableTriangleIndex):
+class VectorTriangleIndex(_VectorIndex):
     """Algorithm 1 over SoA kernels (record-identical to ``grid``)."""
 
-    def __init__(
-        self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
-    ) -> None:
-        self.tps = tps
-        self.epsilon = _check_epsilon(epsilon)
-        self.backend = "vector"
-        self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
+    family = "triangles"
 
-    def maintained(self, tps: TemporalPointSet) -> "VectorTriangleIndex":
-        clone = object.__new__(type(self))
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = self.structure.extended(tps)
-        return clone
-
-    # ------------------------------------------------------------------
     def query(self, tau: float) -> List[TriangleRecord]:
-        self._check_tau(tau)
-        st = self.structure
-        lay = st.layout
+        _check_tau(tau)
+        lay = self.layout
         metric = self.tps.metric
         starts, ends, cell_of, centers = lay.starts, lay.ends, lay.cell_of, lay.centers
-        res = st.resolution
-        link_thr = _link_threshold(res)
+        link_thr = _link_threshold(self.resolution)
         out: List[TriangleRecord] = []
         eligible = _eligible_anchor_array(lay, tau)
         if not len(eligible):
             return out
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
             if expanded is None:
@@ -304,33 +361,8 @@ class VectorTriangleIndex(DurableTriangleIndex):
             p, q = expanded[0], expanded[1]
             # One anchor's partners span several (anchor, cell) runs but
             # are contiguous; pair them i<j within each anchor segment,
-            # batched across ALL anchors via ragged indexing.
-            seg_bounds = np.concatenate(
-                ([0], np.flatnonzero(np.diff(p)) + 1, [len(p)])
-            )
-            lens = np.diff(seg_bounds)
-            after = (
-                np.repeat(lens, lens)
-                - 1
-                - (np.arange(len(p)) - np.repeat(seg_bounds[:-1], lens))
-            )
-            cum = np.cumsum(after)
-            e = 0
-            while e < len(p):
-                # Chunk the pair expansion so iu/ju stay bounded.
-                t = int(
-                    np.searchsorted(cum, (cum[e - 1] if e else 0) + BLOCK_ELEMS)
-                ) + 1
-                t = min(max(t, e + 1), len(p))
-                elems = np.arange(e, t)
-                cc = after[e:t]
-                e = t
-                # For element i with cc[i] later same-segment elements,
-                # pair it with each of them: iu repeats i, ju counts up.
-                iu = np.repeat(elems, cc)
-                if not len(iu):
-                    continue
-                ju = ragged_arange(elems + 1, cc)
+            # batched across ALL anchors.
+            for iu, ju in _segment_pairs(p):
                 a_ids, b_ids, anchors_pq = q[iu], q[ju], p[iu]
                 # Linked-ball test on cell centers (same-cell pairs have
                 # distance zero and always pass).
@@ -355,6 +387,40 @@ class VectorTriangleIndex(DurableTriangleIndex):
                     for a, x, y, s0, ee in zip(anchors_pq, qm, sm, sa, e3)
                 )
         return out
+
+    def count(self, tau: float) -> int:
+        """How many records ``query(tau)`` reports, without building them.
+
+        The run-size sum of :mod:`repro.core.counting`: an anchor whose
+        (anchor, cell) runs hold ``c_1 … c_k`` partners reports
+        ``Σ_j C(c_j, 2) + Σ_{i<j linked} c_i · c_j`` triangles.
+        """
+        _check_tau(tau)
+        lay = self.layout
+        metric = self.tps.metric
+        link_thr = _link_threshold(self.resolution)
+        eligible = _eligible_anchor_array(lay, tau)
+        if not len(eligible):
+            return 0
+        total = 0
+        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
+        for e0, e1 in _anchor_chunks(lay, cai, cci):
+            ai, ci = cai[e0:e1], cci[e0:e1]
+            expanded = _expand_partners(lay, eligible, ai, ci, tau)
+            if expanded is None:
+                continue
+            run_m, run_src = expanded[3], expanded[4]
+            total += int((run_m * (run_m - 1) // 2).sum())
+            run_cell = ci[run_src]
+            for i, j in _segment_pairs(ai[run_src]):
+                linked = (
+                    rowwise_dists(
+                        metric, lay.centers[run_cell[i]], lay.centers[run_cell[j]]
+                    )
+                    <= link_thr
+                )
+                total += int((run_m[i] * run_m[j])[linked].sum())
+        return total
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +500,7 @@ class PackedProfiles:
         return np.where(ts >= self.times[hi], self.integral[hi], out)
 
 
-class VectorSumPairIndex(SumPairIndex):
+class VectorSumPairIndex(_VectorIndex):
     """Algorithm 4 with batched partner *and* witness scoring.
 
     Witness sums always come from the packed coverage profiles (the two
@@ -442,37 +508,21 @@ class VectorSumPairIndex(SumPairIndex):
     identity carries ``"profile"`` whatever the query asked for.
     """
 
-    #: Read by the inherited ``cache_key()``.
-    sum_backend = "profile"
+    family = "pairs-sum"
 
-    def __init__(
-        self,
-        tps: TemporalPointSet,
-        epsilon: float = 0.5,
-        backend: str = "vector",
-    ) -> None:
-        self.tps = tps
-        self.epsilon = _check_epsilon(epsilon)
-        self.backend = "vector"
-        self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._profiles = PackedProfiles(self.structure.layout)
+    def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
+        super().__init__(tps, epsilon)
+        self._profiles = PackedProfiles(self.layout)
 
-    def maintained(self, tps: TemporalPointSet) -> "VectorSumPairIndex":
-        clone = object.__new__(type(self))
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = self.structure.extended(tps)
-        clone._profiles = PackedProfiles(clone.structure.layout)
-        return clone
+    def cache_key(self) -> tuple:
+        return super().cache_key() + ("profile",)
 
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
-        self._check_params(tau)
-        st = self.structure
-        lay = st.layout
+        _check_tau(tau)
+        lay = self.layout
         metric = self.tps.metric
-        res = st.resolution
+        res = self.resolution
         link_thr = _link_threshold(res)
         prof = self._profiles
         out: List[PairRecord] = []
@@ -680,37 +730,21 @@ def _greedy_cover(
     return covered
 
 
-class VectorUnionPairIndex(UnionPairIndex):
+class VectorUnionPairIndex(_VectorIndex):
     """Algorithm 8 with batched candidates, witness pools and greedy."""
 
-    def __init__(
-        self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
-    ) -> None:
-        self.tps = tps
-        self.epsilon = _check_epsilon(epsilon)
-        self.backend = "vector"
-        self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
+    family = "pairs-union"
 
-    def maintained(self, tps: TemporalPointSet) -> "VectorUnionPairIndex":
-        clone = object.__new__(type(self))
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = self.structure.extended(tps)
-        return clone
-
-    # ------------------------------------------------------------------
     def query(self, tau: float, kappa: int) -> List[PairRecord]:
-        self._check_params(tau)
+        _check_tau(tau)
         if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
             raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
         kappa = int(kappa)
-        st = self.structure
-        lay = st.layout
+        lay = self.layout
         metric = self.tps.metric
-        res = st.resolution
+        res = self.resolution
         link_thr = _link_threshold(res)
-        target = self.GREEDY_FACTOR * tau
+        target = UnionPairIndex.GREEDY_FACTOR * tau
         out: List[PairRecord] = []
         eligible = _eligible_anchor_array(lay, tau)
         if not len(eligible):
@@ -764,38 +798,26 @@ class VectorUnionPairIndex(UnionPairIndex):
 # ----------------------------------------------------------------------
 # Patterns
 # ----------------------------------------------------------------------
-class VectorPatternIndex(PatternIndex):
-    """Appendix D reporters over the array-backed ball structure.
+class VectorPatternIndex(_VectorIndex, PatternIndex):
+    """Appendix D reporters over the SoA layout.
 
     Cliques are batched end to end (:meth:`iter_cliques`).  Paths and
-    stars keep the inherited per-anchor recursion (it is output-bound)
-    but read their anchor contexts from one batched ``durableBallQ``
-    sweep per call, carried by a per-call copy of the index, and their
-    link tables are one small distance matrix instead of O(k²) scalar
-    ``linked()`` calls.
+    stars keep the per-anchor recursion of :class:`PatternIndex` (it is
+    output-bound) but read their anchor contexts from one batched
+    ``durableBallQ`` sweep per call, carried by a per-call copy of the
+    index, and their link tables are one small distance matrix instead
+    of O(k²) scalar ``linked()`` calls.
     """
+
+    family = "patterns"
 
     #: ``anchor -> (cells, counts, partner ids)`` for one path/star
     #: call; only the per-call copies made by :meth:`_for_call` have it.
     _call_map: Dict[int, tuple]
 
-    def __init__(
-        self, tps: TemporalPointSet, epsilon: float = 0.5, backend: str = "vector"
-    ) -> None:
-        self.tps = tps
-        self.epsilon = _check_epsilon(epsilon)
-        self.backend = "vector"
-        self.structure = VectorBallStructure(tps, self.epsilon / 4.0)
-        self._start_keys = _start_keys(self.structure.layout)
-
-    def maintained(self, tps: TemporalPointSet) -> "VectorPatternIndex":
-        clone = object.__new__(type(self))
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = self.structure.extended(tps)
-        clone._start_keys = _start_keys(clone.structure.layout)
-        return clone
+    def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
+        super().__init__(tps, epsilon)
+        self._start_keys = _start_keys(self.layout)
 
     # ------------------------------------------------------------------
     # Cliques
@@ -811,14 +833,13 @@ class VectorPatternIndex(PatternIndex):
         (DESIGN.md note 8).
         """
         self._check(m, tau)
-        st = self.structure
-        lay = st.layout
+        lay = self.layout
         metric = self.tps.metric
-        link_thr = _link_threshold(st.resolution)
+        link_thr = _link_threshold(self.resolution)
         eligible = _eligible_anchor_array(lay, tau)
         if not len(eligible):
             return
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, st.resolution)
+        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -846,7 +867,7 @@ class VectorPatternIndex(PatternIndex):
     def _clique_records(
         self, p: np.ndarray, q: np.ndarray, cell: np.ndarray, m: int, link_thr: float
     ) -> List[PatternRecord]:
-        lay = self.structure.layout
+        lay = self.layout
         metric = self.tps.metric
         bounds = np.flatnonzero(np.diff(p, prepend=-1, append=-1))
         seg_end = np.repeat(bounds[1:], np.diff(bounds))
@@ -934,12 +955,11 @@ class VectorPatternIndex(PatternIndex):
         a cell come in the grid reference's order
         (:meth:`_dominance_order`)."""
         ctx: Dict[int, tuple] = {}
-        st = self.structure
-        lay = st.layout
+        lay = self.layout
         anchors = _eligible_anchor_array(lay, tau)
         if not len(anchors):
             return ctx
-        cai, cci = _candidate_pairs(lay, self.tps.metric, anchors, radius, st.resolution)
+        cai, cci = _candidate_pairs(lay, self.tps.metric, anchors, radius, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, anchors, ai, ci, tau)
@@ -972,7 +992,7 @@ class VectorPatternIndex(PatternIndex):
         ``t`` differ, so a stable sort of each run (already in ``(end
         desc, id asc)`` order) by that bit reproduces the reference.
         """
-        lay = self.structure.layout
+        lay = self.layout
         keys, ranks = self._start_keys
         cells = np.repeat(run_cell, run_m)
         base = lay.offsets[cells]
@@ -982,7 +1002,7 @@ class VectorPatternIndex(PatternIndex):
         return np.lexsort((block, np.repeat(np.arange(len(run_m)), run_m)))
 
     def _anchor_context(self, anchor, tau, radius):
-        own = int(self.structure.layout.cell_of[anchor])
+        own = int(self.layout.cell_of[anchor])
         entry = self._call_map.get(int(anchor))
         if entry is None:
             return [], {int(anchor): 0}, np.asarray([own])
@@ -998,9 +1018,9 @@ class VectorPatternIndex(PatternIndex):
         # The "groups" here are cell indices: one small distance matrix
         # over their centers replaces O(k²) scalar linked() calls, with
         # the legacy threshold arithmetic.
-        centers = self.structure.layout.centers[cells]
+        centers = self.layout.centers[cells]
         table = pairwise_dists(self.tps.metric, centers, centers) <= _link_threshold(
-            self.structure.resolution
+            self.resolution
         )
         np.fill_diagonal(table, True)
         return table

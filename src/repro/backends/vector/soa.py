@@ -2,28 +2,21 @@
 
 The legacy backends walk per-point object graphs; the vector backend
 flattens everything the solvers touch into contiguous numpy arrays once
-per ``(dataset fingerprint, cell side)`` and answers every query with
+per ``(dataset version, cell side)`` and answers every query with
 batched kernels over that layout:
 
 * :class:`SoALayout` — the SoA snapshot of a
   :class:`~repro.types.TemporalPointSet`: ``(n, d)`` float64 coords,
   ``(n,)`` start/end arrays, plus a CSR grid-cell layout built with
-  ``np.floor`` / ``np.lexsort`` / ``np.unique`` (cells in lexicographic
+  ``np.floor`` / ``np.unique`` / ``np.argsort`` (cells in lexicographic
   key order — the exact order a fresh
   :class:`~repro.quadtree.tree.GridDecomposition` sorts its cells in).
   Within each cell two permutations are kept: member-id ascending (the
   canonical ``member_ids`` order) and ``(end desc, id asc)`` (the
-  partner-enumeration order of ``RunSet.iter_desc_by_end``), the latter
-  with a contiguous sorted-endpoint array so τ-stabbing prefixes come
-  from one ``np.searchsorted``.
-* :func:`layout_for` — a small process-wide cache so the four query
-  families sharing one ``(fingerprint, ε)`` build the layout once.
-* :class:`VectorGridDecomposition` — a
-  :class:`~repro.quadtree.tree.GridDecomposition` whose construction is
-  vectorised from the layout arrays; groups, centers and ``group_of``
-  are value-identical to a fresh legacy build (asserted in tests), so
-  all inherited geometry (``candidate_groups``, ``extended``) applies
-  unchanged.
+  partner-enumeration order of ``RunSet.iter_desc_by_end``).
+* :func:`layout_for` — the layout of one point set at one cell side,
+  memoised on that point set, so the four query families of one dataset
+  version and ε build it once and it is freed with the version.
 * blocked distance kernels (:func:`pairwise_dists`,
   :func:`rowwise_dists`) reproducing the exact per-metric arithmetic of
   :mod:`repro.geometry.metrics`.
@@ -31,22 +24,14 @@ batched kernels over that layout:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Optional, Tuple
-
 import numpy as np
 
-from ...errors import BackendError, ValidationError
-from ...geometry.metrics import Metric, get_metric
-from ...quadtree.tree import GridDecomposition
-from ...structures.decomposition import CanonicalGroup
+from ...geometry.metrics import Metric
 from ...types import TemporalPointSet
 
 __all__ = [
     "SoALayout",
     "layout_for",
-    "VectorGridDecomposition",
     "pairwise_dists",
     "rowwise_dists",
     "ragged_arange",
@@ -101,29 +86,8 @@ def rowwise_dists(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Cell bucketing
+# Layout
 # ----------------------------------------------------------------------
-def _bucket_cells(
-    pts: np.ndarray, side: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(cell_keys, cell_of, offsets, order_id)`` for a point array.
-
-    ``cell_keys`` rows ascend lexicographically (``np.unique``'s row
-    order — identical to the ``sorted(cells)`` order of the legacy grid
-    build), ``cell_of`` maps each point to its cell index, ``order_id``
-    concatenates per-cell members in ascending id, and ``offsets`` is
-    the CSR boundary array.
-    """
-    coords = np.floor(pts / side).astype(np.int64)
-    cell_keys, cell_of = np.unique(coords, axis=0, return_inverse=True)
-    cell_of = np.ascontiguousarray(cell_of.reshape(-1), dtype=np.int64)
-    counts = np.bincount(cell_of, minlength=len(cell_keys))
-    offsets = np.zeros(len(cell_keys) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    order_id = np.argsort(cell_of, kind="stable").astype(np.int64)
-    return cell_keys, cell_of, offsets, order_id
-
-
 class SoALayout:
     """SoA snapshot of one point set under one grid resolution."""
 
@@ -142,8 +106,6 @@ class SoALayout:
         "offsets",
         "order_id",
         "order_end",
-        "neg_ends_by_cell",
-        "starts_by_cell",
     )
 
     def __init__(self, tps: TemporalPointSet, side: float) -> None:
@@ -152,130 +114,36 @@ class SoALayout:
         self.ends = np.ascontiguousarray(tps.ends, dtype=np.float64)
         self.side = float(side)
         self.n, self.dim = self.points.shape
-        cell_keys, cell_of, offsets, order_id = _bucket_cells(self.points, self.side)
-        self.cell_keys = cell_keys
-        self.cell_of = cell_of
-        self.counts = np.diff(offsets)
-        self.offsets = offsets
-        self.order_id = order_id
-        self.n_cells = len(cell_keys)
+        # ``np.unique``'s row order is the ``sorted(cells)`` order of the
+        # legacy grid build.
+        coords = np.floor(self.points / self.side).astype(np.int64)
+        self.cell_keys, cell_of = np.unique(coords, axis=0, return_inverse=True)
+        self.cell_of = np.ascontiguousarray(cell_of.reshape(-1), dtype=np.int64)
+        self.n_cells = len(self.cell_keys)
+        self.counts = np.bincount(self.cell_of, minlength=self.n_cells)
+        self.offsets = np.zeros(self.n_cells + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        # Per-cell members, ids ascending (CSR over ``offsets``).
+        self.order_id = np.argsort(self.cell_of, kind="stable").astype(np.int64)
         # Same arithmetic as the legacy grid's per-cell center.
-        self.centers = (cell_keys.astype(np.float64) + 0.5) * self.side
+        self.centers = (self.cell_keys.astype(np.float64) + 0.5) * self.side
         # Per-cell (end desc, id asc) permutation — the partner order of
-        # RunSet.iter_desc_by_end — with contiguous sorted endpoints so
-        # the τ-stab prefix is one searchsorted per cell.
+        # RunSet.iter_desc_by_end.
         ids = np.arange(self.n, dtype=np.int64)
-        self.order_end = np.lexsort((ids, -self.ends, cell_of)).astype(np.int64)
-        self.neg_ends_by_cell = -self.ends[self.order_end]
-        self.starts_by_cell = self.starts[self.order_end]
-
-    # ------------------------------------------------------------------
-    def partners(
-        self, gi: int, anchor: int, sp: float, threshold: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``durableBallQ`` members of cell ``gi`` for one anchor.
-
-        Returns ``(ids, ends)`` in ``(end desc, id asc)`` order: every
-        member with ``end ≥ threshold`` and
-        ``(start, id) <lex (sp, anchor)``.
-        """
-        lo, hi = int(self.offsets[gi]), int(self.offsets[gi + 1])
-        # Ends are descending on the segment, so the τ-stab is a prefix.
-        k = int(
-            np.searchsorted(self.neg_ends_by_cell[lo:hi], -threshold, side="right")
-        )
-        if k == 0:
-            return _EMPTY_IDS, _EMPTY_ENDS
-        qs = self.order_end[lo : lo + k]
-        ss = self.starts_by_cell[lo : lo + k]
-        keep = (ss < sp) | ((ss == sp) & (qs < anchor))
-        sel = qs[keep]
-        return sel, -self.neg_ends_by_cell[lo : lo + k][keep]
-
-    def cell_members(self, gi: int) -> np.ndarray:
-        """Member ids of one cell, ascending."""
-        return self.order_id[int(self.offsets[gi]) : int(self.offsets[gi + 1])]
-
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_ENDS = np.empty(0, dtype=np.float64)
-
-
-# ----------------------------------------------------------------------
-# Layout cache
-# ----------------------------------------------------------------------
-_CACHE_LOCK = threading.Lock()
-_CACHE_MAX = 8
-_LAYOUT_CACHE: "OrderedDict[tuple, SoALayout]" = OrderedDict()
+        self.order_end = np.lexsort((ids, -self.ends, self.cell_of)).astype(np.int64)
 
 
 def layout_for(tps: TemporalPointSet, side: float) -> SoALayout:
-    """The (cached) layout of a point set at one cell side.
+    """The layout of one dataset version at one cell side.
 
-    Keyed by ``(dataset fingerprint, side)`` — the fingerprint already
-    folds coords, lifespans, metric token and ingestion epoch — so the
-    four index families sharing one ``(fingerprint, ε)`` build the
-    arrays once.  A tiny LRU bounds the footprint.
+    Memoised on ``tps`` itself, as :meth:`~repro.types.TemporalPointSet.
+    fingerprint` is (the arrays of a version are immutable), so the
+    four index families of one ``(version, ε)`` share one layout and it
+    is freed together with the point set.
     """
-    key = (tps.fingerprint(), float(side))
-    with _CACHE_LOCK:
-        cached = _LAYOUT_CACHE.get(key)
-        if cached is not None:
-            _LAYOUT_CACHE.move_to_end(key)
-            return cached
-    built = SoALayout(tps, side)
-    with _CACHE_LOCK:
-        _LAYOUT_CACHE[key] = built
-        _LAYOUT_CACHE.move_to_end(key)
-        while len(_LAYOUT_CACHE) > _CACHE_MAX:
-            _LAYOUT_CACHE.popitem(last=False)
-    return built
-
-
-# ----------------------------------------------------------------------
-# Decomposition
-# ----------------------------------------------------------------------
-class VectorGridDecomposition(GridDecomposition):
-    """A :class:`GridDecomposition` built by array kernels.
-
-    Groups, centers and ``group_of`` are value-identical to the legacy
-    constructor's (cells in lexicographic order, members ascending,
-    ``(key + 0.5) · side`` centers), so the inherited
-    ``candidate_groups`` / ``linked_groups`` / ``extended`` behave
-    identically — ``extended`` clones preserve this class via
-    ``object.__new__(type(self))``.
-    """
-
-    def __init__(self, points, metric, resolution, _layout: Optional[SoALayout] = None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or len(pts) == 0:
-            raise ValidationError("points must be a non-empty (n, d) array")
-        m = get_metric(metric)
-        if not m.supports_grid:
-            raise BackendError(
-                f"grid decomposition requires an lp metric, got {m.name!r}"
-            )
-        if resolution <= 0:
-            raise ValidationError(f"resolution must be positive, got {resolution!r}")
-        self.points = pts
-        self.metric = m
-        self.resolution = float(resolution)
-        self.side = m.cell_side_for_diameter(2.0 * resolution, pts.shape[1])
-        if _layout is not None:
-            cell_keys, cell_of = _layout.cell_keys, _layout.cell_of
-            offsets, order_id = _layout.offsets, _layout.order_id
-            centers = _layout.centers
-        else:
-            cell_keys, cell_of, offsets, order_id = _bucket_cells(pts, self.side)
-            centers = (cell_keys.astype(np.float64) + 0.5) * self.side
-        self.groups = [
-            CanonicalGroup(
-                index=i,
-                rep=centers[i],
-                radius_bound=self.resolution,
-                member_ids=order_id[offsets[i] : offsets[i + 1]].tolist(),
-            )
-            for i in range(len(cell_keys))
-        ]
-        self.group_of = cell_of.copy()
-        self._centers = centers
+    side = float(side)
+    layout = tps._layouts.get(side)
+    if layout is None:
+        # Racing first builds may both run; ``setdefault`` keeps one.
+        layout = tps._layouts.setdefault(side, SoALayout(tps, side))
+    return layout

@@ -107,10 +107,6 @@ def runner_for(spec: QuerySpec) -> Callable[[Any, float], list]:
     return lambda index, tau: index.query(tau)
 
 
-#: Historical private name (bench_backends imports it).
-_runner_for = runner_for
-
-
 def plan_query(
     order: int,
     spec: QuerySpec,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class TemporalPointSet:
 
     __slots__ = (
         "points", "starts", "ends", "metric", "epoch",
-        "_start_keys", "_fingerprint",
+        "_fingerprint", "_layouts",
     )
 
     def __init__(
@@ -85,8 +85,10 @@ class TemporalPointSet:
         self.ends = e
         self.metric = get_metric(metric)
         self.epoch = epoch
-        self._start_keys: Optional[List[Tuple[float, int]]] = None
         self._fingerprint: Optional[str] = None
+        # The ``vector`` backend's array layouts of this version, by cell
+        # side (see :func:`repro.backends.vector.soa.layout_for`).
+        self._layouts: Dict[float, Any] = {}
 
     # ------------------------------------------------------------------
     @property

@@ -12,11 +12,15 @@ read-only vector query paths, the serving layer's per-dataset default
 backend + per-backend counters, and the CLI surfaces.
 """
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -179,9 +183,11 @@ class TestMakeDecomposition:
 
     def test_registered_names_build(self):
         tps = random_tps(n=15, seed=1)
-        assert type(make_decomposition(tps, 0.25, "grid")).__name__ == (
-            "GridDecomposition"
-        )
+        # "vector" shares the grid's cells, so by name it builds the grid.
+        for name in ("grid", "vector"):
+            assert type(make_decomposition(tps, 0.25, name)).__name__ == (
+                "GridDecomposition"
+            )
 
 
 class TestLazyApiEngine:
@@ -776,6 +782,160 @@ class TestVectorQueriesAreReadOnly:
         assert reported
         assert _state(index) == before
         assert not any(isinstance(v, dict) for v in vars(index).values())
+
+
+# ----------------------------------------------------------------------
+# The vector indexes as plain array indexes: their public surface, the
+# triangle count, and one shared layout per dataset version.
+# ----------------------------------------------------------------------
+def _vector_classes():
+    from repro.backends import vector
+
+    return (
+        vector.VectorTriangleIndex,
+        vector.VectorSumPairIndex,
+        vector.VectorUnionPairIndex,
+        vector.VectorPatternIndex,
+    )
+
+
+def _appended(tps):
+    """The next version of ``tps``: two events beside its first point."""
+    p, s, e = tps.points[0], tps.starts[0], tps.ends[0]
+    return tps.with_events([p + 0.05, p - 0.05], [s, s], [e, e])
+
+
+class TestVectorIndexSurface:
+    def test_every_public_method_is_pinned_and_works(self):
+        (
+            VectorTriangleIndex,
+            VectorSumPairIndex,
+            VectorUnionPairIndex,
+            VectorPatternIndex,
+        ) = _vector_classes()
+        tps = random_tps(n=120, seed=5)
+        merged = _appended(tps)
+        tau = 2.0
+        common = {
+            "cache_key": lambda ix: ix.cache_key(),
+            "maintained": lambda ix: ix.maintained(merged),
+        }
+        surfaces = {
+            VectorTriangleIndex: {
+                "query": lambda ix: ix.query(tau),
+                "count": lambda ix: ix.count(tau),
+            },
+            VectorSumPairIndex: {"query": lambda ix: ix.query(tau)},
+            VectorUnionPairIndex: {"query": lambda ix: ix.query(tau, 3)},
+            VectorPatternIndex: {
+                "iter_cliques": lambda ix: list(ix.iter_cliques(3, tau)),
+                "iter_paths": lambda ix: list(ix.iter_paths(3, tau)),
+                "iter_stars": lambda ix: list(ix.iter_stars(3, tau)),
+                "star_summaries": lambda ix: ix.star_summaries(3, tau),
+            },
+        }
+        for cls, queries in surfaces.items():
+            calls = {**common, **queries}
+            public = {
+                name
+                for name in dir(cls)
+                if not name.startswith("_") and callable(getattr(cls, name))
+            }
+            assert public == set(calls), cls.__name__
+            index = cls(tps, 0.5)
+            got = {name: call(index) for name, call in calls.items()}
+            assert got["cache_key"][:4] == (
+                cls.family, tps.fingerprint(), 0.5, "vector"
+            )
+            assert type(got["maintained"]) is cls
+            assert got["maintained"].tps is merged
+            for name in queries:
+                assert got[name], (cls.__name__, name)  # real work done
+            with pytest.raises(ValidationError, match="need more than"):
+                index.maintained(tps)
+
+
+class TestVectorTriangleCount:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tps=clustered_tps(),
+        tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        epsilon=st.sampled_from([0.5, 1.0]),
+    )
+    def test_count_equals_the_reported_records(self, tps, tau, epsilon):
+        from repro.backends.vector import VectorTriangleIndex
+
+        index = VectorTriangleIndex(tps, epsilon)
+        count = index.count(tau)
+        assert count == len(index.query(tau))
+        assert count == DurableTriangleIndex(tps, epsilon, backend="grid").count(
+            tau
+        )
+
+    def test_count_builds_no_records(self, monkeypatch):
+        from repro.backends.vector import VectorTriangleIndex, indexes
+
+        index = VectorTriangleIndex(random_tps(n=150, seed=5), 0.5)
+        taus = (1.0, 2.0, 4.0)
+        expected = [len(index.query(tau)) for tau in taus]
+        assert all(expected)
+
+        def no_records(**fields):
+            raise AssertionError("count() built a record")
+
+        monkeypatch.setattr(indexes, "TriangleRecord", no_records)
+        assert [index.count(tau) for tau in taus] == expected
+
+
+class TestVectorLayoutPerVersion:
+    def test_four_families_share_one_layout_per_version(self, monkeypatch):
+        from repro.backends.vector import soa
+
+        built = []
+        init = soa.SoALayout.__init__
+
+        def counted(self, tps, side):
+            built.append(tps)
+            init(self, tps, side)
+
+        monkeypatch.setattr(soa.SoALayout, "__init__", counted)
+        tps = random_tps(n=80, seed=6)
+        indexes = [cls(tps, 0.5) for cls in _vector_classes()]
+        assert len(built) == 1
+        merged = _appended(tps)
+        maintained = [index.maintained(merged) for index in indexes]
+        assert built == [tps, merged]
+        assert all(index.layout is maintained[0].layout for index in maintained)
+
+    def test_concurrent_first_builds_share_one_layout(self):
+        # Builders racing on a fresh version may each build a layout, but
+        # the memo must hand every one of them the same object.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                tps = random_tps(n=200, seed=seed)
+                classes = _vector_classes() * 3
+                start = threading.Barrier(len(classes))
+
+                def build(cls):
+                    start.wait(timeout=30)
+                    return cls(tps, 0.5)
+
+                with ThreadPoolExecutor(max_workers=len(classes)) as pool:
+                    futures = [pool.submit(build, cls) for cls in classes]
+                    layouts = {id(f.result(timeout=60).layout) for f in futures}
+                assert len(layouts) == 1, seed
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_layout_is_freed_with_its_version(self):
+        tps = random_tps(n=80, seed=6)
+        indexes = [cls(tps, 0.5) for cls in _vector_classes()]
+        alive = weakref.ref(indexes[0].layout.order_end)
+        del indexes, tps
+        gc.collect()
+        assert alive() is None
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,18 @@ class TestCommands:
         assert code == 0
         assert "streamed triangles:" in text
 
+    def test_stream_vector_backend_streams_the_grid_cells(self):
+        # The dynamic structure builds its decomposition by backend name,
+        # and the "vector" name builds the grid's cells.
+        lines = []
+        for backend in ("grid", "vector"):
+            code, text = run_cli(
+                "stream", "--n", "150", "--tau", "3", "--backend", backend
+            )
+            assert code == 0
+            lines.append(text[text.index("streamed triangles:"):])
+        assert lines[0] == lines[1]
+
     def test_error_exit_code(self):
         code, _ = run_cli("triangles", "--n", "50", "--tau", "-3")
         assert code == 2

@@ -14,10 +14,12 @@ endpoints; and the ``repro append`` CLI.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.router.manifest import PlacementManifest
 from repro.serve.registry import (
     MAX_EVENT_ERRORS,
     REBUILD_FRACTION,
+    DatasetRegistry,
     DatasetShard,
 )
 
@@ -388,6 +391,47 @@ class TestShardAppend:
             assert after.hits == 4 and after.builds == 0
         finally:
             shard.close()
+
+    _VECTOR_SPECS = (
+        QuerySpec(kind="triangles", taus=2.0, backend="vector"),
+        QuerySpec(kind="pairs-sum", taus=2.0, backend="vector"),
+        QuerySpec(kind="pairs-union", taus=2.0, kappa=4, backend="vector"),
+        QuerySpec(kind="cliques", taus=2.0, m=3, backend="vector"),
+    )
+
+    def _vector_layout_ref(self, shard):
+        """Warm the four vector families; a weak reference into the one
+        layout they share."""
+        plans = plan_batch(self._VECTOR_SPECS, shard.tps)
+        execute_plans(plans, shard.cache, parallel=False)
+        layouts = {id(shard.cache.peek(plan.key).layout) for plan in plans}
+        assert len(layouts) == 1
+        return weakref.ref(shard.cache.peek(plans[0].key).layout.order_end)
+
+    def test_append_frees_the_replaced_versions_layout(self):
+        shard = DatasetShard("d", random_tps(n=40))
+        try:
+            old = self._vector_layout_ref(shard)
+            report = shard.append_events(
+                '{"point": [0.5, 0.5], "start": 0.0, "end": 4.0}'
+            )
+            assert report["invalidated_families"] == []
+            gc.collect()
+            assert old() is None
+        finally:
+            shard.close()
+
+    def test_delete_frees_the_layout(self):
+        registry = DatasetRegistry()
+        try:
+            layout = self._vector_layout_ref(
+                registry.register("d", random_tps(n=40))
+            )
+            registry.remove("d")
+            gc.collect()
+            assert layout() is None
+        finally:
+            registry.close()
 
     def test_large_batch_skips_maintenance_rebuild_on_threshold(self):
         shard = DatasetShard("d", random_tps(n=10))
