@@ -6,8 +6,12 @@ eligible for a (dataset shape, query kind) pair, the bench builds the
 index from scratch (no cache — builds are the point — and a fresh
 point-set object per build, so nothing memoised on a dataset version,
 such as the ``vector`` layout, carries over), times a τ-sweep
-query on it (cold: anything an index builds lazily is charged here) and
-then the same sweep again (warm: what a cached index serves), reports
+query on it (cold: anything an index builds lazily is charged here),
+then the same sweep again (warm: what a cached index serves), and the
+warm sweep once more with each τ's ``records`` line encoded by the serve
+encoder (served: what a served query costs before the socket, so
+backends that answer in columns and backends that build record objects
+are charged for the same work), reports
 the vector-over-grid speedups that justify ``vector`` leading
 ``auto``'s preference order (and gates them at n ≥ 5000), and records
 what ``auto`` chooses per shape and why.
@@ -35,6 +39,7 @@ from repro.backends import default_registry
 from repro.datasets import workload_from_spec
 from repro.engine import QuerySpec
 from repro.engine.planner import plan_query
+from repro.serve.server import records_line
 
 #: Dataset shapes (≥ 2, per the acceptance criterion): a general ℓ2
 #: cloud and an ℓ∞ cloud where the exact backend competes too.
@@ -53,14 +58,15 @@ KIND_SPECS = [
 
 
 def _measure(spec, tps, repeat: int):
-    """Best-of-``repeat`` build, cold-sweep and warm-sweep wall times.
+    """Best-of-``repeat`` build, cold-sweep, warm-sweep and served-sweep
+    wall times.
 
     Each repetition plans ``spec`` on a fresh point-set object over the
     arrays of ``tps``, builds the plan's index, sweeps ``spec.taus`` on
-    it, then sweeps again on the same index.  Also returns the records
-    of one sweep.
+    it, sweeps again on the same index, then sweeps once more encoding
+    each τ's ``records`` line.  Also returns the records of one sweep.
     """
-    build_s = query_s = warm_s = float("inf")
+    build_s = query_s = warm_s = served_s = float("inf")
     records = 0
     for _ in range(repeat):
         plan = plan_query(
@@ -76,7 +82,11 @@ def _measure(spec, tps, repeat: int):
         t0 = time.perf_counter()
         records = sum(len(plan.runner(index, tau)) for tau in spec.taus)
         warm_s = min(warm_s, time.perf_counter() - t0)
-    return build_s, query_s, warm_s, records
+        t0 = time.perf_counter()
+        for tau in spec.taus:
+            records_line(0, tau, plan.runner(index, tau))
+        served_s = min(served_s, time.perf_counter() - t0)
+    return build_s, query_s, warm_s, served_s, records
 
 
 def main(argv=None) -> int:
@@ -116,12 +126,13 @@ def main(argv=None) -> int:
                     continue
                 # Builder and runner come from a plan, so the bench runs
                 # exactly the dispatch surface production uses.
-                build_s, query_s, warm_s, records = _measure(
+                build_s, query_s, warm_s, served_s, records = _measure(
                     dataclasses.replace(spec, backend=descriptor.name),
                     tps,
                     args.repeat,
                 )
                 warm_us = warm_s * 1e6 / max(records, 1)
+                served_us = served_s * 1e6 / max(records, 1)
                 row = {
                     "shape": shape["name"],
                     "kind": spec.kind,
@@ -136,12 +147,15 @@ def main(argv=None) -> int:
                     "warm_query_seconds": warm_s,
                     # per sweep when the sweep reports nothing
                     "warm_us_per_record": warm_us,
+                    "served_query_seconds": served_s,
+                    "served_us_per_record": served_us,
                 }
                 measurements.append(row)
                 print(
                     f"{shape['name']:>13} {spec.kind:<11} {descriptor.name:<11}"
                     f" build {build_s * 1e3:8.1f} ms  query {query_s * 1e3:8.1f} ms"
-                    f"  warm {warm_s * 1e3:8.1f} ms ({warm_us:7.1f} us/record)",
+                    f"  warm {warm_s * 1e3:8.1f} ms ({warm_us:7.1f} us/record)"
+                    f"  served {served_s * 1e3:8.1f} ms ({served_us:7.1f} us/record)",
                     file=sys.stderr,
                 )
 
@@ -163,13 +177,18 @@ def main(argv=None) -> int:
                     (grid["build_seconds"] + grid["query_seconds"])
                     / max(vec["build_seconds"] + vec["query_seconds"], 1e-12)
                 ),
+                # Both sides encode their records lines: the like-for-like
+                # warm comparison now that vector answers in columns.
+                "served": grid["served_query_seconds"]
+                / max(vec["served_query_seconds"], 1e-12),
             }
             speedups.setdefault(shape["name"], {})[kind_spec["kind"]] = entry
             print(
                 f"{shape['name']:>13} {kind_spec['kind']:<11} vector/grid"
                 f" speedup: build {entry['build']:5.2f}x"
                 f" query {entry['query']:5.2f}x"
-                f" b+q {entry['build_plus_query']:5.2f}x",
+                f" b+q {entry['build_plus_query']:5.2f}x"
+                f" served {entry['served']:5.2f}x",
                 file=sys.stderr,
             )
     best_speedup = max(

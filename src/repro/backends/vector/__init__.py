@@ -10,7 +10,8 @@ per-point object graphs:
   dataset version and ε, memoised on the point set) and the blocked
   distance kernels;
 * :mod:`.indexes` — the four query-family indexes, each holding its
-  point set, ε and that layout.
+  point set, ε and that layout, and answering in columns
+  (:class:`~repro.blocks.RecordBlock`) until a caller reads records.
 """
 
 from .indexes import (

@@ -18,8 +18,8 @@ over the layout:
 * :class:`VectorTriangleIndex` — partner expansion through the CSR cell
   layout, one boolean mask for the temporal/lexicographic predicate,
   ragged ``i<j`` pair generation batched across *all* anchors, and one
-  rowwise linked-ball test per pair chunk.  Record construction is the
-  only per-output loop; ``count`` sums run sizes instead.
+  rowwise linked-ball test per pair chunk; ``count`` sums run sizes
+  instead.
 * :class:`VectorSumPairIndex` — Algorithm 4.  Every cell's coverage
   profile is packed into CSR arrays at build time
   (:class:`PackedProfiles`), and all ``Σ_u |I_u ∩ I_p ∩ I_q|`` requests
@@ -36,9 +36,14 @@ over the layout:
   inherited from :class:`~repro.core.patterns.PatternIndex` (the one
   legacy base class left) over one batched context map per call.
 
-Every family returns the ``grid`` backend's records bit for bit and in
-the same order (the canonical cells coincide; DESIGN.md note 8 gives the
-exactness arguments, ``tests/test_backends.py`` compares the lists).
+The four served families answer with a :class:`~repro.blocks.RecordBlock`
+(``query_block``, ``clique_block``): ids and lifespans or scores as
+columns, with no per-record loop in the kernel.  ``query`` and
+``iter_cliques`` are the same kernels, materialised to record objects.
+SUM, UNION and cliques return the ``grid`` backend's records bit for
+bit and in the same order, triangles the same records (the canonical
+cells coincide; DESIGN.md note 8 gives the exactness arguments,
+``tests/test_backends.py`` compares the lists).
 All per-cell state is built with the index, so a cache hit leaves no
 structure work and a query writes nothing to the index.
 
@@ -58,7 +63,7 @@ from ...core.aggregate import UnionPairIndex
 from ...core.patterns import PatternIndex
 from ...errors import BackendError, ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
-from ...temporal.interval import Interval
+from ...blocks import CliqueBlock, PairBlock, TriangleBlock
 from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
@@ -81,6 +86,19 @@ __all__ = [
 def _check_tau(tau: float) -> None:
     if tau <= 0:
         raise ValidationError(f"durability parameter must be positive, got {tau!r}")
+
+
+#: Per-chunk ``(ids, floats, floats)`` columns of a block.
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _columns(parts: List[_Columns], id_width: int = 0) -> _Columns:
+    """The chunks' columns concatenated; empty columns (ids ``k × id_width``,
+    or a flat id column when ``id_width`` is 0) when there are none."""
+    if parts:
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    ids = np.empty((0, id_width) if id_width else 0, dtype=np.int64)
+    return ids, np.empty(0), np.empty(0)
 
 
 def _eligible_anchor_array(lay: SoALayout, tau: float) -> np.ndarray:
@@ -344,15 +362,18 @@ class VectorTriangleIndex(_VectorIndex):
     family = "triangles"
 
     def query(self, tau: float) -> List[TriangleRecord]:
+        return self.query_block(tau).records()
+
+    def query_block(self, tau: float) -> TriangleBlock:
+        """The τ-durable triangles as columns: ``(anchor, q, s)`` ids
+        with ``q < s``, lifespan starts and ends."""
         _check_tau(tau)
         lay = self.layout
         metric = self.tps.metric
         starts, ends, cell_of, centers = lay.starts, lay.ends, lay.cell_of, lay.centers
         link_thr = _link_threshold(self.resolution)
-        out: List[TriangleRecord] = []
+        parts: List[_Columns] = []
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
         cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
@@ -371,22 +392,14 @@ class VectorTriangleIndex(_VectorIndex):
                 )
                 ok = dd <= link_thr
                 a_ids, b_ids, anchors_pq = a_ids[ok], b_ids[ok], anchors_pq[ok]
-                if not len(a_ids):
-                    continue
-                e3 = np.minimum(
-                    ends[anchors_pq], np.minimum(ends[a_ids], ends[b_ids])
-                )
-                sa = starts[anchors_pq]
-                qm = np.minimum(a_ids, b_ids)
-                sm = np.maximum(a_ids, b_ids)
-                out.extend(
-                    TriangleRecord(
-                        anchor=int(a), q=int(x), s=int(y),
-                        lifespan=Interval(float(s0), float(ee)),
-                    )
-                    for a, x, y, s0, ee in zip(anchors_pq, qm, sm, sa, e3)
-                )
-        return out
+                parts.append((
+                    np.column_stack(
+                        (anchors_pq, np.minimum(a_ids, b_ids), np.maximum(a_ids, b_ids))
+                    ),
+                    starts[anchors_pq],
+                    np.minimum(ends[anchors_pq], np.minimum(ends[a_ids], ends[b_ids])),
+                ))
+        return TriangleBlock(*_columns(parts, 3))
 
     def count(self, tau: float) -> int:
         """How many records ``query(tau)`` reports, without building them.
@@ -519,16 +532,18 @@ class VectorSumPairIndex(_VectorIndex):
 
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
+        return self.query_block(tau).records()
+
+    def query_block(self, tau: float) -> PairBlock:
+        """The SUM-durable pairs as ``p``, ``q``, ``score`` columns."""
         _check_tau(tau)
         lay = self.layout
         metric = self.tps.metric
         res = self.resolution
         link_thr = _link_threshold(res)
         prof = self._profiles
-        out: List[PairRecord] = []
+        out: List[_Columns] = []
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
         cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
@@ -571,8 +586,8 @@ class VectorSumPairIndex(_VectorIndex):
             )
             total = np.where(np.repeat(p_counted, run_m), total - window, total)
             keep = _until_first_failure(total >= tau, run_start, run_m)
-            out.extend(_pair_records(pp[keep], qq[keep], total[keep]))
-        return out
+            out.append((pp[keep], qq[keep], total[keep]))
+        return PairBlock(*_columns(out))
 
 
 def _until_first_failure(
@@ -586,13 +601,6 @@ def _until_first_failure(
     pos = np.arange(len(ok))
     first_fail = np.minimum.reduceat(np.where(ok, len(ok), pos), run_start)
     return np.flatnonzero(pos < np.repeat(first_fail, run_m))
-
-
-def _pair_records(
-    p: np.ndarray, q: np.ndarray, score: np.ndarray
-) -> Iterator[PairRecord]:
-    for a, b, s in zip(p.tolist(), q.tolist(), score.tolist()):
-        yield PairRecord(p=a, q=b, score=s)
 
 
 # ----------------------------------------------------------------------
@@ -736,6 +744,10 @@ class VectorUnionPairIndex(_VectorIndex):
     family = "pairs-union"
 
     def query(self, tau: float, kappa: int) -> List[PairRecord]:
+        return self.query_block(tau, kappa).records()
+
+    def query_block(self, tau: float, kappa: int) -> PairBlock:
+        """The UNION-durable pairs as ``p``, ``q``, ``score`` columns."""
         _check_tau(tau)
         if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
             raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
@@ -745,10 +757,8 @@ class VectorUnionPairIndex(_VectorIndex):
         res = self.resolution
         link_thr = _link_threshold(res)
         target = UnionPairIndex.GREEDY_FACTOR * tau
-        out: List[PairRecord] = []
+        out: List[_Columns] = []
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return out
         cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
@@ -791,8 +801,8 @@ class VectorUnionPairIndex(_VectorIndex):
                     sp[i0:i1], his[i0:i1], kappa,
                 )
             keep = _until_first_failure(covered >= target, run_start, run_m)
-            out.extend(_pair_records(pp[keep], qq[keep], covered[keep]))
-        return out
+            out.append((pp[keep], qq[keep], covered[keep]))
+        return PairBlock(*_columns(out))
 
 
 # ----------------------------------------------------------------------
@@ -801,7 +811,7 @@ class VectorUnionPairIndex(_VectorIndex):
 class VectorPatternIndex(_VectorIndex, PatternIndex):
     """Appendix D reporters over the SoA layout.
 
-    Cliques are batched end to end (:meth:`iter_cliques`).  Paths and
+    Cliques are batched end to end (:meth:`clique_block`).  Paths and
     stars keep the per-anchor recursion of :class:`PatternIndex` (it is
     output-bound) but read their anchor contexts from one batched
     ``durableBallQ`` sweep per call, carried by a per-call copy of the
@@ -823,7 +833,11 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
     # Cliques
     # ------------------------------------------------------------------
     def iter_cliques(self, m: int, tau: float) -> Iterator[PatternRecord]:
-        """τ-durable ``m``-cliques, in the inherited recursion's order.
+        yield from self.clique_block(m, tau)
+
+    def clique_block(self, m: int, tau: float) -> CliqueBlock:
+        """τ-durable ``m``-cliques as columns, in the inherited
+        recursion's order.
 
         A clique is an anchor plus ``m − 1`` of its partners whose balls
         are pairwise linked and linked to the anchor's ball.  They are
@@ -836,9 +850,8 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         lay = self.layout
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
+        parts: List[_Columns] = []
         eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return
         cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
@@ -860,13 +873,16 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
             p, q, cell = p[linked], q[linked], run_cell[run_of]
             # Runs ascend in (anchor, cell); add id order within a run.
             order = np.lexsort((q, run_of))
-            yield from self._clique_records(
-                p[order], q[order], cell[order], m, link_thr
+            parts.append(
+                self._cliques(p[order], q[order], cell[order], m, link_thr)
             )
+        return CliqueBlock(*_columns(parts, m))
 
-    def _clique_records(
+    def _cliques(
         self, p: np.ndarray, q: np.ndarray, cell: np.ndarray, m: int, link_thr: float
-    ) -> List[PatternRecord]:
+    ) -> _Columns:
+        """One chunk's cliques: sorted member rows, lifespan starts and
+        ends, in the recursion's order."""
         lay = self.layout
         metric = self.tps.metric
         bounds = np.flatnonzero(np.diff(p, prepend=-1, append=-1))
@@ -892,7 +908,7 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
                 parts.append(np.column_stack((tup[rows[ok]], nxt[ok])))
             tup = np.concatenate(parts) if parts else tup[:0]
         if not len(tup):
-            return []
+            return _columns([], m)
         balls, ids, anchors = cell[tup], q[tup], p[tup[:, 0]]
         # (ball, take) signature: the run-length encoding of each row's
         # ball sequence, padded (no signature is a prefix of another).
@@ -917,10 +933,7 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
             s, e = lay.starts[members[:, j]], lay.ends[members[:, j]]
             lo = np.where(s > lo, s, lo)
             hi = np.where(e < hi, e, hi)
-        return [
-            PatternRecord(kind="clique", members=tuple(mem), lifespan=Interval(a, b))
-            for mem, a, b in zip(members.tolist(), lo.tolist(), hi.tolist())
-        ]
+        return members, lo, hi
 
     # ------------------------------------------------------------------
     # Paths and stars: the inherited recursion over per-call contexts

@@ -147,7 +147,8 @@ def _execute_one(
             # build before we got here.
             build_seconds = 0.0 if outcome.hit else outcome.build_seconds
             target = outcome.index
-        records_by_tau: "OrderedDict[float, List[Any]]" = OrderedDict()
+        # Per τ a record list, or a RecordBlock from a column kernel.
+        records_by_tau: "OrderedDict[float, Sequence[Any]]" = OrderedDict()
         if trace is not None:
             # Staged plans evaluate the composed DSL combinator tree over
             # the stage indexes; legacy plans sweep one backend index.

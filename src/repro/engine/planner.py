@@ -80,31 +80,39 @@ class QueryPlan:
     spec: QuerySpec
     key: IndexKey
     builder: Callable[[], Any]
-    runner: Callable[[Any, float], list]
+    runner: Callable[[Any, float], Sequence[Any]]
     template: str = field(default="")
     stages: Tuple[PlanStage, ...] = field(default=())
 
 
-def runner_for(spec: QuerySpec) -> Callable[[Any, float], list]:
+def runner_for(spec: QuerySpec) -> Callable[[Any, float], Sequence[Any]]:
     """The per-τ report call — kind-specific, backend-agnostic.
 
     Every backend serving a kind exposes the same query surface
     (``query(tau)``, ``query(tau, kappa)``, or the pattern iterators),
     so runners key on the spec alone and a cached index answers any
-    spec that shares its key.
+    spec that shares its key.  An index that also answers in columns
+    (the ``vector`` families: ``query_block``, ``clique_block``) is
+    asked for its :class:`~repro.blocks.RecordBlock`, so the answer
+    builds no record object until a caller reads one.
     """
     if spec.kind == "pairs-union":
         kappa = spec.kappa
-        return lambda index, tau: index.query(tau, kappa)
+        return lambda index, tau: getattr(index, "query_block", index.query)(tau, kappa)
+    if spec.kind == "cliques":
+        m = spec.m
+
+        def cliques(index, tau):
+            if hasattr(index, "clique_block"):
+                return index.clique_block(m, tau)
+            return list(index.iter_cliques(m, tau))
+
+        return cliques
     if spec.kind in PATTERN_KINDS:
         m = spec.m
-        iter_name = {
-            "cliques": "iter_cliques",
-            "paths": "iter_paths",
-            "stars": "iter_stars",
-        }[spec.kind]
+        iter_name = "iter_paths" if spec.kind == "paths" else "iter_stars"
         return lambda index, tau: list(getattr(index, iter_name)(m, tau))
-    return lambda index, tau: index.query(tau)
+    return lambda index, tau: getattr(index, "query_block", index.query)(tau)
 
 
 def plan_query(

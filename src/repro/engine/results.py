@@ -1,18 +1,22 @@
 """Result envelopes for engine queries: records + timing + provenance.
 
-Each executed plan yields a :class:`QueryResult` carrying the raw
-record objects (:class:`~repro.types.TriangleRecord`,
-:class:`~repro.types.PairRecord`, :class:`~repro.types.PatternRecord`)
-per durability value, whether the shared index came from cache, and
-wall-clock build/query timings.  ``to_dict`` flattens everything into
-the JSON shape emitted by ``python -m repro batch``.
+Each executed plan yields a :class:`QueryResult` carrying, per
+durability value, either a list of record objects
+(:class:`~repro.types.TriangleRecord`, :class:`~repro.types.PairRecord`,
+:class:`~repro.types.PatternRecord`, composed DSL records) or a
+:class:`~repro.blocks.RecordBlock` holding the same records as columns;
+whether the shared index came from cache; and wall-clock build/query
+timings.  A block builds its record objects only when a caller reads
+``records`` or iterates it.  ``to_dict`` flattens everything into the
+JSON shape emitted by ``python -m repro batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..blocks import RecordBlock
 from ..types import PairRecord, PatternRecord, TriangleRecord
 from .cache import IndexKey
 from .spec import QuerySpec
@@ -22,19 +26,6 @@ __all__ = ["QueryResult", "BatchResult", "record_to_dict"]
 
 def record_to_dict(record: Any) -> Dict[str, Any]:
     """Serialise one reported pattern record to plain JSON types."""
-    # Imported here: the engine package must not hard-depend on the
-    # language package at import time.
-    from ..lang.records import ComposedRecord
-
-    if isinstance(record, ComposedRecord):
-        return {
-            "type": "composed",
-            "template": record.template,
-            "members": list(record.members),
-            "components": [record_to_dict(c) for c in record.components],
-            "lifespan": [record.lifespan.start, record.lifespan.end],
-            "durability": record.durability,
-        }
     if isinstance(record, TriangleRecord):
         return {
             "type": "triangle",
@@ -48,6 +39,20 @@ def record_to_dict(record: Any) -> Dict[str, Any]:
         return {
             "type": record.kind,
             "members": list(record.members),
+            "lifespan": [record.lifespan.start, record.lifespan.end],
+            "durability": record.durability,
+        }
+    # Imported here, and only for records of no legacy type: the engine
+    # package must not hard-depend on the language package at import
+    # time.
+    from ..lang.records import ComposedRecord
+
+    if isinstance(record, ComposedRecord):
+        return {
+            "type": "composed",
+            "template": record.template,
+            "members": list(record.members),
+            "components": [record_to_dict(c) for c in record.components],
             "lifespan": [record.lifespan.start, record.lifespan.end],
             "durability": record.durability,
         }
@@ -67,7 +72,8 @@ class QueryResult:
 
     spec: QuerySpec
     key: IndexKey
-    records_by_tau: Mapping[float, List[Any]]
+    #: Per τ, a list of records or a :class:`~repro.blocks.RecordBlock`.
+    records_by_tau: Mapping[float, Sequence[Any]]
     cache_hit: bool
     build_seconds: float
     query_seconds: float
@@ -85,7 +91,8 @@ class QueryResult:
     def records(self) -> List[Any]:
         """Records of a single-τ query (flattened across τ for sweeps)."""
         if len(self.records_by_tau) == 1:
-            return next(iter(self.records_by_tau.values()))
+            recs = next(iter(self.records_by_tau.values()))
+            return recs.records() if isinstance(recs, RecordBlock) else recs
         out: List[Any] = []
         for recs in self.records_by_tau.values():
             out.extend(recs)
@@ -93,6 +100,7 @@ class QueryResult:
 
     @property
     def count(self) -> int:
+        """How many records the query reported (builds none)."""
         return sum(len(r) for r in self.records_by_tau.values())
 
     def to_dict(self, include_records: bool = True) -> Dict[str, Any]:

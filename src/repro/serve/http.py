@@ -296,12 +296,15 @@ async def send_chunk(
 ) -> int:
     """Send one NDJSON line (one HTTP chunk if ``chunked``), flushed.
 
+    ``payload`` is a JSON-ready object, or a ``str`` its caller already
+    encoded as one JSON document (no newline), which is sent as is.
     Returns the body byte count (excluding chunk framing), so callers
     can account streamed payload bytes without re-serialising.
     """
-    line = (json.dumps(payload) + "\n").encode("utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    line = (text + "\n").encode("utf-8")
     if chunked:
-        writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")
+        writer.write(b"%x\r\n%b\r\n" % (len(line), line))
     else:
         writer.write(line)
     await writer.drain()

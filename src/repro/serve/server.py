@@ -25,8 +25,9 @@ bridge into an HTTP/NDJSON protocol:
 * ``POST   /query``    — ``{"dataset": ..., "queries": [QuerySpec...]}``,
   answered as a chunked NDJSON stream: a ``batch-start`` line, then per
   query its ``records`` lines (one per τ, so a huge τ-sweep is never
-  buffered as one document) and a ``result`` status line, then a
-  ``batch-end`` line with per-batch cache stats;
+  buffered as one document; :func:`records_line` writes a column
+  block's records without building record objects) and a ``result``
+  status line, then a ``batch-end`` line with per-batch cache stats;
 * ``GET    /stats``    — who this process is (``pid``, bound address,
   monotonic age) and its effective connection settings; it reports no
   counts;
@@ -60,13 +61,15 @@ batch keeps streaming.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, unquote
 
+from ..blocks import RecordBlock
 from ..engine.planner import plan_batch
 from ..engine.results import QueryResult, record_to_dict
 from ..engine.spec import QuerySpec, apply_default_backend
@@ -107,6 +110,7 @@ __all__ = [
     "AsyncApp",
     "ServeApp",
     "ServerHandle",
+    "records_line",
     "run_server",
     "start_app_thread",
     "start_server_thread",
@@ -1068,9 +1072,30 @@ class ServeApp(AsyncApp):
                 result = await future
                 if not result.ok:
                     n_errors += 1
-                for line in _result_lines(i, result, include_records,
-                                          trace_id=trace_id):
+                # Lines are produced one at a time and sent as they come;
+                # time both activities, summed over the lines.
+                start = time.time()
+                encode = write = 0.0
+                t = time.perf_counter()
+                for line in _result_lines(i, result, include_records, trace_id=trace_id):
+                    t_line = time.perf_counter()
+                    encode += t_line - t
                     streamed += await send_chunk(writer, line, chunked=chunked)
+                    t = time.perf_counter()
+                    write += t - t_line
+                encode += time.perf_counter() - t
+                if state.trace is not None and root is not None:
+                    # Encode and write alternate line by line with no gap
+                    # between them, so drawn back to back the two spans
+                    # cover the query's streaming interval exactly.
+                    for span, at, seconds in (
+                        ("serve.encode", start, encode),
+                        ("serve.write", start + encode, write),
+                    ):
+                        state.trace.add_timed(
+                            span, parent_id=root.span_id, start=at,
+                            duration=seconds, attrs={"query": i},
+                        )
             end_line = {
                 "type": "batch-end",
                 "dataset": name,
@@ -1121,9 +1146,27 @@ class ServeApp(AsyncApp):
         self.registry.close()
 
 
+def records_line(index: int, tau: float, records: Sequence[Any]) -> str:
+    """The ``records`` NDJSON line of query ``index`` at ``tau``, encoded
+    (without its newline).
+
+    A :class:`~repro.blocks.RecordBlock` writes its array straight from
+    its columns; a list of record objects goes through
+    :func:`record_to_dict` and ``json.dumps``.  Both give the bytes
+    ``json.dumps`` gives for the whole line (DESIGN.md note 9).
+    """
+    head = json.dumps({"type": "records", "query": index, "tau": tau, "count": len(records)})
+    if isinstance(records, RecordBlock):
+        body = records.json_array()
+    else:
+        body = json.dumps([record_to_dict(r) for r in records])
+    return f'{head[:-1]}, "records": {body}}}'
+
+
 def _result_lines(index: int, result: QueryResult, include_records: bool,
                   trace_id: Optional[str] = None):
-    """The NDJSON lines one finished query contributes to the stream.
+    """The NDJSON lines one finished query contributes to the stream:
+    its encoded ``records`` lines, then its ``result`` line.
 
     Every ``result`` line — success or per-query error — carries the
     request's ``trace_id`` so a client can correlate any line of the
@@ -1131,13 +1174,7 @@ def _result_lines(index: int, result: QueryResult, include_records: bool,
     """
     if result.ok and include_records:
         for tau, records in result.records_by_tau.items():
-            yield {
-                "type": "records",
-                "query": index,
-                "tau": tau,
-                "count": len(records),
-                "records": [record_to_dict(r) for r in records],
-            }
+            yield records_line(index, tau, records)
     line = {
         "type": "result",
         "query": index,

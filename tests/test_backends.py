@@ -43,7 +43,7 @@ from repro.errors import BackendError, ValidationError
 from repro.obs import counter_value, parse_exposition
 from repro.structures.durable_ball import make_decomposition
 
-from conftest import random_tps
+from conftest import clustered_tps, random_tps
 
 
 def fresh_registry() -> BackendRegistry:
@@ -653,34 +653,6 @@ class TestBackendParity:
 # with ``==`` scores and lifespans: greedy tie order, witness summation
 # order and the pattern recursion order all show up in these lists.
 # ----------------------------------------------------------------------
-#: A few (start, length) values, so many points share a lifespan and
-#: many lifespans share an endpoint.
-_STARTS = (0.0, 0.5, 1.0, 1.25, 2.0, 3.0)
-_LENGTHS = (0.0, 1.0, 2.5, 3.0, 4.0, 5.5, 7.0)
-
-
-@st.composite
-def clustered_tps(draw):
-    metric = draw(st.sampled_from(["l1", "l2", "linf"]))
-    coord = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
-    centers = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=6))
-    jitter = st.floats(0.0, 0.06, allow_nan=False, allow_infinity=False)
-    n = draw(st.integers(5, 16))
-    picks = draw(
-        st.lists(
-            st.tuples(st.integers(0, len(centers) - 1), jitter, jitter),
-            min_size=n, max_size=n,
-        )
-    )
-    starts = draw(st.lists(st.sampled_from(_STARTS), min_size=n, max_size=n))
-    lengths = draw(st.lists(st.sampled_from(_LENGTHS), min_size=n, max_size=n))
-    pts = np.asarray(
-        [(centers[c][0] + dx, centers[c][1] + dy) for c, dx, dy in picks]
-    )
-    s = np.asarray(starts)
-    return TemporalPointSet(pts, s, s + np.asarray(lengths), metric=metric)
-
-
 class TestVectorListParity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -823,12 +795,20 @@ class TestVectorIndexSurface:
         surfaces = {
             VectorTriangleIndex: {
                 "query": lambda ix: ix.query(tau),
+                "query_block": lambda ix: ix.query_block(tau),
                 "count": lambda ix: ix.count(tau),
             },
-            VectorSumPairIndex: {"query": lambda ix: ix.query(tau)},
-            VectorUnionPairIndex: {"query": lambda ix: ix.query(tau, 3)},
+            VectorSumPairIndex: {
+                "query": lambda ix: ix.query(tau),
+                "query_block": lambda ix: ix.query_block(tau),
+            },
+            VectorUnionPairIndex: {
+                "query": lambda ix: ix.query(tau, 3),
+                "query_block": lambda ix: ix.query_block(tau, 3),
+            },
             VectorPatternIndex: {
                 "iter_cliques": lambda ix: list(ix.iter_cliques(3, tau)),
+                "clique_block": lambda ix: ix.clique_block(3, tau),
                 "iter_paths": lambda ix: list(ix.iter_paths(3, tau)),
                 "iter_stars": lambda ix: list(ix.iter_stars(3, tau)),
                 "star_summaries": lambda ix: ix.star_summaries(3, tau),
@@ -873,7 +853,8 @@ class TestVectorTriangleCount:
         )
 
     def test_count_builds_no_records(self, monkeypatch):
-        from repro.backends.vector import VectorTriangleIndex, indexes
+        from repro import blocks
+        from repro.backends.vector import VectorTriangleIndex
 
         index = VectorTriangleIndex(random_tps(n=150, seed=5), 0.5)
         taus = (1.0, 2.0, 4.0)
@@ -883,7 +864,8 @@ class TestVectorTriangleCount:
         def no_records(**fields):
             raise AssertionError("count() built a record")
 
-        monkeypatch.setattr(indexes, "TriangleRecord", no_records)
+        # Triangle records are built from a block's columns.
+        monkeypatch.setattr(blocks, "TriangleRecord", no_records)
         assert [index.count(tau) for tau in taus] == expected
 
 

@@ -265,6 +265,30 @@ class TestWorkerTracing:
         finally:
             conn.close()
 
+    def test_encode_and_write_spans_per_query(self, server):
+        conn = connect(server.host, server.port)
+        try:
+            queries = [
+                {"kind": "triangles", "taus": [1.0, 2.0]},
+                {"kind": "pairs-sum", "tau": 2.0},
+                {"kind": "paths", "tau": 3.0, "m": 3},
+            ]
+            status, lines = _query_lines(conn, "forum", queries, include_records=True)
+            assert status == 200
+            assert sum(1 for line in lines if line["type"] == "records") == 4
+            status, doc = fetch_trace(conn, lines[0]["trace_id"])
+            assert status == 200
+        finally:
+            conn.close()
+        (root,) = [s for s in doc["spans"] if s["name"] == "serve.request"]
+        timed = [s for s in doc["spans"] if s["name"] in ("serve.encode", "serve.write")]
+        for name in ("serve.encode", "serve.write"):
+            per_query = sorted(s["attrs"]["query"] for s in timed if s["name"] == name)
+            assert per_query == [0, 1, 2], name
+        assert all(s["parent_id"] == root["span_id"] for s in timed)
+        assert all(s["duration_ms"] > 0 for s in timed)
+        assert sum(s["duration_ms"] for s in timed) <= root["duration_ms"]
+
     def test_client_traceparent_is_continued(self, server):
         trace_id, span_id = new_trace_id(), new_span_id()
         conn = connect(server.host, server.port)
