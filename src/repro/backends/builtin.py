@@ -162,9 +162,9 @@ def _vector_builder(
 ) -> Callable[[], Any]:
     """Builder hook for the SoA ``vector`` backend.
 
-    Constructs the vectorised index classes; their ``cache_key()`` hooks
-    emit the same ``(family, fingerprint, ε, "vector", …)`` identity as
-    :func:`_spatial_identity`, so planner keys and index keys agree.
+    Constructs the vectorised index classes.  They are keyed by
+    :func:`_spatial_identity` with the SUM extra pinned to
+    ``"profile"``, because the vector SUM index ignores ``sum_backend``.
     """
     kind = spec.kind
     if kind == "triangles":

@@ -2,9 +2,8 @@
 
 Each class holds its point set, ``epsilon`` and the one
 :class:`~repro.backends.vector.soa.SoALayout` of that dataset version
-(:func:`~repro.backends.vector.soa.layout_for`), emits the legacy
-solvers' ``cache_key()`` family with backend ``"vector"``, exposes
-their query surface, and answers queries with batched numpy kernels
+(:func:`~repro.backends.vector.soa.layout_for`), exposes the legacy
+solvers' query surface, and answers queries with batched numpy kernels
 over the layout:
 
 * Candidate generation (:func:`_candidate_pairs`) searches the *sorted
@@ -314,9 +313,6 @@ def _segment_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 class _VectorIndex:
     """What every family holds: the point set, ε and its layout."""
 
-    #: The ``cache_key()`` family.
-    family: str
-
     def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
         if not 0 < epsilon <= 1:
             raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
@@ -334,10 +330,6 @@ class _VectorIndex:
         """Cell radius bound: ``durableBallQ(p, τ, ε/2)`` uses cells of
         diameter ``≤ ε/2``."""
         return self.epsilon / 4.0
-
-    def cache_key(self) -> tuple:
-        """Engine-cache identity (see :mod:`repro.engine.cache`)."""
-        return (self.family, self.tps.fingerprint(), self.epsilon, "vector")
 
     def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
         """The index over ``tps``, this dataset plus appended points.
@@ -358,8 +350,6 @@ class _VectorIndex:
 # ----------------------------------------------------------------------
 class VectorTriangleIndex(_VectorIndex):
     """Algorithm 1 over SoA kernels (record-identical to ``grid``)."""
-
-    family = "triangles"
 
     def query(self, tau: float) -> List[TriangleRecord]:
         return self.query_block(tau).records()
@@ -521,14 +511,9 @@ class VectorSumPairIndex(_VectorIndex):
     identity carries ``"profile"`` whatever the query asked for.
     """
 
-    family = "pairs-sum"
-
     def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
         super().__init__(tps, epsilon)
         self._profiles = PackedProfiles(self.layout)
-
-    def cache_key(self) -> tuple:
-        return super().cache_key() + ("profile",)
 
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
@@ -741,8 +726,6 @@ def _greedy_cover(
 class VectorUnionPairIndex(_VectorIndex):
     """Algorithm 8 with batched candidates, witness pools and greedy."""
 
-    family = "pairs-union"
-
     def query(self, tau: float, kappa: int) -> List[PairRecord]:
         return self.query_block(tau, kappa).records()
 
@@ -818,8 +801,6 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
     index, and their link tables are one small distance matrix instead
     of O(k²) scalar ``linked()`` calls.
     """
-
-    family = "patterns"
 
     #: ``anchor -> (cells, counts, partner ids)`` for one path/star
     #: call; only the per-call copies made by :meth:`_for_call` have it.

@@ -113,16 +113,6 @@ class SumPairIndex(_AggregateBase):
             ]
             self._sums.append(factory(spans))
 
-    def cache_key(self) -> tuple:
-        """Engine-cache identity (see :mod:`repro.engine.cache`)."""
-        return (
-            "pairs-sum",
-            self.tps.fingerprint(),
-            self.epsilon,
-            self.backend,
-            self.sum_backend,
-        )
-
     def maintained(self, tps: TemporalPointSet) -> Optional["SumPairIndex"]:
         """An index over ``tps`` (this dataset plus appended events).
 
@@ -258,10 +248,6 @@ class UnionPairIndex(_AggregateBase):
                     ids,
                 )
             )
-
-    def cache_key(self) -> tuple:
-        """Engine-cache identity (κ is a query parameter, not index state)."""
-        return ("pairs-union", self.tps.fingerprint(), self.epsilon, self.backend)
 
     # ------------------------------------------------------------------
     def query(self, tau: float, kappa: int) -> List[PairRecord]:

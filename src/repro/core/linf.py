@@ -116,10 +116,6 @@ class LinfTriangleIndex:
         self.tps = tps
         self.structure = LinfDurableRange(tps)
 
-    def cache_key(self) -> tuple:
-        """Engine-cache identity (exact solver: no ε, no spatial backend)."""
-        return ("linf-triangles", self.tps.fingerprint(), 0.0, "linf-exact")
-
     def query(self, tau: float) -> List[TriangleRecord]:
         """All τ-durable triangles, exactly."""
         self._check_tau(tau)

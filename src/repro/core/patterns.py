@@ -55,11 +55,6 @@ class PatternIndex:
         self.backend = resolve_backend(backend)
         self.structure = DurableBallStructure(tps, epsilon / 4.0, backend)
 
-    def cache_key(self) -> tuple:
-        """Engine-cache identity; one PatternIndex serves cliques, paths
-        and stars alike, so the key carries no pattern kind."""
-        return ("patterns", self.tps.fingerprint(), self.epsilon, self.backend)
-
     # ------------------------------------------------------------------
     def _anchor_context(
         self, anchor: int, tau: float, radius: float

@@ -108,15 +108,6 @@ class DurableTriangleIndex:
         # diameter ≤ ε/2, i.e. radius ≤ ε/4.
         self.structure = DurableBallStructure(tps, epsilon / 4.0, backend)
 
-    def cache_key(self) -> tuple:
-        """Key under which an engine cache may share this index.
-
-        Two construction calls with equal keys build interchangeable
-        indexes (same dataset fingerprint, ε, and spatial backend); see
-        :mod:`repro.engine.cache`.
-        """
-        return ("triangles", self.tps.fingerprint(), self.epsilon, self.backend)
-
     def maintained(self, tps: TemporalPointSet) -> Optional["DurableTriangleIndex"]:
         """An index maintained to ``tps``, an appended version of ``self.tps``.
 

@@ -6,10 +6,9 @@ durable-pattern reports; this package makes that operational:
 * :class:`~repro.engine.spec.QuerySpec` — declarative query description
   (kind, τ or τ-sweep, κ, m, ε, metric-backend, or a ``pattern-dsl``
   payload compiled by :mod:`repro.lang`);
-* :class:`~repro.engine.templates.PlanTemplate` — the open registry
-  behind ``kind``: legacy kinds and the DSL compiler are built-in
-  templates, :func:`register_template` adds new pattern shapes without
-  touching spec/planner/serve/CLI;
+* :func:`~repro.engine.planner.plan_query` — lowers a spec onto the
+  shared index it needs (its cache key and builder), or compiles a
+  ``pattern-dsl`` spec onto staged plans over the same indexes;
 * :class:`~repro.engine.cache.IndexCache` — single-flight shared-index
   cache keyed by ``(family, dataset fingerprint, ε, backend)``; staged
   ``pattern-dsl`` plans share sub-indexes with legacy queries here;
@@ -33,7 +32,6 @@ from .planner import (
 )
 from .results import BatchResult, QueryResult, record_to_dict
 from .spec import KINDS, QuerySpec
-from .templates import PlanTemplate, register_template, template_names
 
 __all__ = [
     "KINDS",
@@ -43,15 +41,12 @@ __all__ = [
     "CacheOutcome",
     "CacheStats",
     "PlanStage",
-    "PlanTemplate",
     "QueryPlan",
     "plan_query",
     "plan_batch",
     "distinct_index_keys",
     "execute_plan",
     "execute_plans",
-    "register_template",
-    "template_names",
     "QueryEngine",
     "QueryResult",
     "BatchResult",

@@ -27,9 +27,9 @@ __all__ = ["IndexKey", "CacheOutcome", "CacheStats", "IndexCache"]
 class IndexKey(NamedTuple):
     """Identity of a shareable index.
 
-    Mirrors the ``cache_key()`` hooks on the core index classes
-    (:meth:`repro.core.triangles.DurableTriangleIndex.cache_key` and
-    friends): equal keys guarantee interchangeable indexes.
+    Emitted by the resolved backend descriptor's ``index_identity`` hook,
+    which :func:`repro.engine.planner.lower_primitive` calls: equal keys
+    guarantee interchangeable indexes.
     """
 
     family: str

@@ -108,7 +108,6 @@ def _execute_one(
                 "query": trace.index,
                 "kind": plan.spec.kind,
                 "backend": plan.key.backend,
-                **({"template": plan.template} if plan.template else {}),
             },
         )
     parent_id = query_span.span_id if query_span is not None else None

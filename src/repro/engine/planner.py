@@ -6,33 +6,27 @@ Planning is pure — no index is built here — so a plan can also be
 inspected to predict how many distinct builds a batch will trigger
 (:func:`distinct_index_keys`).
 
-Dispatch is two-layered:
-
-* the spec's ``kind`` selects a :class:`~repro.engine.templates.PlanTemplate`
-  from the template registry (:mod:`repro.engine.templates`) — the four
-  legacy index families and the ``pattern-dsl`` compiler are built-in,
-  and :func:`~repro.engine.templates.register_template` opens the set;
-* inside the built-in templates, backend dispatch goes through the
-  backend registry (:mod:`repro.backends`):
-  :meth:`~repro.backends.registry.BackendRegistry.resolve` validates
-  the kind/backend/metric combination, resolves ``backend="auto"`` by
-  the registry's fixed capability order (exact ℓ∞ promotion first),
-  and the chosen
-  descriptor's hooks emit the cache key and builder.  For every
-  pre-existing explicit backend name the emitted
-  :class:`~repro.engine.cache.IndexKey` is bit-identical to the
-  historical planner's, so caches populated before either registry
-  existed stay valid (asserted by ``tests/test_backends.py``).
+Planning a query is one decision: which index family and backend it
+needs, and under which cache key.  :func:`lower_primitive` makes it for
+every primitive spec (one of :data:`~repro.engine.spec.KINDS`):
+:meth:`~repro.backends.registry.BackendRegistry.resolve` validates the
+kind/backend/metric combination and resolves ``backend="auto"`` by the
+registry's fixed capability order (exact ℓ∞ promotion first), and the
+chosen descriptor's hooks emit the
+:class:`~repro.engine.cache.IndexKey` and the builder.  A
+``pattern-dsl`` spec goes to :func:`~repro.lang.compiler.compile_pattern`,
+which lowers each leaf through the same function, so DSL stages and
+primitive queries share keys (asserted by ``tests/test_backends.py``).
 
 A plan comes in two shapes, told apart by ``stages``:
 
-* **stage-less** (the legacy kinds): the executor builds/fetches
+* **stage-less** (the primitive kinds): the executor builds/fetches
   ``plan.key`` and calls ``runner(index, tau)``;
-* **staged** (``pattern-dsl`` and future composite templates): each
-  :class:`PlanStage` names one shared index; the executor acquires all
-  of them through the same single-flight cache — so a composite plan's
-  sub-indexes are shared with any legacy query that uses them — and
-  calls ``runner({stage_name: index, …}, tau)``.
+* **staged** (``pattern-dsl``): each :class:`PlanStage` names one
+  shared index; the executor acquires all of them through the same
+  single-flight cache — so a composite plan's sub-indexes are shared
+  with any primitive query that uses them — and calls
+  ``runner({stage_name: index, …}, tau)``.
 """
 
 from __future__ import annotations
@@ -40,15 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..backends.registry import BackendRegistry
+from ..backends.registry import BackendRegistry, default_registry
 from ..errors import ValidationError
 from ..types import TemporalPointSet
 from .cache import IndexKey
-from .spec import PATTERN_KINDS, QuerySpec
+from .spec import DSL_KIND, PATTERN_KINDS, QuerySpec
 
 __all__ = [
     "PlanStage",
     "QueryPlan",
+    "lower_primitive",
     "plan_query",
     "plan_batch",
     "distinct_index_keys",
@@ -81,7 +76,6 @@ class QueryPlan:
     key: IndexKey
     builder: Callable[[], Any]
     runner: Callable[[Any, float], Sequence[Any]]
-    template: str = field(default="")
     stages: Tuple[PlanStage, ...] = field(default=())
 
 
@@ -115,6 +109,24 @@ def runner_for(spec: QuerySpec) -> Callable[[Any, float], Sequence[Any]]:
     return lambda index, tau: getattr(index, "query_block", index.query)(tau)
 
 
+def lower_primitive(
+    spec: QuerySpec,
+    tps: TemporalPointSet,
+    registry: Optional[BackendRegistry] = None,
+) -> Tuple[IndexKey, Callable[[], Any]]:
+    """The shared index a primitive spec needs: its cache key and builder.
+
+    ``registry`` (defaulting to the process-wide backend registry)
+    resolves the backend and supplies the two descriptor hooks.
+    """
+    reg = registry if registry is not None else default_registry()
+    descriptor = reg.resolve(spec, tps).descriptor
+    return (
+        descriptor.index_identity(spec, tps.fingerprint()),
+        descriptor.make_builder(spec, tps),
+    )
+
+
 def plan_query(
     order: int,
     spec: QuerySpec,
@@ -123,16 +135,17 @@ def plan_query(
 ) -> QueryPlan:
     """Resolve one spec against a dataset (validates, never builds).
 
-    Dispatches to the spec's plan template; ``registry`` (defaulting to
-    the process-wide backend registry) scopes backend dispatch — and
-    any custom backends registered on it — to this call.
+    ``registry`` scopes backend dispatch — and any custom backends
+    registered on it — to this call.
     """
-    # Imported lazily: the template registry imports this module for
-    # QueryPlan/PlanStage, so the dependency must not be circular at
-    # import time.
-    from .templates import get_template
+    if spec.kind == DSL_KIND:
+        # Imported lazily: the engine must not depend on the language
+        # package at import time.
+        from ..lang.compiler import compile_pattern
 
-    return get_template(spec.kind).plan(order, spec, tps, registry)
+        return compile_pattern(order, spec, tps, registry)
+    key, builder = lower_primitive(spec, tps, registry)
+    return QueryPlan(order, spec, key, builder, runner_for(spec))
 
 
 def plan_batch(

@@ -23,7 +23,7 @@ import numpy as np
 from ..backends.registry import default_registry
 from ..errors import ValidationError
 
-__all__ = ["KINDS", "QuerySpec", "apply_default_backend", "known_backends"]
+__all__ = ["KINDS", "QuerySpec", "apply_default_backend"]
 
 #: Integral types accepted for κ and m (numpy scalars included, as the
 #: core solvers always have).
@@ -38,10 +38,9 @@ def _as_float(value: Any, what: str) -> float:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a number, got {value!r}") from exc
 
-#: The built-in legacy query kinds — each is a registered plan template
-#: (:mod:`repro.engine.templates`); the full kind set a spec accepts is
-#: the template registry's, which additionally holds ``"pattern-dsl"``
-#: and anything installed via ``register_template``.
+#: The primitive query kinds: :func:`~repro.engine.planner.plan_query`
+#: lowers each onto one shared index (the three pattern kinds share
+#: one).  A spec also accepts :data:`DSL_KIND`.
 KINDS = (
     "triangles",
     "cliques",
@@ -57,33 +56,8 @@ PATTERN_KINDS = ("cliques", "paths", "stars")
 #: The declarative-pattern kind compiled by :mod:`repro.lang`.
 DSL_KIND = "pattern-dsl"
 
-
-def _registered_kinds() -> Tuple[str, ...]:
-    """Every kind the template registry currently accepts.
-
-    Imported lazily: the template registry imports this module for
-    :data:`KINDS`, so validation consults it at call time only.
-    """
-    from .templates import template_names
-
-    return template_names()
-
-def known_backends() -> Tuple[str, ...]:
-    """``'auto'`` plus every backend registered right now.
-
-    Backend names are validated against the live
-    :func:`~repro.backends.registry.default_registry` — registering a
-    custom backend makes it spec-valid everywhere (api, batch CLI,
-    serve) with no further wiring.  The module attribute ``BACKENDS``
-    resolves to this tuple for backwards compatibility.
-    """
-    return ("auto", *default_registry().names())
-
-
-def __getattr__(name: str):  # pragma: no cover - thin compat shim
-    if name == "BACKENDS":
-        return known_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: Every kind a spec accepts.
+_ACCEPTED_KINDS = KINDS + (DSL_KIND,)
 
 
 def apply_default_backend(
@@ -143,8 +117,7 @@ class QuerySpec:
         triangle solver).
     backend:
         Backend name — ``"auto"`` (registry capability dispatch) or any
-        name registered on the backend registry
-        (:func:`known_backends` lists the current set).
+        name registered on the backend registry.
     kappa:
         Witness budget κ — required for ``pairs-union``, rejected
         elsewhere.
@@ -180,10 +153,10 @@ class QuerySpec:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if self.kind not in _registered_kinds():
+        if self.kind not in _ACCEPTED_KINDS:
             raise ValidationError(
                 f"unknown query kind {self.kind!r}; "
-                f"expected one of {', '.join(_registered_kinds())}"
+                f"expected one of {', '.join(_ACCEPTED_KINDS)}"
             )
         object.__setattr__(self, "taus", self._normalise_taus(self.taus))
         object.__setattr__(self, "epsilon", _as_float(self.epsilon, "epsilon"))
@@ -191,10 +164,10 @@ class QuerySpec:
             raise ValidationError(
                 f"epsilon must lie in (0, 1], got {self.epsilon!r}"
             )
-        if self.kind == DSL_KIND or self.kind not in KINDS:
-            # DSL and custom-template kinds: the backend name must be
-            # registered (or 'auto'); kind/backend serving is checked
-            # per lowered primitive at plan time.
+        if self.kind == DSL_KIND:
+            # The backend name must be registered (or 'auto');
+            # kind/backend serving is checked per lowered primitive at
+            # plan time.
             names = default_registry().names()
             if self.backend != "auto" and self.backend not in names:
                 raise ValidationError(

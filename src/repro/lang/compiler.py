@@ -3,8 +3,9 @@
 A compiled pattern is an ordinary :class:`~repro.engine.planner.QueryPlan`
 whose ``stages`` name every distinct index the pattern needs — one
 :class:`~repro.engine.planner.PlanStage` per distinct
-:class:`~repro.engine.cache.IndexKey`, minted by the *same* backend
-descriptor hooks the legacy kinds use.  Two consequences fall out:
+:class:`~repro.engine.cache.IndexKey`, minted by the *same* planner
+function the legacy kinds use (:func:`~repro.engine.planner.lower_primitive`).
+Two consequences fall out:
 
 * stage keys are bit-identical to the keys the equivalent legacy query
   would emit, so DSL and legacy queries share indexes through the
@@ -240,20 +241,19 @@ def _evaluate(
 def compile_pattern(order: int, spec: Any, tps: TemporalPointSet, registry: Any = None):
     """Lower ``spec.pattern`` to a staged :class:`QueryPlan`.
 
-    Every primitive leaf resolves through the backend registry exactly
-    as its legacy kind would; distinct leaves that resolve to the same
+    Every primitive leaf lowers through
+    :func:`~repro.engine.planner.lower_primitive` exactly as its legacy
+    kind would; distinct leaves that lower to the same
     :class:`IndexKey` share one stage.  Validation failures (a leaf the
     registry rejects, e.g. ``exact=True`` off the ℓ∞ metric) surface as
     :class:`~repro.errors.ValidationError` at plan time.
     """
-    from ..backends.registry import default_registry
     from ..engine.cache import IndexKey
-    from ..engine.planner import PlanStage, QueryPlan
+    from ..engine.planner import PlanStage, QueryPlan, lower_primitive
 
     root: PatternNode = spec.pattern
     if root is None:
         raise ValidationError("pattern-dsl queries require a pattern payload")
-    reg = registry if registry is not None else default_registry()
 
     stages: List[PlanStage] = []
     stage_by_key: Dict[Any, str] = {}
@@ -264,18 +264,12 @@ def compile_pattern(order: int, spec: Any, tps: TemporalPointSet, registry: Any 
             for part in node.parts:
                 lower(part)
             return
-        leaf = _leaf_spec(node, spec)
-        descriptor = reg.resolve(leaf, tps).descriptor
-        key = descriptor.index_identity(leaf, tps.fingerprint())
+        key, leaf_builder = lower_primitive(_leaf_spec(node, spec), tps, registry)
         name = stage_by_key.get(key)
         if name is None:
             name = f"s{len(stages)}"
             stage_by_key[key] = name
-            stages.append(
-                PlanStage(
-                    name=name, key=key, builder=descriptor.make_builder(leaf, tps)
-                )
-            )
+            stages.append(PlanStage(name=name, key=key, builder=leaf_builder))
         stage_of[id(node)] = name
 
     lower(root)
@@ -296,6 +290,5 @@ def compile_pattern(order: int, spec: Any, tps: TemporalPointSet, registry: Any 
         key=IndexKey("pattern-dsl", tps.fingerprint(), spec.epsilon, "dsl", ()),
         builder=builder,
         runner=runner,
-        template="pattern-dsl",
         stages=tuple(stages),
     )

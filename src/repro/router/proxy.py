@@ -56,7 +56,7 @@ import asyncio
 import json
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 from ..errors import ValidationError
 from ..obs import ExpositionError, parse_exposition, relabel, render_merged
@@ -76,6 +76,7 @@ from ..serve.server import (
     AsyncApp,
     ConnectionState,
     UnavailableError,
+    dataset_route,
 )
 from .manifest import PlacementManifest
 from .placement import choose_worker
@@ -502,19 +503,15 @@ class RouterApp(AsyncApp):
             )
         elif route == ("POST", "/datasets"):
             await self._handle_register(request, writer, state)
-        elif request.path.startswith("/datasets/") and len(request.path) > 10:
-            if request.path.endswith("/events"):
-                if request.method != "POST":
-                    raise ProtocolError(
-                        405, f"{request.method} not allowed on {request.path}"
-                    )
-                await self._handle_append(request, writer, state)
-            elif request.method != "DELETE":
+        elif (matched := dataset_route(request.path)) is not None:
+            label, name = matched
+            append = label.endswith("/events")
+            if request.method != ("POST" if append else "DELETE"):
                 raise ProtocolError(
                     405, f"{request.method} not allowed on {request.path}"
                 )
-            else:
-                await self._handle_unregister(request, writer, state)
+            handler = self._handle_append if append else self._handle_unregister
+            await handler(name, request, writer, state)
         elif route == ("POST", "/query"):
             await self._handle_query(request, writer, state)
         elif request.path == "/debug/traces" or request.path.startswith(
@@ -533,20 +530,6 @@ class RouterApp(AsyncApp):
             raise ProtocolError(405, f"{request.method} not allowed on {request.path}")
         else:
             raise ProtocolError(404, f"no route for {request.path!r}")
-
-    def _route_label(self, request: Request) -> str:
-        if request.path in (
-            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
-            "/debug/traces",
-        ):
-            return request.path
-        if request.path.startswith("/debug/traces/"):
-            return "/debug/traces/{id}"
-        if request.path.startswith("/datasets/"):
-            if request.path.endswith("/events"):
-                return "/datasets/{name}/events"
-            return "/datasets/{name}"
-        return "other"
 
     async def _trace_document(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """One stitched cross-process span tree for ``trace_id``.
@@ -712,9 +695,9 @@ class RouterApp(AsyncApp):
             return 0, None
 
     async def _handle_unregister(
-        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+        self, name: str, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState,
     ) -> None:
-        name = unquote(request.path[len("/datasets/"):])
         entry = self.manifest.get(name)
         if entry is None:
             registered = ", ".join(self.manifest.names()) or "(none)"
@@ -735,7 +718,8 @@ class RouterApp(AsyncApp):
         await self._respond(writer, state, 200, payload)
 
     async def _handle_append(
-        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+        self, name: str, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState,
     ) -> None:
         """``POST /datasets/<name>/events`` — forward to the owner.
 
@@ -746,9 +730,6 @@ class RouterApp(AsyncApp):
         manifest's event log, so restart-with-replay and router boots
         restore the appended state, not just the seed registration.
         """
-        name = unquote(request.path[len("/datasets/"): -len("/events")])
-        if not name:
-            raise ProtocolError(404, "no route for '/datasets//events'")
         if not request.body:
             raise ProtocolError(400, "event batch body must not be empty")
         slot, status = self._worker_for(name)

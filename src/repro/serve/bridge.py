@@ -202,7 +202,7 @@ def _release_callback(
         # per-backend counts attribute work (and failures) to the
         # backend that actually ran — even when the future itself died
         # before producing a result envelope.
-        template = plan.template or plan.spec.kind
+        template = plan.spec.kind
         if not future.cancelled() and future.exception() is None:
             result = future.result()
             shard.record_result(

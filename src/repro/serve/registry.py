@@ -284,8 +284,7 @@ class DatasetShard:
         ``backend`` is the *resolved* backend name off the plan's cache
         key — per-backend accounting therefore reflects what actually
         ran, not what the client asked for (``auto`` never appears).
-        ``template`` is the plan template that served the query (the
-        spec's kind for legacy queries, ``pattern-dsl`` for compiled
+        ``template`` is the spec's kind (``pattern-dsl`` for compiled
         patterns).
         """
         # An error series exists from its first query on, at 0 until a

@@ -66,7 +66,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, unquote
 
 from ..blocks import RecordBlock
@@ -110,6 +110,7 @@ __all__ = [
     "AsyncApp",
     "ServeApp",
     "ServerHandle",
+    "dataset_route",
     "records_line",
     "run_server",
     "start_app_thread",
@@ -144,6 +145,24 @@ DEFAULT_BODY_TIMEOUT = 300.0
 #: destroy the error reply before the client has read it.
 LINGER_SECONDS = 2.0
 LINGER_MAX_BYTES = 256 * 1024
+
+
+def dataset_route(path: str) -> Optional[Tuple[str, str]]:
+    """Match ``/datasets/<name>`` and ``/datasets/<name>/events``.
+
+    Returns the route label and the percent-decoded name, or ``None``
+    for any other path.  Matching is by path segment, because names
+    never contain ``/``: a dataset may be called ``events``, and an
+    empty name or an extra segment matches nothing.
+    """
+    parts = path.split("/")
+    if len(parts) not in (3, 4) or parts[:2] != ["", "datasets"] or not parts[2]:
+        return None
+    if len(parts) == 3:
+        return "/datasets/{name}", unquote(parts[2])
+    if parts[3] == "events":
+        return "/datasets/{name}/events", unquote(parts[2])
+    return None
 
 
 async def _lingering_close(
@@ -268,6 +287,9 @@ class AsyncApp:
         #: Live connection task -> is it dispatching a request right now?
         #: (Only touched from the event loop; drives graceful drain.)
         self._conn_busy: Dict["asyncio.Task[None]", bool] = {}
+        #: Connection tasks the shutdown drain cancelled; they end
+        #: without an exception (see :meth:`handle_connection`).
+        self._drained: Set["asyncio.Task[None]"] = set()
         #: The app's metric families (``GET /metrics``).  Per-app, not
         #: process-global, so several servers in one process (tests,
         #: router + embedded workers) scrape independently.
@@ -461,10 +483,18 @@ class AsyncApp:
                     break
         except (ConnectionError, asyncio.TimeoutError):
             pass  # peer went away; admission slots are freed by callbacks
+        except asyncio.CancelledError:
+            # Stopped by the shutdown drain: end without an exception.
+            # On Python 3.11 and 3.12 asyncio's start_server callback
+            # calls exception() on a cancelled connection task, which
+            # raises and logs a traceback.  Other cancellations propagate.
+            if task not in self._drained:
+                raise
         finally:
             self._m_connections_active.dec()
             if task is not None:
                 self._conn_busy.pop(task, None)
+                self._drained.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -608,11 +638,19 @@ class AsyncApp:
     def _route_label(self, request: Request) -> str:
         """The ``route`` label for one request: a *bounded* route set.
 
-        Subclasses collapse parameterised paths (``/datasets/<name>`` →
-        ``/datasets/{name}``) and unknown paths to ``other`` so client
-        typos cannot mint unbounded label cardinality.
+        Parameterised paths collapse (``/datasets/<name>`` →
+        ``/datasets/{name}``) and unknown paths become ``other``, so
+        client typos cannot mint unbounded label cardinality.
         """
-        return request.path
+        if request.path in (
+            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
+            "/debug/traces",
+        ):
+            return request.path
+        if request.path.startswith("/debug/traces/"):
+            return "/debug/traces/{id}"
+        matched = dataset_route(request.path)
+        return matched[0] if matched is not None else "other"
 
     # ------------------------------------------------------------------
     async def _metrics_text(self) -> str:
@@ -680,10 +718,12 @@ class AsyncApp:
             if conn_task.done():
                 continue
             (busy if is_busy else idle).append(conn_task)
+        self._drained.update(idle)
         for conn_task in idle:
             conn_task.cancel()
         if busy:
             _done, pending = await asyncio.wait(busy, timeout=self.drain_timeout)
+            self._drained.update(pending)
             for conn_task in pending:
                 conn_task.cancel()
         leftovers = [t for t in (*idle, *busy) if not t.done()]
@@ -838,19 +878,15 @@ class ServeApp(AsyncApp):
             )
         elif route == ("POST", "/datasets"):
             await self._handle_register(request, writer, state)
-        elif request.path.startswith("/datasets/") and len(request.path) > 10:
-            if request.path.endswith("/events"):
-                if request.method != "POST":
-                    raise ProtocolError(
-                        405, f"{request.method} not allowed on {request.path}"
-                    )
-                await self._handle_append(request, writer, state)
-            elif request.method != "DELETE":
+        elif (matched := dataset_route(request.path)) is not None:
+            label, name = matched
+            append = label.endswith("/events")
+            if request.method != ("POST" if append else "DELETE"):
                 raise ProtocolError(
                     405, f"{request.method} not allowed on {request.path}"
                 )
-            else:
-                await self._handle_unregister(request, writer, state)
+            handler = self._handle_append if append else self._handle_unregister
+            await handler(name, request, writer, state)
         elif route == ("POST", "/query"):
             await self._handle_query(request, writer, state)
         elif request.path == "/debug/traces" or request.path.startswith(
@@ -867,20 +903,6 @@ class ServeApp(AsyncApp):
             raise ProtocolError(405, f"{request.method} not allowed on {request.path}")
         else:
             raise ProtocolError(404, f"no route for {request.path!r}")
-
-    def _route_label(self, request: Request) -> str:
-        if request.path in (
-            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
-            "/debug/traces",
-        ):
-            return request.path
-        if request.path.startswith("/debug/traces/"):
-            return "/debug/traces/{id}"
-        if request.path.startswith("/datasets/"):
-            if request.path.endswith("/events"):
-                return "/datasets/{name}/events"
-            return "/datasets/{name}"
-        return "other"
 
     # ------------------------------------------------------------------
     async def _handle_register(
@@ -917,7 +939,8 @@ class ServeApp(AsyncApp):
         await self._respond(writer, state, 201, {"registered": shard.describe()})
 
     async def _handle_unregister(
-        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+        self, name: str, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState,
     ) -> None:
         """``DELETE /datasets/<name>`` — close the shard and forget it.
 
@@ -928,14 +951,14 @@ class ServeApp(AsyncApp):
         released by done-callbacks), so it runs off the event loop like
         registration does.
         """
-        name = unquote(request.path[len("/datasets/"):])
         loop = asyncio.get_running_loop()
         # Raises UnknownDatasetError -> the connection loop answers 404.
         shard = await loop.run_in_executor(None, self.registry.remove, name)
         await self._respond(writer, state, 200, {"removed": shard.describe()})
 
     async def _handle_append(
-        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+        self, name: str, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState,
     ) -> None:
         """``POST /datasets/<name>/events`` — append an NDJSON event batch.
 
@@ -947,11 +970,6 @@ class ServeApp(AsyncApp):
         Parsing and index maintenance are CPU work, so they run off the
         event loop like registration does.
         """
-        name = unquote(
-            request.path[len("/datasets/"): -len("/events")]
-        )
-        if not name:
-            raise ProtocolError(404, "no route for '/datasets//events'")
         if not request.body:
             raise ProtocolError(400, "event batch body must not be empty")
         # Raises UnknownDatasetError -> the connection loop answers 404.
@@ -1014,7 +1032,7 @@ class ServeApp(AsyncApp):
         if plan_span is not None:
             plan_span.finish()
         if root is not None and plans:
-            root.set_attr("template", plans[0].template or plans[0].spec.kind)
+            root.set_attr("template", plans[0].spec.kind)
         if tenant is not None:
             # Quota before admission: a breach must not consume queue
             # slots.  check_and_consume only commits on success, so a

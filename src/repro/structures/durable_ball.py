@@ -51,9 +51,9 @@ def resolve_backend(backend: str) -> str:
     resolves ``auto`` earlier — through the backend registry
     (:meth:`repro.backends.registry.BackendRegistry.resolve`) — and
     always hands the index classes a concrete name, which this
-    function leaves untouched.  The ``cache_key()`` hooks on the index
-    classes rely on that: a cached index's identity always carries the
-    concrete backend that built it.
+    function leaves untouched.  Cache keys rely on that: the backend a
+    descriptor's ``index_identity`` names is the concrete backend that
+    builds the index.
     """
     return "cover-tree" if backend == "auto" else backend
 

@@ -71,6 +71,63 @@ def clustered_tps(draw):
     return TemporalPointSet(pts, s, s + np.asarray(lengths), metric=metric)
 
 
+def index_classes() -> dict:
+    """The index class each key's ``(backend, family)`` names."""
+    from repro.backends import vector
+    from repro.core.aggregate import SumPairIndex, UnionPairIndex
+    from repro.core.linf import LinfTriangleIndex
+    from repro.core.patterns import PatternIndex
+    from repro.core.triangles import DurableTriangleIndex
+
+    spatial = {
+        "triangles": DurableTriangleIndex,
+        "pairs-sum": SumPairIndex,
+        "pairs-union": UnionPairIndex,
+        "patterns": PatternIndex,
+    }
+    return {
+        "cover-tree": spatial,
+        "grid": spatial,
+        "vector": {
+            "triangles": vector.VectorTriangleIndex,
+            "pairs-sum": vector.VectorSumPairIndex,
+            "pairs-union": vector.VectorUnionPairIndex,
+            "patterns": vector.VectorPatternIndex,
+        },
+        "linf-exact": {"linf-triangles": LinfTriangleIndex},
+    }
+
+
+def check_plan_builds_its_key(tps: TemporalPointSet, spec) -> tuple[str, str]:
+    """Build ``spec``'s plan over ``tps`` and check the index against the
+    plan's key; return the key's ``(backend, family)``.
+
+    The descriptor's key is the only cache identity, so it must describe
+    what the plan's builder returns: the index class of its family and
+    backend, over the same dataset version and ε.
+    """
+    from repro.engine import plan_query
+
+    classes = index_classes()
+    plan = plan_query(0, spec, tps)
+    key, index = plan.key, plan.builder()
+    assert type(index) is classes[key.backend][key.family], spec
+    assert index.tps.fingerprint() == key.fingerprint == tps.fingerprint()
+    if key.backend == "linf-exact":
+        assert key.epsilon == 0.0  # the exact solver has no ε
+    else:
+        assert index.epsilon == key.epsilon == spec.epsilon, spec
+    if classes[key.backend] is classes["grid"]:
+        assert index.backend == key.backend, spec
+    if key.family == "pairs-sum":
+        # The vector SUM index always scores through profiles.
+        expected = getattr(index, "sum_backend", "profile")
+        assert key.extra == (expected,), spec
+    else:
+        assert key.extra == (), spec
+    return key.backend, key.family
+
+
 def random_intervals(n: int, seed: int = 0, horizon: int = 50):
     """Random integer-endpoint (start, end) pairs."""
     rng = np.random.default_rng(seed)

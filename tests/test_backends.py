@@ -38,12 +38,17 @@ from repro.cli import main as cli_main
 from repro.core.aggregate import SumPairIndex, UnionPairIndex
 from repro.core.patterns import PatternIndex
 from repro.core.triangles import DurableTriangleIndex
-from repro.engine import IndexKey, QueryEngine, QuerySpec, plan_query
+from repro.engine import KINDS, IndexKey, QueryEngine, QuerySpec, plan_query
 from repro.errors import BackendError, ValidationError
 from repro.obs import counter_value, parse_exposition
 from repro.structures.durable_ball import make_decomposition
 
-from conftest import clustered_tps, random_tps
+from conftest import (
+    check_plan_builds_its_key,
+    clustered_tps,
+    index_classes,
+    random_tps,
+)
 
 
 def fresh_registry() -> BackendRegistry:
@@ -484,24 +489,27 @@ class TestKeyStability:
             assert plan_query(0, spec, tps).key == expected, spec
 
     def test_plan_key_matches_index_cache_key_hook(self):
-        # The descriptor hooks and the solvers' own cache_key() must
-        # agree for every explicit backend name.
-        tps = random_tps(n=30, seed=9)
-        engine = QueryEngine()
-        for backend in ("cover-tree", "grid", "vector"):
-            for spec in (
-                QuerySpec(kind="triangles", taus=2.0, backend=backend),
-                QuerySpec(kind="pairs-sum", taus=2.0, backend=backend),
-                QuerySpec(kind="pairs-union", taus=2.0, kappa=2, backend=backend),
-                QuerySpec(kind="stars", taus=2.0, backend=backend),
-            ):
-                plan = plan_query(0, spec, tps)
-                hook = engine.get_index(tps, spec).cache_key()
-                assert hook[0] == plan.key.family
-                assert hook[1] == plan.key.fingerprint
-                assert hook[2] == plan.key.epsilon
-                assert hook[3] == plan.key.backend
-                assert tuple(hook[4:]) == plan.key.extra
+        # Every explicit backend name builds the index its plan key
+        # names, for every kind; together they build each (backend,
+        # family) pair. ``auto`` runs the same check in test_engine.
+        lp = random_tps(n=30, seed=9)
+        linf = random_tps(n=30, seed=9, metric="linf")
+        params = {"pairs-sum": {"sum_backend": "tree"}, "pairs-union": {"kappa": 2}}
+        cases = [
+            (lp, QuerySpec(kind=kind, taus=2.0, epsilon=0.25, backend=backend,
+                           **params.get(kind, {})))
+            for backend in ("cover-tree", "grid", "vector")
+            for kind in KINDS
+        ] + [
+            (linf, QuerySpec(kind="triangles", taus=2.0, epsilon=0.25,
+                             backend="linf-exact"))
+        ]
+        built = {check_plan_builds_its_key(tps, spec) for tps, spec in cases}
+        assert built == {
+            (backend, family)
+            for backend, families in index_classes().items()
+            for family in families
+        }
 
     def test_vector_sum_backends_share_one_build(self):
         # Regression: "profile" and "tree" on vector used to mint two
@@ -788,10 +796,7 @@ class TestVectorIndexSurface:
         tps = random_tps(n=120, seed=5)
         merged = _appended(tps)
         tau = 2.0
-        common = {
-            "cache_key": lambda ix: ix.cache_key(),
-            "maintained": lambda ix: ix.maintained(merged),
-        }
+        common = {"maintained": lambda ix: ix.maintained(merged)}
         surfaces = {
             VectorTriangleIndex: {
                 "query": lambda ix: ix.query(tau),
@@ -824,9 +829,6 @@ class TestVectorIndexSurface:
             assert public == set(calls), cls.__name__
             index = cls(tps, 0.5)
             got = {name: call(index) for name, call in calls.items()}
-            assert got["cache_key"][:4] == (
-                cls.family, tps.fingerprint(), 0.5, "vector"
-            )
             assert type(got["maintained"]) is cls
             assert got["maintained"].tps is merged
             for name in queries:

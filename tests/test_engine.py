@@ -3,8 +3,7 @@
 Covers the acceptance criterion — a batch of ≥10 mixed queries over one
 dataset builds each distinct index exactly once and matches per-call
 ``repro.api`` results — plus cache accounting, τ-sweep equivalence,
-concurrent-batch determinism, spec validation and serialisation, and
-the ``cache_key()`` hooks on the core index classes.
+concurrent-batch determinism, and spec validation and serialisation.
 
 The ISSUE 2 fault-isolation fixes are regression-tested here too: a
 poisoned query no longer destroys its batch, waiters on a failed
@@ -36,7 +35,7 @@ from repro.engine import (
 )
 from repro.engine.planner import distinct_index_keys
 
-from conftest import random_tps
+from conftest import check_plan_builds_its_key, random_tps
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +76,15 @@ class TestQuerySpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             QuerySpec(**kwargs)
+
+    def test_unknown_kind_error_lists_every_accepted_kind(self):
+        expected = (
+            "unknown query kind 'bogus'; expected one of triangles, cliques, "
+            "paths, stars, pairs-sum, pairs-union, pattern-dsl"
+        )
+        with pytest.raises(ValidationError) as info:
+            QuerySpec(kind="bogus", taus=1.0)
+        assert str(info.value) == expected
 
     def test_pattern_m_defaults_to_three(self):
         assert QuerySpec(kind="cliques", taus=2.0).m == 3
@@ -212,21 +220,19 @@ class TestPlanner:
             )
 
     def test_index_cache_key_hook_matches_plan_key(self, small_tps):
-        engine = QueryEngine()
-        for spec in (
-            QuerySpec(kind="triangles", taus=3.0),
-            QuerySpec(kind="pairs-sum", taus=3.0),
-            QuerySpec(kind="pairs-union", taus=3.0, kappa=2),
-            QuerySpec(kind="cliques", taus=3.0),
-        ):
-            plan = plan_query(0, spec, small_tps)
-            index = engine.get_index(small_tps, spec)
-            ck = index.cache_key()
-            assert ck[0] == plan.key.family
-            assert ck[1] == plan.key.fingerprint == small_tps.fingerprint()
-            assert ck[2] == plan.key.epsilon
-            assert ck[3] == plan.key.backend
-            assert tuple(ck[4:]) == plan.key.extra
+        # ``auto`` resolves to a concrete backend, and the index that
+        # resolution builds must still be the one its plan key names.
+        linf = random_tps(n=30, seed=2, metric="linf")
+        cases = [
+            (small_tps, QuerySpec(kind="triangles", taus=3.0, epsilon=0.25)),
+            (small_tps, QuerySpec(kind="pairs-sum", taus=3.0, epsilon=0.25)),
+            (small_tps, QuerySpec(kind="pairs-union", taus=3.0, epsilon=0.25,
+                                  kappa=2)),
+            (small_tps, QuerySpec(kind="cliques", taus=3.0, epsilon=0.25)),
+            (linf, QuerySpec(kind="triangles", taus=3.0, epsilon=0.25)),
+        ]
+        for tps, spec in cases:
+            check_plan_builds_its_key(tps, spec)
 
     def test_fingerprint_tracks_content_not_identity(self):
         a, b = random_tps(n=25, seed=3), random_tps(n=25, seed=3)

@@ -786,6 +786,47 @@ def raw_request(handle, method, path, body=b""):
         conn.close()
 
 
+def _round_trip_dataset_named_events(handle):
+    """Register, append to and delete a dataset called ``events``.
+
+    Returns the DELETE counts of ``http_requests_total``, keyed by
+    ``(worker label, route, status)``.
+    """
+    status, body = raw_request(
+        handle, "POST", "/datasets",
+        json.dumps(
+            {"name": "events", "dataset": {"workload": "uniform", "n": 20}}
+        ).encode(),
+    )
+    assert status == 201, body
+    status, body = raw_request(
+        handle, "POST", "/datasets/events/events",
+        b'{"point": [0.5, 0.5], "start": 0.0, "end": 9.0}',
+    )
+    assert status == 200, body
+    assert json.loads(body)["appended"]["accepted"] == 1
+    status, body = raw_request(handle, "POST", "/datasets/events")
+    assert status == 405, body
+    for path in (
+        "/datasets/", "/datasets//events", "/datasets/events/x",
+        "/datasets/events/events/x",
+    ):
+        status, body = raw_request(handle, "DELETE", path)
+        assert (status, json.loads(body)["error"]) == (
+            404, f"no route for {path!r}"
+        )
+    status, body = raw_request(handle, "DELETE", "/datasets/events")
+    assert status == 200, body
+    status, body = raw_request(handle, "GET", "/datasets")
+    assert json.loads(body)["datasets"] == []
+    status, body = raw_request(handle, "GET", "/metrics")
+    return {
+        (s.labels.get("worker"), s.labels["route"], s.labels["status"]): s.value
+        for s in parse_exposition(body.decode())["http_requests_total"].samples
+        if s.labels["method"] == "DELETE"
+    }
+
+
 class TestServeEventsEndpoint:
     def test_append_bumps_epoch_and_describes(self, ingest_server):
         status, body = raw_request(
@@ -837,6 +878,16 @@ class TestServeEventsEndpoint:
         assert status == 201
         status, _doc = request_json(ingest_server, "DELETE", "/datasets/tmp")
         assert status == 200
+
+    def test_dataset_named_events_round_trips(self):
+        handle = start_server_thread()
+        try:
+            assert _round_trip_dataset_named_events(handle) == {
+                (None, "/datasets/{name}", "200"): 1.0,
+                (None, "other", "404"): 4.0,
+            }
+        finally:
+            handle.stop()
 
 
 # ----------------------------------------------------------------------
@@ -987,6 +1038,19 @@ class TestRouterIngestion:
                 families, "serve_dataset_epoch",
                 {"dataset": "social", "worker": owner},
             ) == 1
+        finally:
+            handle.stop()
+
+    def test_dataset_named_events_round_trips(self):
+        handle = start_router_thread(workers=1, probe_interval=0.3)
+        try:
+            (slot,) = (status.slot for status in handle.app.pool.statuses())
+            assert _round_trip_dataset_named_events(handle) == {
+                (None, "/datasets/{name}", "200"): 1.0,
+                (None, "other", "404"): 4.0,
+                # The worker saw only the forwarded delete.
+                (slot, "/datasets/{name}", "200"): 1.0,
+            }
         finally:
             handle.stop()
 

@@ -14,6 +14,7 @@ mid-chunked-stream.
 import asyncio
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -482,6 +483,60 @@ class TestShutdownDrain:
                 idle.close()
         finally:
             handle.stop()
+
+    def test_idle_keepalive_connection_stops_without_an_asyncio_error(
+        self, caplog
+    ):
+        # The drain cancels the idle connection's task; asyncio must not
+        # find an exception on it to log.
+        handle = start_server_thread()
+        try:
+            conn = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+            try:
+                status, _, _ = pooled_json(conn, "GET", "/health")
+                assert status == 200
+                handle.stop(timeout=10.0)
+            finally:
+                conn.close()
+        finally:
+            handle.stop()
+        assert [
+            r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.ERROR
+        ] == []
+
+    def test_only_the_drain_ends_a_connection_task_without_cancelling_it(self):
+        class Writer:
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        app = ServeApp()
+        try:
+            async def parked_connection():
+                # No bytes ever arrive: the loop waits in read_request.
+                task = asyncio.ensure_future(
+                    app.handle_connection(asyncio.StreamReader(), Writer())
+                )
+                await asyncio.sleep(0.05)
+                return task
+
+            async def main():
+                task = await parked_connection()
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert task.cancelled()
+                task = await parked_connection()
+                await app._drain_connections()
+                assert task.done() and not task.cancelled()
+                assert task.exception() is None
+
+            asyncio.run(main())
+        finally:
+            app.registry.close()
 
 
 # ----------------------------------------------------------------------
