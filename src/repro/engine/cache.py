@@ -15,11 +15,13 @@ behaviour.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 __all__ = ["IndexKey", "CacheOutcome", "CacheStats", "IndexCache"]
 
@@ -100,29 +102,20 @@ class CacheStats:
         }
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            builds=self.builds,
-            evictions=self.evictions,
-            failed_waits=self.failed_waits,
-            migrated=self.migrated,
-            invalidated=self.invalidated,
-            build_seconds=self.build_seconds,
-        )
+        return dataclasses.replace(self)
 
     def since(self, earlier: "CacheStats") -> "CacheStats":
-        """Activity between an earlier snapshot and now (per-batch stats)."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            builds=self.builds - earlier.builds,
-            evictions=self.evictions - earlier.evictions,
-            failed_waits=self.failed_waits - earlier.failed_waits,
-            migrated=self.migrated - earlier.migrated,
-            invalidated=self.invalidated - earlier.invalidated,
-            build_seconds=self.build_seconds - earlier.build_seconds,
-        )
+        """Activity between an earlier snapshot and now."""
+        return CacheStats(**{
+            f.name: getattr(self, f.name) - getattr(earlier, f.name)
+            for f in dataclasses.fields(self)
+        })
+
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in dataclasses.fields(self)
+        })
 
 
 @dataclass
@@ -175,6 +168,32 @@ class IndexCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[IndexKey, _Entry]" = OrderedDict()
         self._stats = CacheStats()
+        #: ``tally``: the calling thread's :meth:`counting` stats, if any.
+        self._local = threading.local()
+
+    @contextmanager
+    def counting(self, tally: CacheStats) -> Iterator[None]:
+        """Also count the calling thread's cache activity inside the
+        block into ``tally``.
+
+        The executor counts each query's acquisitions this way, so a
+        query's result carries its own figures, and a batch's are the
+        sum of its queries' — never another request's activity on a
+        shared cache.
+        """
+        self._local.tally = tally
+        try:
+            yield
+        finally:
+            self._local.tally = None
+
+    def _count(self, **amounts: float) -> None:
+        """Add ``amounts`` to the cache-wide stats and to the calling
+        thread's :meth:`counting` tally (caller holds the lock)."""
+        tally = getattr(self._local, "tally", None)
+        for stats in (self._stats,) if tally is None else (self._stats, tally):
+            for name, amount in amounts.items():
+                setattr(stats, name, getattr(stats, name) + amount)
 
     # ------------------------------------------------------------------
     def get_or_build(
@@ -195,7 +214,7 @@ class IndexCache:
                 if entry.ready.is_set():
                     # Completed entries in the table are always successes
                     # (failed flights are dropped before ready is set).
-                    self._stats.hits += 1
+                    self._count(hits=1)
                     return CacheOutcome(
                         entry.index, True, entry.build_seconds, "hit"
                     )
@@ -205,7 +224,7 @@ class IndexCache:
             else:
                 entry = _Entry()
                 self._entries[key] = entry
-                self._stats.misses += 1
+                self._count(misses=1)
                 owner = True
 
         if owner:
@@ -222,8 +241,7 @@ class IndexCache:
                 raise
             entry.build_seconds = time.perf_counter() - t0
             with self._lock:
-                self._stats.builds += 1
-                self._stats.build_seconds += entry.build_seconds
+                self._count(builds=1, build_seconds=entry.build_seconds)
                 self._evict_locked()
             entry.ready.set()
             return CacheOutcome(entry.index, False, entry.build_seconds, "build")
@@ -231,10 +249,10 @@ class IndexCache:
         entry.ready.wait()
         if entry.error is not None:
             with self._lock:
-                self._stats.failed_waits += 1
+                self._count(failed_waits=1)
             raise _waiter_copy(entry.error)
         with self._lock:
-            self._stats.hits += 1
+            self._count(hits=1)
         return CacheOutcome(entry.index, True, entry.build_seconds, "wait")
 
     def _evict_locked(self) -> None:
@@ -249,7 +267,7 @@ class IndexCache:
             if victim is None:
                 return
             del self._entries[victim]
-            self._stats.evictions += 1
+            self._count(evictions=1)
 
     # ------------------------------------------------------------------
     def advance(
@@ -300,13 +318,13 @@ class IndexCache:
                 if kept is None or new_key in self._entries:
                     # No maintenance, or a racing build already owns the
                     # new-epoch slot (the single-flight winner stands).
-                    self._stats.invalidated += 1
+                    self._count(invalidated=1)
                     invalidated.append(key)
                     continue
                 slot = _Entry(index=kept, build_seconds=entry.build_seconds)
                 slot.ready.set()
                 self._entries[new_key] = slot
-                self._stats.migrated += 1
+                self._count(migrated=1)
                 migrated.append(new_key)
         return {"migrated": migrated, "invalidated": invalidated}
 

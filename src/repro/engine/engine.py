@@ -96,7 +96,6 @@ class QueryEngine:
         """
         coerced = [_coerce_spec(s) for s in specs]
         plans = plan_batch(coerced, tps)
-        before = self.cache.stats.snapshot()
         t0 = time.perf_counter()
         results = execute_plans(
             plans,
@@ -110,9 +109,11 @@ class QueryEngine:
             results=tuple(results),
             wall_seconds=wall,
             distinct_indexes=len(distinct_index_keys(plans)),
-            # Only this batch's activity — a long-lived engine's cumulative
-            # figures stay on engine.stats.
-            cache_stats=self.cache.stats.snapshot().since(before).as_dict(),
+            # Only this batch's own acquisitions — a long-lived engine's
+            # cumulative figures stay on engine.stats.
+            cache_stats=sum(
+                (r.cache_activity for r in results), CacheStats()
+            ).as_dict(),
         )
 
     def run(self, tps: TemporalPointSet, spec: SpecLike, **overrides: Any) -> QueryResult:

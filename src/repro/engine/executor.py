@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.trace import ExecTrace
-from .cache import IndexCache
+from .cache import CacheStats, IndexCache
 from .planner import QueryPlan
 from .results import QueryResult
 
@@ -45,23 +45,29 @@ def default_worker_count(n_plans: int) -> int:
     return max(1, min(n_plans, cpus))
 
 
-def _traced_get(cache: IndexCache, key, builder, trace, parent_id, stage=None):
+def _traced_get(
+    cache: IndexCache, key, builder, trace, parent_id, activity: CacheStats,
+    stage=None,
+):
     """``get_or_build`` wrapped in a ``cache.get`` span when tracing.
 
-    The span's ``outcome`` attribute distinguishes a ready hit, the
-    single-flight build this request owned, and a wait on someone
-    else's in-flight build — the three latencies an operator needs to
-    tell apart when a cold index shows up in a waterfall.
+    The acquisition is also counted into ``activity``, the query's own
+    share of the cache's figures.  The span's ``outcome`` attribute
+    distinguishes a ready hit, the single-flight build this request
+    owned, and a wait on someone else's in-flight build — the three
+    latencies an operator needs to tell apart when a cold index shows
+    up in a waterfall.
     """
     if trace is None:
-        return cache.get_or_build(key, builder)
+        with cache.counting(activity):
+            return cache.get_or_build(key, builder)
     handle = trace.recorder.start_span(
         "cache.get",
         parent_id=parent_id,
         attrs={"family": key.family, "backend": key.backend,
                **({"stage": stage} if stage is not None else {})},
     )
-    with handle:
+    with handle, cache.counting(activity):
         outcome = cache.get_or_build(key, builder)
         handle.set_attr("outcome", outcome.source)
         if not outcome.hit:
@@ -111,6 +117,7 @@ def _execute_one(
             },
         )
     parent_id = query_span.span_id if query_span is not None else None
+    activity = CacheStats()
     try:
         stage_timings: Tuple[Any, ...] = ()
         if plan.stages:
@@ -120,7 +127,7 @@ def _execute_one(
             timings = []
             for stage in plan.stages:
                 outcome = _traced_get(
-                    cache, stage.key, stage.builder, trace, parent_id,
+                    cache, stage.key, stage.builder, trace, parent_id, activity,
                     stage=stage.name,
                 )
                 indexes[stage.name] = outcome.index
@@ -139,7 +146,9 @@ def _execute_one(
             stage_timings = tuple(timings)
             target: Any = indexes
         else:
-            outcome = _traced_get(cache, plan.key, plan.builder, trace, parent_id)
+            outcome = _traced_get(
+                cache, plan.key, plan.builder, trace, parent_id, activity
+            )
             cache_hit = outcome.hit
             # The outcome carries its flight's own build time, so this
             # stays correct even if the entry was LRU-evicted by a later
@@ -183,6 +192,7 @@ def _execute_one(
                 build_seconds=0.0,
                 query_seconds=time.perf_counter() - t0,
                 error=f"{type(exc).__name__}: {exc}",
+                cache_activity=activity,
             ),
             exc,
         )
@@ -197,6 +207,7 @@ def _execute_one(
             build_seconds=build_seconds,
             query_seconds=query_seconds,
             stages=stage_timings,
+            cache_activity=activity,
         ),
         None,
     )

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..blocks import RecordBlock
 from ..types import PairRecord, PatternRecord, TriangleRecord
-from .cache import IndexKey
+from .cache import CacheStats, IndexKey
 from .spec import QuerySpec
 
 __all__ = ["QueryResult", "BatchResult", "record_to_dict"]
@@ -81,6 +81,10 @@ class QueryResult:
     #: Per-stage acquisition timings of a staged (``pattern-dsl``) plan;
     #: empty for the legacy stage-less kinds.
     stages: Tuple[Mapping[str, Any], ...] = field(default=())
+    #: This query's own activity on the shared index cache (see
+    #: :meth:`~repro.engine.cache.IndexCache.counting`); a batch's
+    #: ``cache`` figures are the sum over its queries.
+    cache_activity: CacheStats = field(default_factory=CacheStats)
 
     @property
     def ok(self) -> bool:
@@ -134,8 +138,9 @@ class QueryResult:
 class BatchResult:
     """Outcome of :meth:`repro.engine.QueryEngine.run_batch`.
 
-    ``cache_stats`` covers only this batch's cache activity; the
-    engine's cumulative figures live on ``engine.stats``.
+    ``cache_stats`` covers only this batch's own cache acquisitions,
+    even while other batches share the cache; the engine's cumulative
+    figures live on ``engine.stats``.
     """
 
     results: Tuple[QueryResult, ...]

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from ..obs.tracestore import DEFAULT_SLOW_QUERY_MS, DEFAULT_TRACE_SAMPLE
-from ..serve.server import ServerHandle, start_app_thread
+from ..serve.server import ServerHandle, run_app, start_app_thread
 from .manifest import ManifestEntry, PlacementManifest
 from .placement import choose_worker
 from .proxy import RouterApp
@@ -60,11 +59,13 @@ def _build_router(
     probe_interval: float,
     serve_args: Sequence[str],
     datasets: Optional[Mapping[str, Any]],
-    trace_sample: float = DEFAULT_TRACE_SAMPLE,
-    slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-    tracing: bool = True,
+    **settings: Any,
 ) -> RouterApp:
-    """Spawn the worker fleet and restore state; blocking."""
+    """Spawn the worker fleet and restore state; blocking.
+
+    ``settings`` are :class:`RouterApp`'s connection and tracing
+    settings.
+    """
     manifest = PlacementManifest(manifest_path)
     pool = WorkerPool(
         workers=workers,
@@ -74,13 +75,7 @@ def _build_router(
     )
     pool.start()
     try:
-        app = RouterApp(
-            pool,
-            manifest=manifest,
-            trace_sample=trace_sample,
-            slow_query_ms=slow_query_ms,
-            tracing=tracing,
-        )
+        app = RouterApp(pool, manifest=manifest, **settings)
         # A persisted manifest restores the previous layout before the
         # router takes traffic; CLI --dataset entries register after,
         # so an explicit boot dataset wins over a stale manifest row.
@@ -102,24 +97,16 @@ def run_router(
     serve_args: Sequence[str] = (),
     datasets: Optional[Mapping[str, Any]] = None,
     announce=None,
-    trace_sample: float = DEFAULT_TRACE_SAMPLE,
-    slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
+    **settings: Any,
 ) -> None:
-    """Blocking entry point for ``python -m repro route``."""
-    import asyncio
+    """Blocking entry point for ``python -m repro route``.
 
+    ``settings`` are :class:`RouterApp`'s.
+    """
     app = _build_router(
-        workers, manifest_path, probe_interval,
-        serve_args, datasets,
-        trace_sample=trace_sample, slow_query_ms=slow_query_ms,
+        workers, manifest_path, probe_interval, serve_args, datasets, **settings
     )
-    on_bound = None
-    if announce is not None:
-        on_bound = lambda h, p: announce(h, p, app)
-    try:
-        asyncio.run(app.run_until_shutdown(host, port, on_bound=on_bound))
-    except KeyboardInterrupt:
-        pass
+    run_app(app, host, port, announce)
 
 
 def start_router_thread(
@@ -131,22 +118,17 @@ def start_router_thread(
     serve_args: Sequence[str] = (),
     datasets: Optional[Mapping[str, Any]] = None,
     boot_timeout: float = 30.0,
-    trace_sample: float = DEFAULT_TRACE_SAMPLE,
-    slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-    tracing: bool = True,
+    **settings: Any,
 ) -> ServerHandle:
     """Start a router (plus its worker fleet) on a daemon thread.
 
     Returns once the router is listening; ``handle.stop()`` drains the
     router and the whole fleet.  The worker processes are real
     subprocesses — this is the fixture the failover tests and the
-    router bench drive.
+    router bench drive.  ``settings`` are :class:`RouterApp`'s.
     """
     app = _build_router(
-        workers, manifest_path, probe_interval,
-        serve_args, datasets,
-        trace_sample=trace_sample, slow_query_ms=slow_query_ms,
-        tracing=tracing,
+        workers, manifest_path, probe_interval, serve_args, datasets, **settings
     )
     try:
         return start_app_thread(

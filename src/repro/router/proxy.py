@@ -1,8 +1,9 @@
 """The routing front end: one public port over N worker processes.
 
 :class:`RouterApp` speaks the exact same NDJSON-over-HTTP protocol as
-the single-process serve layer — clients cannot tell the difference —
-but owns **placement** instead of shards:
+the single-process serve layer — both answer from one route table,
+:data:`repro.serve.server.ROUTES`, so clients cannot tell the
+difference — but owns **placement** instead of shards:
 
 * ``POST   /datasets`` picks the owning worker by rendezvous (HRW)
   hashing over slot ids (:mod:`repro.router.placement`), forwards the
@@ -61,23 +62,10 @@ from urllib.parse import quote
 from ..errors import ValidationError
 from ..obs import ExpositionError, parse_exposition, relabel, render_merged
 from ..obs.trace import TRACEPARENT_HEADER, format_traceparent
-from ..obs.tracestore import DEFAULT_SLOW_QUERY_MS, DEFAULT_TRACE_SAMPLE
-from ..serve.http import (
-    ProtocolError,
-    Request,
-    end_chunked,
-    start_stream,
-)
+from ..serve.client import decode_reply
+from ..serve.http import ProtocolError, Request, end_chunked
 from ..serve.registry import UnknownDatasetError
-from ..serve.server import (
-    DEFAULT_DRAIN_TIMEOUT,
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_REQUESTS_PER_CONNECTION,
-    AsyncApp,
-    ConnectionState,
-    UnavailableError,
-    dataset_route,
-)
+from ..serve.server import AsyncApp, ConnectionState, UnavailableError
 from .manifest import PlacementManifest
 from .placement import choose_worker
 from .supervisor import WorkerPool, WorkerStatus, worker_request
@@ -107,7 +95,11 @@ _UPSTREAM_ERRORS = (
 
 
 class RouterApp(AsyncApp):
-    """Route client requests onto the worker pool."""
+    """Answer the protocol by proxying onto the worker pool.
+
+    ``settings`` are :class:`~repro.serve.server.AsyncApp`'s connection
+    and tracing settings, passed through.
+    """
 
     tier = "router"
 
@@ -115,21 +107,9 @@ class RouterApp(AsyncApp):
         self,
         pool: WorkerPool,
         manifest: Optional[PlacementManifest] = None,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        max_requests_per_connection: int = DEFAULT_MAX_REQUESTS_PER_CONNECTION,
-        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-        trace_sample: float = DEFAULT_TRACE_SAMPLE,
-        slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-        tracing: bool = True,
+        **settings: Any,
     ) -> None:
-        super().__init__(
-            idle_timeout=idle_timeout,
-            max_requests_per_connection=max_requests_per_connection,
-            drain_timeout=drain_timeout,
-            trace_sample=trace_sample,
-            slow_query_ms=slow_query_ms,
-            tracing=tracing,
-        )
+        super().__init__(**settings)
         self.pool = pool
         self.manifest = manifest if manifest is not None else pool.manifest
         #: Idle upstream keep-alive sockets per (slot, generation).
@@ -247,10 +227,7 @@ class RouterApp(AsyncApp):
         """The (slot, live status) owning ``name``; 404/503 otherwise."""
         entry = self.manifest.get(name)
         if entry is None:
-            registered = ", ".join(self.manifest.names()) or "(none)"
-            raise UnknownDatasetError(
-                f"unknown dataset {name!r}; registered: {registered}"
-            )
+            raise UnknownDatasetError(name, self.manifest.names())
         status = self.pool.status(entry.worker)
         if not status.running:
             self._m_unavailable.inc()
@@ -440,96 +417,62 @@ class RouterApp(AsyncApp):
         status: WorkerStatus,
         method: str,
         path: str,
-        payload: Optional[Any] = None,
+        body: bytes = b"",
         timeout: float = UPSTREAM_TIMEOUT,
     ) -> Tuple[int, Any]:
-        """One JSON round trip to a worker over a pooled connection."""
-        body = json.dumps(payload).encode() if payload is not None else b""
+        """One round trip to a worker over a pooled connection; returns
+        the status and the decoded JSON reply."""
         code, headers, reader, writer = await self._upstream_request(
             status, method, path, body, timeout
         )
         raw = await self._read_upstream_body(
             status, headers, reader, writer, timeout
         )
-        try:
-            doc = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            doc = {"error": raw.decode("utf-8", "replace")}
-        return code, doc
+        return code, decode_reply(raw)
 
     # ------------------------------------------------------------------
-    # Routes
+    # Route handlers (the routes themselves are serve.server.ROUTES)
     # ------------------------------------------------------------------
-    async def _dispatch(
+    async def _handle_health(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
-        route = (request.method, request.path)
-        if route == ("GET", "/health"):
-            statuses = self.pool.statuses()
-            await self._respond(
-                writer,
-                state,
-                200,
-                {
-                    "ok": True,
-                    "role": "router",
-                    "workers": {
-                        "total": len(statuses),
-                        "alive": sum(1 for s in statuses if s.running),
-                    },
-                    "datasets": len(self.manifest),
+        statuses = self.pool.statuses()
+        await self._respond(
+            writer,
+            state,
+            200,
+            {
+                "ok": True,
+                "role": "router",
+                "workers": {
+                    "total": len(statuses),
+                    "alive": sum(1 for s in statuses if s.running),
                 },
-            )
-        elif route == ("GET", "/stats"):
-            await self._respond(writer, state, 200, self.stats())
-        elif route == ("GET", "/datasets"):
-            await self._respond(
-                writer,
-                state,
-                200,
-                {
-                    "datasets": [
-                        {
-                            "name": entry.name,
-                            "worker": entry.worker,
-                            "dataset": entry.payload.get("dataset"),
-                            "event_batches": len(entry.events),
-                        }
-                        for entry in sorted(
-                            self.manifest.entries(), key=lambda e: e.name
-                        )
-                    ]
-                },
-            )
-        elif route == ("POST", "/datasets"):
-            await self._handle_register(request, writer, state)
-        elif (matched := dataset_route(request.path)) is not None:
-            label, name = matched
-            append = label.endswith("/events")
-            if request.method != ("POST" if append else "DELETE"):
-                raise ProtocolError(
-                    405, f"{request.method} not allowed on {request.path}"
-                )
-            handler = self._handle_append if append else self._handle_unregister
-            await handler(name, request, writer, state)
-        elif route == ("POST", "/query"):
-            await self._handle_query(request, writer, state)
-        elif request.path == "/debug/traces" or request.path.startswith(
-            "/debug/traces/"
-        ):
-            await self._handle_debug_traces(request, writer, state)
-        elif route == ("GET", "/metrics"):
-            await self._respond_metrics(writer, state)
-        elif route == ("POST", "/shutdown"):
-            state.keep_alive = False
-            await self._respond(writer, state, 200, {"ok": True, "stopping": True})
-            self._shutdown.set()
-        elif request.path in (
-            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
-        ):
-            raise ProtocolError(405, f"{request.method} not allowed on {request.path}")
-        else:
-            raise ProtocolError(404, f"no route for {request.path!r}")
+                "datasets": len(self.manifest),
+            },
+        )
+
+    async def _handle_list(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+    ) -> None:
+        await self._respond(
+            writer,
+            state,
+            200,
+            {
+                "datasets": [
+                    {
+                        "name": entry.name,
+                        "worker": entry.worker,
+                        "dataset": entry.payload.get("dataset"),
+                        "event_batches": len(entry.events),
+                    }
+                    for entry in sorted(
+                        self.manifest.entries(), key=lambda e: e.name
+                    )
+                ]
+            },
+        )
 
     async def _trace_document(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """One stitched cross-process span tree for ``trace_id``.
@@ -543,7 +486,7 @@ class RouterApp(AsyncApp):
         independently, so a partial answer (worker kept it, router
         evicted it, or vice versa) still renders.
         """
-        own = self.trace_store.get(trace_id) if self.trace_store else None
+        own = self._require_traces().get(trace_id)
         spans = list(own["spans"]) if own else []
 
         async def fetch(slot: str):
@@ -626,15 +569,7 @@ class RouterApp(AsyncApp):
     async def _handle_register(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
-        doc = request.json()
-        if (
-            not isinstance(doc, dict)
-            or not isinstance(doc.get("name"), str)
-            or "dataset" not in doc
-        ):
-            raise ProtocolError(
-                400, "register body must be {'name': ..., 'dataset': {spec}}"
-            )
+        doc = self._register_body(request)
         name = doc["name"]
         replace = bool(doc.get("replace", False))
         existing = self.manifest.get(name)
@@ -662,7 +597,8 @@ class RouterApp(AsyncApp):
                 retry_after=2.0,
             )
         code, body = await self._roundtrip(
-            status, "POST", "/datasets", dict(doc, replace=replace)
+            status, "POST", "/datasets",
+            json.dumps(dict(doc, replace=replace)).encode(),
         )
         if code == 201:
             self._m_registrations.inc()
@@ -700,10 +636,7 @@ class RouterApp(AsyncApp):
     ) -> None:
         entry = self.manifest.get(name)
         if entry is None:
-            registered = ", ".join(self.manifest.names()) or "(none)"
-            raise UnknownDatasetError(
-                f"unknown dataset {name!r}; registered: {registered}"
-            )
+            raise UnknownDatasetError(name, self.manifest.names())
         code, body = await self._forward_delete(entry.worker, name)
         # The manifest entry goes regardless: once the operator deletes
         # a dataset, a later worker restart must not resurrect it.  An
@@ -723,27 +656,19 @@ class RouterApp(AsyncApp):
     ) -> None:
         """``POST /datasets/<name>/events`` — forward to the owner.
 
-        The NDJSON body passes through verbatim (it is not JSON, so
-        this rides :meth:`_upstream_request` directly rather than the
-        JSON round trip).  A batch the worker *accepted* — any accepted
-        count, even alongside rejected lines — is recorded in the
-        manifest's event log, so restart-with-replay and router boots
-        restore the appended state, not just the seed registration.
+        The NDJSON body passes through verbatim.  A batch the worker
+        *accepted* — any accepted count, even alongside rejected lines
+        — is recorded in the manifest's event log, so
+        restart-with-replay and router boots restore the appended
+        state, not just the seed registration.
         """
         if not request.body:
             raise ProtocolError(400, "event batch body must not be empty")
         slot, status = self._worker_for(name)
-        code, up_headers, up_reader, up_writer = await self._upstream_request(
+        code, body = await self._roundtrip(
             status, "POST", f"/datasets/{quote(name, safe='')}/events",
-            request.body, UPSTREAM_TIMEOUT,
+            request.body,
         )
-        raw = await self._read_upstream_body(
-            status, up_headers, up_reader, up_writer, UPSTREAM_TIMEOUT
-        )
-        try:
-            body = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            body = {"error": raw.decode("utf-8", "replace")}
         if code == 200:
             self._m_appends.inc()
             report = body.get("appended") if isinstance(body, dict) else None
@@ -809,13 +734,9 @@ class RouterApp(AsyncApp):
 
         if up_headers.get("transfer-encoding", "").lower() != "chunked":
             # Non-streaming answer (400/404/429/…): relay it whole.
-            raw = await self._read_upstream_body(
+            payload = decode_reply(await self._read_upstream_body(
                 status, up_headers, up_reader, up_writer, UPSTREAM_TIMEOUT
-            )
-            try:
-                payload = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                payload = {"error": raw.decode("utf-8", "replace")}
+            ))
             extra = {}
             if code in (429, 503) and "retry-after" in up_headers:
                 extra["Retry-After"] = up_headers["retry-after"]
@@ -833,15 +754,7 @@ class RouterApp(AsyncApp):
         # client chunk by chunk.  Every chunk is one NDJSON line, so the
         # incremental τ-sweep delivery survives the hop.
         self._m_proxied.inc()
-        chunked = request.version != "HTTP/1.0"
-        if not chunked:
-            state.keep_alive = False  # raw NDJSON is close-delimited
-        await start_stream(
-            writer, code,
-            extra_headers=state.response_headers() or None,
-            close=not state.keep_alive,
-            chunked=chunked,
-        )
+        chunked = await self._start_stream(request, writer, state, code)
         try:
             complete, relayed = await self._relay_chunks(up_reader, writer, chunked)
             self._m_relay_bytes.labels(worker=slot).inc(relayed)

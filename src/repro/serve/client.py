@@ -23,6 +23,7 @@ from urllib.parse import quote, urlencode
 __all__ = [
     "append_events",
     "connect",
+    "decode_reply",
     "events_path",
     "fetch_trace",
     "fetch_traces",
@@ -30,6 +31,17 @@ __all__ = [
     "request",
     "request_raw",
 ]
+
+
+def decode_reply(raw: bytes) -> Any:
+    """A reply body as JSON: ``{}`` when empty, ``{"error": <text>}``
+    when it does not parse."""
+    if not raw:
+        return {}
+    try:
+        return json.loads(raw)
+    except ValueError:  # not JSON, or not UTF-8
+        return {"error": raw.decode("utf-8", "replace")}
 
 
 def probe(host: str, port: int, timeout: float = 2.0) -> None:
@@ -104,11 +116,7 @@ def append_events(
     an unparsable body.
     """
     status, raw = request_raw(conn, "POST", events_path(name), batch)
-    try:
-        doc = json.loads(raw) if raw else {}
-    except json.JSONDecodeError:
-        doc = {"error": raw.decode("utf-8", "replace")}
-    return status, doc
+    return status, decode_reply(raw)
 
 
 def fetch_trace(
@@ -124,11 +132,7 @@ def fetch_trace(
     status, raw = request(
         conn, "GET", f"/debug/traces/{quote(trace_id, safe='')}"
     )
-    try:
-        doc = json.loads(raw) if raw else {}
-    except json.JSONDecodeError:
-        doc = {"error": raw.decode("utf-8", "replace")}
-    return status, doc
+    return status, decode_reply(raw)
 
 
 def fetch_traces(
@@ -156,8 +160,4 @@ def fetch_traces(
     if params:
         path += "?" + urlencode(params)
     status, raw = request(conn, "GET", path)
-    try:
-        doc = json.loads(raw) if raw else {}
-    except json.JSONDecodeError:
-        doc = {"error": raw.decode("utf-8", "replace")}
-    return status, doc
+    return status, decode_reply(raw)

@@ -223,19 +223,11 @@ async def send_json(
     close: bool = True,
 ) -> None:
     """Send a complete JSON response (non-streaming endpoints)."""
-    body = (json.dumps(payload) + "\n").encode("utf-8")
-    writer.write(_status_line(status))
-    headers = {
-        "Content-Type": "application/json",
-        "Content-Length": str(len(body)),
-        "Connection": "close" if close else "keep-alive",
-        **(extra_headers or {}),
-    }
-    for name, value in headers.items():
-        writer.write(f"{name}: {value}\r\n".encode("latin-1"))
-    writer.write(b"\r\n")
-    writer.write(body)
-    await writer.drain()
+    await send_text(
+        writer, status, json.dumps(payload) + "\n",
+        content_type="application/json",
+        extra_headers=extra_headers, close=close,
+    )
 
 
 async def send_text(
@@ -246,7 +238,8 @@ async def send_text(
     extra_headers: Optional[Dict[str, str]] = None,
     close: bool = True,
 ) -> None:
-    """Send a complete plain-text response (the ``/metrics`` scrape)."""
+    """Send a complete text response (the ``/metrics`` scrape, and
+    every JSON reply through :func:`send_json`)."""
     body = text.encode("utf-8")
     writer.write(_status_line(status))
     headers = {

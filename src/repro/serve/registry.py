@@ -31,6 +31,7 @@ from .bridge import AdmissionQueue
 
 __all__ = [
     "UnknownDatasetError",
+    "check_dataset_name",
     "DuplicateDatasetError",
     "DatasetShard",
     "DatasetRegistry",
@@ -92,10 +93,27 @@ def _parse_event(doc: Any, dim: int) -> tuple:
 
 
 class UnknownDatasetError(ReproError, KeyError):
-    """Raised when a query names a dataset that was never registered."""
+    """Raised when a request names a dataset that was never registered.
+
+    Both tiers raise it with the names they hold, so the 404 reads the
+    same from a worker and from the router.
+    """
+
+    def __init__(self, name: str, registered: Sequence[str]) -> None:
+        listed = ", ".join(registered) or "(none)"
+        super().__init__(f"unknown dataset {name!r}; registered: {listed}")
 
     def __str__(self) -> str:  # KeyError quotes its repr; keep it readable
-        return self.args[0] if self.args else ""
+        return self.args[0]
+
+
+def check_dataset_name(name: Any) -> None:
+    """The dataset naming rule on both tiers: a non-empty string with
+    no ``/`` (names are one path segment) and no surrounding blanks."""
+    if not isinstance(name, str) or not name or "/" in name or name != name.strip():
+        raise ValidationError(
+            f"dataset name must be a non-empty string without '/', got {name!r}"
+        )
 
 
 class DuplicateDatasetError(ValidationError):
@@ -569,10 +587,7 @@ class DatasetRegistry:
         before the (possibly slow) workload build, so a duplicate —
         racing or not — is rejected before any work.
         """
-        if not isinstance(name, str) or not name or "/" in name or name != name.strip():
-            raise ValidationError(
-                f"dataset name must be a non-empty string without '/', got {name!r}"
-            )
+        check_dataset_name(name)
         with self._lock:
             if (name in self._shards or name in self._reserved) and not replace:
                 raise DuplicateDatasetError(
@@ -635,9 +650,7 @@ class DatasetRegistry:
         with self._lock:
             shard = self._shards.get(name)
         if shard is None:
-            raise UnknownDatasetError(
-                f"unknown dataset {name!r}; registered: {self.names() or '(none)'}"
-            )
+            raise UnknownDatasetError(name, self.names())
         return shard
 
     def remove(self, name: str) -> DatasetShard:
@@ -655,9 +668,7 @@ class DatasetRegistry:
             if shard is not None:
                 shard.retire()
         if shard is None:
-            raise UnknownDatasetError(
-                f"unknown dataset {name!r}; registered: {self.names() or '(none)'}"
-            )
+            raise UnknownDatasetError(name, self.names())
         shard.close()
         shard.cache.clear()
         return shard

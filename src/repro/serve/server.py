@@ -1,15 +1,18 @@
 """The asyncio serving front end: routes, streaming, lifecycle.
 
 Two layers live here.  :class:`AsyncApp` is the protocol half — the
-HTTP/1.1 keep-alive connection loop, error→status mapping, graceful
-drain, lifecycle, and the per-request metrics seam (every front end
-owns a :class:`~repro.obs.MetricsRegistry` and answers ``GET
-/metrics``) — with routing left abstract; it exists so other front
-ends (the multi-process router in :mod:`repro.router`) can reuse the
-hardened connection handling without dragging in a dataset registry.
-:class:`ServeApp` is the serving half: it wires the sharded
-:class:`~repro.serve.registry.DatasetRegistry` and the bounded async
-bridge into an HTTP/NDJSON protocol:
+HTTP/1.1 keep-alive connection loop, routing, error→status mapping,
+graceful drain, lifecycle, and the per-request metrics seam (every
+front end owns a :class:`~repro.obs.MetricsRegistry` and answers ``GET
+/metrics``).  Routing comes from one table, :data:`ROUTES`, which maps
+each ``(method, route)`` to the name of the handler that answers it;
+:func:`match_route` matches a path to its route once per request, and
+that route is also the request's metrics label and decides whether it
+is traced.  The table is the protocol's front door for both tiers:
+:class:`ServeApp` and the multi-process router in :mod:`repro.router`
+supply only handlers.  :class:`ServeApp` is the serving half: it wires
+the sharded :class:`~repro.serve.registry.DatasetRegistry` and the
+bounded async bridge into an HTTP/NDJSON protocol:
 
 * ``GET    /health``   — liveness probe (used by CI to await boot);
 * ``GET    /datasets`` — registered dataset identities;
@@ -27,7 +30,8 @@ bridge into an HTTP/NDJSON protocol:
   query its ``records`` lines (one per τ, so a huge τ-sweep is never
   buffered as one document; :func:`records_line` writes a column
   block's records without building record objects) and a ``result``
-  status line, then a ``batch-end`` line with per-batch cache stats;
+  status line, then a ``batch-end`` line with per-batch cache stats
+  (the sum of the batch's own queries' cache activity);
 * ``GET    /stats``    — who this process is (``pid``, bound address,
   monotonic age) and its effective connection settings; it reports no
   counts;
@@ -35,7 +39,9 @@ bridge into an HTTP/NDJSON protocol:
   metrics registry, where every count lives (see ``docs/metrics.md``
   for the family reference);
 * ``POST   /shutdown`` — graceful stop: new connections are refused,
-  in-flight requests drain, idle keep-alive connections are closed.
+  in-flight requests drain, idle keep-alive connections are closed;
+* ``GET    /debug/traces`` and ``GET /debug/traces/<id>`` — recent
+  traces and one trace's span tree (see ``docs/tracing.md``).
 
 With a tenant table configured (``--api-keys``; see
 :mod:`repro.serve.tenants`), ``POST /query`` requires a known
@@ -70,6 +76,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, unquote
 
 from ..blocks import RecordBlock
+from ..engine.cache import CacheStats
 from ..engine.planner import plan_batch
 from ..engine.results import QueryResult, record_to_dict
 from ..engine.spec import QuerySpec, apply_default_backend
@@ -101,6 +108,7 @@ from .registry import (
     DatasetRegistry,
     DuplicateDatasetError,
     UnknownDatasetError,
+    check_dataset_name,
 )
 from .tenants import AuthError, Tenant, TenantTable
 
@@ -110,8 +118,11 @@ __all__ = [
     "AsyncApp",
     "ServeApp",
     "ServerHandle",
-    "dataset_route",
+    "ROUTES",
+    "UNTRACED_ROUTES",
+    "match_route",
     "records_line",
+    "run_app",
     "run_server",
     "start_app_thread",
     "start_server_thread",
@@ -147,22 +158,61 @@ LINGER_SECONDS = 2.0
 LINGER_MAX_BYTES = 256 * 1024
 
 
-def dataset_route(path: str) -> Optional[Tuple[str, str]]:
-    """Match ``/datasets/<name>`` and ``/datasets/<name>/events``.
+#: The protocol's routes, declared once for both tiers: ``(method,
+#: route)`` → the name of the app method that answers it.  A ``{…}``
+#: segment of a route matches one non-empty path segment, which the
+#: handler receives, percent-decoded, as its first argument.  A path
+#: that matches a route under another method is answered 405; a path
+#: that matches no route is 404 and labelled ``other``.
+ROUTES: Dict[Tuple[str, str], str] = {
+    ("GET", "/health"): "_handle_health",
+    ("GET", "/stats"): "_handle_stats",
+    ("GET", "/metrics"): "_handle_metrics",
+    ("GET", "/datasets"): "_handle_list",
+    ("POST", "/datasets"): "_handle_register",
+    ("DELETE", "/datasets/{name}"): "_handle_unregister",
+    ("POST", "/datasets/{name}/events"): "_handle_append",
+    ("POST", "/query"): "_handle_query",
+    ("POST", "/shutdown"): "_handle_shutdown",
+    ("GET", "/debug/traces"): "_handle_traces",
+    ("GET", "/debug/traces/{id}"): "_handle_trace",
+}
 
-    Returns the route label and the percent-decoded name, or ``None``
-    for any other path.  Matching is by path segment, because names
-    never contain ``/``: a dataset may be called ``events``, and an
-    empty name or an extra segment matches nothing.
+#: Routes that never open a trace: high-frequency probes and scrapes
+#: (the router polls worker ``/health`` twice a second; tracing them
+#: would churn every ring buffer) and the trace endpoints themselves.
+UNTRACED_ROUTES = frozenset(
+    {"/health", "/metrics", "/debug/traces", "/debug/traces/{id}"}
+)
+
+_ROUTE_SEGMENTS = {route: route.split("/") for _, route in ROUTES}
+
+
+def match_route(path: str) -> Tuple[str, Optional[str]]:
+    """The route of :data:`ROUTES` that ``path`` belongs to, and its
+    percent-decoded parameter (``None`` for a route without one).
+
+    Matching is by path segment, because dataset names never contain
+    ``/``: a dataset may be called ``events``, and an empty segment or
+    an extra one matches nothing.  An unmatched path is ``other``, so
+    the ``route`` metrics label stays a bounded set whatever clients
+    send.
     """
+    if path in _ROUTE_SEGMENTS and "{" not in path:
+        return path, None  # a route without a parameter
     parts = path.split("/")
-    if len(parts) not in (3, 4) or parts[:2] != ["", "datasets"] or not parts[2]:
-        return None
-    if len(parts) == 3:
-        return "/datasets/{name}", unquote(parts[2])
-    if parts[3] == "events":
-        return "/datasets/{name}/events", unquote(parts[2])
-    return None
+    for route, pattern in _ROUTE_SEGMENTS.items():
+        if len(pattern) != len(parts):
+            continue
+        param = None
+        for want, got in zip(pattern, parts):
+            if want.startswith("{") and got:
+                param = unquote(got)
+            elif want != got:
+                break
+        else:
+            return route, param
+    return "other", None
 
 
 async def _lingering_close(
@@ -214,6 +264,10 @@ class ConnectionState:
     keep_alive: bool = False
     keep_alive_header: Optional[str] = None
     broken: bool = False
+    #: The request's route in :data:`ROUTES` (``other`` when none
+    #: matched) and its parameter, from :func:`match_route`.
+    route: str = "other"
+    param: Optional[str] = None
     #: HTTP status of the response written for this request (set by
     #: :meth:`AsyncApp._respond` and the streaming paths); feeds the
     #: ``status`` label of ``http_requests_total``.
@@ -233,26 +287,24 @@ class ConnectionState:
 
 
 class AsyncApp:
-    """The route-agnostic half of an asyncio HTTP front end.
+    """The shared half of an asyncio HTTP front end.
 
-    Owns everything that PR 3 hardened — the keep-alive request loop,
-    framing-error handling, idle/body timeouts, connection counters,
-    graceful drain and the serve/run lifecycle — and leaves
-    :meth:`_dispatch` (routing) and :meth:`_cleanup` (resource
-    teardown after drain) to subclasses.  :class:`ServeApp` routes onto
-    a dataset registry; :class:`repro.router.RouterApp` proxies onto a
-    pool of worker processes.
+    Owns the keep-alive request loop, framing-error handling,
+    idle/body timeouts, connection counters, graceful drain, the
+    serve/run lifecycle and routing.  Routing comes from the
+    :data:`ROUTES` table: :meth:`_dispatch` calls the handler the table
+    names for the request's route, or answers 404/405.  This class
+    answers the routes every front end serves the same way (``/stats``,
+    ``/metrics``, ``/shutdown`` and the trace routes); subclasses
+    supply the other handlers and :meth:`_cleanup` (resource teardown
+    after drain).  :class:`ServeApp` answers from a dataset registry;
+    :class:`repro.router.RouterApp` proxies onto a pool of worker
+    processes.
     """
 
     #: Tier name prefixing root span names (``serve.request`` /
     #: ``router.request``); subclasses override.
     tier = "serve"
-
-    #: Routes that never open a trace: high-frequency probes/scrapes
-    #: (the router polls worker ``/health`` twice a second — tracing
-    #: them would churn every ring buffer) and the trace endpoints
-    #: themselves.
-    UNTRACED_ROUTES = ("/health", "/metrics")
 
     def __init__(
         self,
@@ -405,12 +457,15 @@ class AsyncApp:
                 served += 1
                 if served > 1:
                     self._m_keepalive_reuses.inc()
+                route, param = match_route(request.path)
                 state = ConnectionState(
                     keep_alive=(
                         want_keep_alive(request)
                         and served < self.max_requests_per_connection
                         and not self._shutdown.is_set()
                     ),
+                    route=route,
+                    param=param,
                 )
                 if state.keep_alive:
                     state.keep_alive_header = (
@@ -419,7 +474,7 @@ class AsyncApp:
                     )
                 if task is not None:
                     self._conn_busy[task] = True
-                if self.trace_store is not None and not self._untraced(request):
+                if self.trace_store is not None and route not in UNTRACED_ROUTES:
                     # Continue a propagated context (the router's, or a
                     # tracing client's) or open a fresh trace; the root
                     # span covers the whole dispatch.
@@ -469,7 +524,6 @@ class AsyncApp:
                 finally:
                     if task is not None:
                         self._conn_busy[task] = False
-                    route = self._route_label(request)
                     self._m_requests.labels(
                         method=request.method,
                         route=route,
@@ -478,7 +532,7 @@ class AsyncApp:
                     self._m_request_seconds.labels(route=route).observe(
                         time.perf_counter() - dispatch_t0
                     )
-                    self._finish_trace(state, route)
+                    self._finish_trace(state)
                 if state.broken or not state.keep_alive:
                     break
         except (ConnectionError, asyncio.TimeoutError):
@@ -531,19 +585,47 @@ class AsyncApp:
             extra_headers=headers, close=not state.keep_alive,
         )
 
-    # ------------------------------------------------------------------
-    def _untraced(self, request: Request) -> bool:
-        return (
-            request.path in self.UNTRACED_ROUTES
-            or request.path.startswith("/debug/traces")
-        )
+    async def _start_stream(
+        self, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState, status: int,
+    ) -> bool:
+        """Open a streamed NDJSON response; returns whether it is chunked.
 
-    def _finish_trace(self, state: ConnectionState, route: str) -> None:
+        HTTP/1.0 clients must never be sent chunked framing (RFC 7230
+        §3.3.1): they get raw NDJSON delimited by connection close, so
+        their connection cannot be kept alive.
+        """
+        state.status = status
+        chunked = request.version != "HTTP/1.0"
+        if not chunked:
+            state.keep_alive = False
+        await start_stream(
+            writer, status,
+            extra_headers=state.response_headers() or None,
+            close=not state.keep_alive,
+            chunked=chunked,
+        )
+        return chunked
+
+    @staticmethod
+    def _register_body(request: Request) -> Mapping[str, Any]:
+        """A ``POST /datasets`` body, checked the same way on both tiers:
+        ``{"name": ..., "dataset": {spec}}`` with a valid dataset name."""
+        doc = request.json()
+        if not isinstance(doc, Mapping) or "name" not in doc or "dataset" not in doc:
+            raise ProtocolError(
+                400, "register body must be {'name': ..., 'dataset': {spec}}"
+            )
+        check_dataset_name(doc["name"])
+        return doc
+
+    # ------------------------------------------------------------------
+    def _finish_trace(self, state: ConnectionState) -> None:
         """Close the request's root span and offer the trace for retention."""
         if state.trace is None or state.root_span is None:
             return
         root = state.root_span
-        root.set_attr("route", route)
+        root.set_attr("route", state.route)
         if state.status is not None:
             root.set_attr("status", state.status)
             if state.status >= 400 and root.span.status == "ok":
@@ -556,7 +638,7 @@ class AsyncApp:
         assert self.trace_store is not None  # guarded at creation
         self.trace_store.offer(
             state.trace,
-            route=route,
+            route=state.route,
             status=span.status,
             duration_ms=span.duration * 1000.0,
             attrs={
@@ -566,53 +648,52 @@ class AsyncApp:
             },
         )
 
-    async def _handle_debug_traces(
-        self, request: Request, writer: asyncio.StreamWriter,
-        state: ConnectionState,
-    ) -> None:
-        """``GET /debug/traces`` (recent, filterable) and
-        ``GET /debug/traces/<id>`` (full span tree) on either tier."""
-        if request.method != "GET":
-            raise ProtocolError(
-                405, f"{request.method} not allowed on {request.path}"
-            )
+    def _require_traces(self) -> TraceStore:
+        """The trace store; 503 on a process with tracing off."""
         if self.trace_store is None:
             raise UnavailableError("tracing is disabled on this process")
-        if request.path == "/debug/traces":
-            params = parse_qs(request.query)
+        return self.trace_store
 
-            def _one(key: str) -> Optional[str]:
-                values = params.get(key)
-                return values[-1] if values else None
+    async def _handle_traces(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+    ) -> None:
+        """``GET /debug/traces``: recent trace summaries, filterable."""
+        store = self._require_traces()
+        params = parse_qs(request.query)
 
-            min_ms: Optional[float] = None
-            raw_min = _one("min_ms") or _one("min_duration_ms")
-            if raw_min is not None:
-                try:
-                    min_ms = float(raw_min)
-                except ValueError:
-                    raise ProtocolError(400, f"bad min_ms value: {raw_min!r}")
-            limit = 50
-            raw_limit = _one("limit")
-            if raw_limit is not None:
-                try:
-                    limit = max(1, min(500, int(raw_limit)))
-                except ValueError:
-                    raise ProtocolError(400, f"bad limit value: {raw_limit!r}")
-            traces = self.trace_store.recent(
-                limit=limit,
-                min_duration_ms=min_ms,
-                dataset=_one("dataset"),
-                route=_one("route"),
-            )
-            await self._respond(
-                writer, state, 200,
-                {"traces": traces, "store": self.trace_store.stats()},
-            )
-            return
-        trace_id = unquote(request.path[len("/debug/traces/"):])
-        if not trace_id:
-            raise ProtocolError(404, "no route for '/debug/traces/'")
+        def _one(key: str) -> Optional[str]:
+            values = params.get(key)
+            return values[-1] if values else None
+
+        min_ms: Optional[float] = None
+        raw_min = _one("min_ms") or _one("min_duration_ms")
+        if raw_min is not None:
+            try:
+                min_ms = float(raw_min)
+            except ValueError:
+                raise ProtocolError(400, f"bad min_ms value: {raw_min!r}")
+        limit = 50
+        raw_limit = _one("limit")
+        if raw_limit is not None:
+            try:
+                limit = max(1, min(500, int(raw_limit)))
+            except ValueError:
+                raise ProtocolError(400, f"bad limit value: {raw_limit!r}")
+        traces = store.recent(
+            limit=limit,
+            min_duration_ms=min_ms,
+            dataset=_one("dataset"),
+            route=_one("route"),
+        )
+        await self._respond(
+            writer, state, 200, {"traces": traces, "store": store.stats()}
+        )
+
+    async def _handle_trace(
+        self, trace_id: str, request: Request, writer: asyncio.StreamWriter,
+        state: ConnectionState,
+    ) -> None:
+        """``GET /debug/traces/<id>``: one trace's full span tree."""
         doc = await self._trace_document(trace_id)
         if doc is None:
             await self._respond(
@@ -626,31 +707,31 @@ class AsyncApp:
     async def _trace_document(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """Full trace document for one id (router overrides to stitch in
         the owning worker's spans)."""
-        if self.trace_store is None:
-            return None
-        return self.trace_store.get(trace_id)
+        return self._require_traces().get(trace_id)
 
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
-        raise NotImplementedError  # pragma: no cover - subclasses route
+        """Run the handler :data:`ROUTES` names for the request's route."""
+        handler = ROUTES.get((request.method, state.route))
+        if handler is None:
+            if state.route == "other":
+                raise ProtocolError(404, f"no route for {request.path!r}")
+            raise ProtocolError(405, f"{request.method} not allowed on {request.path}")
+        params = () if state.param is None else (state.param,)
+        await getattr(self, handler)(*params, request, writer, state)
 
-    def _route_label(self, request: Request) -> str:
-        """The ``route`` label for one request: a *bounded* route set.
+    async def _handle_stats(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+    ) -> None:
+        await self._respond(writer, state, 200, self.stats())
 
-        Parameterised paths collapse (``/datasets/<name>`` →
-        ``/datasets/{name}``) and unknown paths become ``other``, so
-        client typos cannot mint unbounded label cardinality.
-        """
-        if request.path in (
-            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
-            "/debug/traces",
-        ):
-            return request.path
-        if request.path.startswith("/debug/traces/"):
-            return "/debug/traces/{id}"
-        matched = dataset_route(request.path)
-        return matched[0] if matched is not None else "other"
+    async def _handle_shutdown(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+    ) -> None:
+        state.keep_alive = False
+        await self._respond(writer, state, 200, {"ok": True, "stopping": True})
+        self._shutdown.set()
 
     # ------------------------------------------------------------------
     async def _metrics_text(self) -> str:
@@ -658,8 +739,8 @@ class AsyncApp:
         merge in its workers' re-labelled scrapes)."""
         return self.metrics.render()
 
-    async def _respond_metrics(
-        self, writer: asyncio.StreamWriter, state: ConnectionState
+    async def _handle_metrics(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
         text = await self._metrics_text()
         state.status = 200
@@ -776,30 +857,22 @@ class AsyncApp:
 
 
 class ServeApp(AsyncApp):
-    """Route requests onto the registry and the async bridge."""
+    """Answer the protocol from the registry and the async bridge.
+
+    ``settings`` are :class:`AsyncApp`'s connection and tracing
+    settings, passed through.
+    """
 
     def __init__(
         self,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         max_workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        max_requests_per_connection: int = DEFAULT_MAX_REQUESTS_PER_CONNECTION,
-        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         default_backend: Optional[str] = None,
         tenants: Optional[TenantTable] = None,
-        trace_sample: float = DEFAULT_TRACE_SAMPLE,
-        slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-        tracing: bool = True,
+        **settings: Any,
     ) -> None:
-        super().__init__(
-            idle_timeout=idle_timeout,
-            max_requests_per_connection=max_requests_per_connection,
-            drain_timeout=drain_timeout,
-            trace_sample=trace_sample,
-            slow_query_ms=slow_query_ms,
-            tracing=tracing,
-        )
+        super().__init__(**settings)
         self.registry = DatasetRegistry(
             max_entries=max_entries,
             max_workers=max_workers,
@@ -852,67 +925,32 @@ class ServeApp(AsyncApp):
         return self.tenants.resolve(request.headers.get("x-api-key"))
 
     # ------------------------------------------------------------------
-    async def _dispatch(
+    async def _handle_health(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
-        route = (request.method, request.path)
-        if route == ("GET", "/health"):
-            await self._respond(
-                writer, state, 200, {"ok": True, "datasets": len(self.registry)}
-            )
-        elif route == ("GET", "/stats"):
-            await self._respond(writer, state, 200, self.stats())
-        elif route == ("GET", "/metrics"):
-            await self._respond_metrics(writer, state)
-        elif route == ("GET", "/datasets"):
-            await self._respond(
-                writer,
-                state,
-                200,
-                {
-                    "datasets": [
-                        self.registry.get(name).describe()
-                        for name in self.registry.names()
-                    ]
-                },
-            )
-        elif route == ("POST", "/datasets"):
-            await self._handle_register(request, writer, state)
-        elif (matched := dataset_route(request.path)) is not None:
-            label, name = matched
-            append = label.endswith("/events")
-            if request.method != ("POST" if append else "DELETE"):
-                raise ProtocolError(
-                    405, f"{request.method} not allowed on {request.path}"
-                )
-            handler = self._handle_append if append else self._handle_unregister
-            await handler(name, request, writer, state)
-        elif route == ("POST", "/query"):
-            await self._handle_query(request, writer, state)
-        elif request.path == "/debug/traces" or request.path.startswith(
-            "/debug/traces/"
-        ):
-            await self._handle_debug_traces(request, writer, state)
-        elif route == ("POST", "/shutdown"):
-            state.keep_alive = False
-            await self._respond(writer, state, 200, {"ok": True, "stopping": True})
-            self._shutdown.set()
-        elif request.path in (
-            "/health", "/stats", "/metrics", "/datasets", "/query", "/shutdown",
-        ):
-            raise ProtocolError(405, f"{request.method} not allowed on {request.path}")
-        else:
-            raise ProtocolError(404, f"no route for {request.path!r}")
+        await self._respond(
+            writer, state, 200, {"ok": True, "datasets": len(self.registry)}
+        )
 
-    # ------------------------------------------------------------------
+    async def _handle_list(
+        self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
+    ) -> None:
+        await self._respond(
+            writer,
+            state,
+            200,
+            {
+                "datasets": [
+                    self.registry.get(name).describe()
+                    for name in self.registry.names()
+                ]
+            },
+        )
+
     async def _handle_register(
         self, request: Request, writer: asyncio.StreamWriter, state: ConnectionState
     ) -> None:
-        doc = request.json()
-        if not isinstance(doc, Mapping) or "name" not in doc or "dataset" not in doc:
-            raise ProtocolError(
-                400, "register body must be {'name': ..., 'dataset': {spec}}"
-            )
+        doc = self._register_body(request)
         name = doc["name"]
         replace = bool(doc.get("replace", False))
         loop = asyncio.get_running_loop()
@@ -1048,7 +1086,6 @@ class ServeApp(AsyncApp):
                     retry_after=retry_after,
                     reason="quota",
                 )
-        before = shard.cache.stats.snapshot()
         try:
             # May raise OverloadedError → 429 (shard limit or fair share).
             futures = submit_plans(
@@ -1065,31 +1102,21 @@ class ServeApp(AsyncApp):
         if tenant is not None:
             self._m_tenant_queries.labels(tenant=tenant.name).inc(len(plans))
 
-        chunked = request.version != "HTTP/1.0"
-        if not chunked:
-            # HTTP/1.0 clients must never be sent chunked framing (RFC
-            # 7230 §3.3.1): stream raw NDJSON delimited by connection
-            # close instead, so the connection cannot be kept alive.
-            state.keep_alive = False
         t0 = time.perf_counter()
-        state.status = 200
-        await start_stream(
-            writer, 200,
-            extra_headers=state.response_headers() or None,
-            close=not state.keep_alive,
-            chunked=chunked,
-        )
+        chunked = await self._start_stream(request, writer, state, 200)
         trace_id = state.trace.trace_id if state.trace is not None else None
         start_line = {"type": "batch-start", "dataset": name, "queries": len(plans)}
         if trace_id is not None:
             start_line["trace_id"] = trace_id
         streamed = await send_chunk(writer, start_line, chunked=chunked)
         n_errors = 0
+        activity = CacheStats()
         try:
             for i, future in enumerate(futures):
                 result = await future
                 if not result.ok:
                     n_errors += 1
+                activity += result.cache_activity
                 # Lines are produced one at a time and sent as they come;
                 # time both activities, summed over the lines.
                 start = time.time()
@@ -1121,7 +1148,7 @@ class ServeApp(AsyncApp):
                 "errors": n_errors,
                 "ok": n_errors == 0,
                 "wall_seconds": time.perf_counter() - t0,
-                "cache": shard.cache.stats.snapshot().since(before).as_dict(),
+                "cache": activity.as_dict(),
             }
             if trace_id is not None:
                 end_line["trace_id"] = trace_id
@@ -1214,38 +1241,11 @@ def _result_lines(index: int, result: QueryResult, include_records: bool,
 
 
 # ----------------------------------------------------------------------
-def run_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-    max_workers: Optional[int] = None,
-    queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-    max_requests_per_connection: int = DEFAULT_MAX_REQUESTS_PER_CONNECTION,
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    default_backend: Optional[str] = None,
-    datasets: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    api_keys: Optional[str] = None,
-    trace_sample: float = DEFAULT_TRACE_SAMPLE,
-    slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-    announce=None,
-) -> None:
-    """Blocking entry point for ``python -m repro serve``."""
-    app = ServeApp(
-        max_entries=max_entries,
-        max_workers=max_workers,
-        queue_limit=queue_limit,
-        idle_timeout=idle_timeout,
-        max_requests_per_connection=max_requests_per_connection,
-        drain_timeout=drain_timeout,
-        default_backend=default_backend,
-        tenants=TenantTable.from_file(api_keys) if api_keys else None,
-        trace_sample=trace_sample,
-        slow_query_ms=slow_query_ms,
-    )
-    for name, spec in (datasets or {}).items():
-        app.registry.register(name, spec)
+def run_app(app: AsyncApp, host: str, port: int, announce=None) -> None:
+    """Serve ``app`` until it shuts down (blocking; Ctrl-C stops it too).
 
+    ``announce(host, port, app)`` runs once the listener is bound.
+    """
     on_bound = None
     if announce is not None:
         on_bound = lambda h, p: announce(h, p, app)
@@ -1253,6 +1253,27 @@ def run_server(
         asyncio.run(app.run_until_shutdown(host, port, on_bound=on_bound))
     except KeyboardInterrupt:
         pass
+
+
+def run_server(
+    host: str = "127.0.0.1",
+    port: int = 8765,
+    datasets: Optional[Mapping[str, Mapping[str, Any]]] = None,
+    api_keys: Optional[str] = None,
+    announce=None,
+    **settings: Any,
+) -> None:
+    """Blocking entry point for ``python -m repro serve``.
+
+    ``settings`` are :class:`ServeApp`'s; ``api_keys`` is the path of
+    its tenant table.
+    """
+    app = ServeApp(
+        tenants=TenantTable.from_file(api_keys) if api_keys else None, **settings
+    )
+    for name, spec in (datasets or {}).items():
+        app.registry.register(name, spec)
+    run_app(app, host, port, announce)
 
 
 class ServerHandle:
@@ -1317,31 +1338,11 @@ def start_app_thread(
 def start_server_thread(
     host: str = "127.0.0.1",
     port: int = 0,
-    max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-    max_workers: Optional[int] = None,
-    queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-    max_requests_per_connection: int = DEFAULT_MAX_REQUESTS_PER_CONNECTION,
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    default_backend: Optional[str] = None,
-    tenants: Optional[TenantTable] = None,
-    trace_sample: float = DEFAULT_TRACE_SAMPLE,
-    slow_query_ms: float = DEFAULT_SLOW_QUERY_MS,
-    tracing: bool = True,
     boot_timeout: float = 15.0,
+    **settings: Any,
 ) -> ServerHandle:
-    """Start a server on a daemon thread; returns once it is listening."""
-    app = ServeApp(
-        max_entries=max_entries,
-        max_workers=max_workers,
-        queue_limit=queue_limit,
-        idle_timeout=idle_timeout,
-        max_requests_per_connection=max_requests_per_connection,
-        drain_timeout=drain_timeout,
-        default_backend=default_backend,
-        tenants=tenants,
-        trace_sample=trace_sample,
-        slow_query_ms=slow_query_ms,
-        tracing=tracing,
-    )
-    return start_app_thread(app, host, port, boot_timeout=boot_timeout)
+    """Start a server on a daemon thread; returns once it is listening.
+
+    ``settings`` are :class:`ServeApp`'s.
+    """
+    return start_app_thread(ServeApp(**settings), host, port, boot_timeout=boot_timeout)

@@ -128,6 +128,62 @@ def check_plan_builds_its_key(tps: TemporalPointSet, spec) -> tuple[str, str]:
     return key.backend, key.family
 
 
+def check_route_table(handle, name: str) -> None:
+    """Drive every route of ``ROUTES`` over a live front end (either tier).
+
+    Each route answers every method the table does not list for it with
+    405 ``<M> not allowed on <path>``; paths that match no route answer
+    404 ``no route for '<path>'`` and are counted under the front end's
+    own ``route="other"`` series.  ``name`` is a registered dataset (the
+    table's ``{name}``); only methods a route rejects are sent, so
+    nothing changes on the server.
+    """
+    import http.client
+    import json
+    from urllib.parse import quote
+
+    from repro.obs import parse_exposition
+    from repro.serve.server import ROUTES
+
+    def send(method: str, path: str):
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
+        try:
+            conn.request(method, path)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
+
+    def other_404s() -> float:
+        _status, body = send("GET", "/metrics")
+        return sum(
+            s.value
+            for s in parse_exposition(body.decode())["http_requests_total"].samples
+            if "worker" not in s.labels
+            and (s.labels["route"], s.labels["status"]) == ("other", "404")
+        )
+
+    allowed: dict = {}
+    for method, route in ROUTES:
+        allowed.setdefault(route, set()).add(method)
+    for route, methods in allowed.items():
+        path = route.replace("{name}", quote(name, safe="")).replace("{id}", "0" * 32)
+        for method in sorted({"GET", "POST", "DELETE", "PUT"} - methods):
+            status, body = send(method, path)
+            assert (status, json.loads(body)["error"]) == (
+                405, f"{method} not allowed on {path}"
+            ), (method, route)
+    unknown = ("/nope", "/datasets/", f"/datasets/{name}/x", "/debug/tracesX")
+    before = other_404s()
+    for path in unknown:
+        for method in ("GET", "POST"):
+            status, body = send(method, path)
+            assert (status, json.loads(body)["error"]) == (
+                404, f"no route for {path!r}"
+            ), (method, path)
+    assert other_404s() - before == 2 * len(unknown)
+
+
 def random_intervals(n: int, seed: int = 0, horizon: int = 50):
     """Random integer-endpoint (start, end) pairs."""
     rng = np.random.default_rng(seed)

@@ -12,6 +12,7 @@ counted as ``failed_waits``, not hits), and ``build_seconds`` survives
 LRU eviction of the freshly built entry.
 """
 
+import sys
 import threading
 
 import pytest
@@ -665,6 +666,74 @@ class TestQueryEngine:
         assert second.cache_stats["builds"] == 0
         assert second.cache_stats["hits"] == 1
         assert engine.stats.builds == 1
+
+    def test_concurrent_batches_count_only_their_own_cache_activity(self, small_tps):
+        """Two threads share one engine: a batch held open while the
+        other runs reports its own two hits, not the other's too."""
+        armed, entered, release = (threading.Event() for _ in range(3))
+
+        class HoldingCache(IndexCache):
+            """Parks the first acquisition after ``armed`` until ``release``."""
+
+            def get_or_build(self, key, builder):
+                outcome = super().get_or_build(key, builder)
+                if armed.is_set() and not entered.is_set():
+                    entered.set()
+                    release.wait(30)
+                return outcome
+
+        engine = QueryEngine(cache=HoldingCache())
+        specs = [QuerySpec(kind="triangles", taus=3.0), QuerySpec(kind="pairs-sum", taus=3.0)]
+        assert engine.run_batch(small_tps, specs).cache_stats["builds"] == 2
+        armed.set()
+        batches = {}
+        held = threading.Thread(
+            target=lambda: batches.update(held=engine.run_batch(small_tps, specs))
+        )
+        held.start()
+        try:
+            assert entered.wait(30)
+            batches["other"] = engine.run_batch(small_tps, specs)
+        finally:
+            release.set()
+            held.join(30)
+        assert not held.is_alive()
+        for name, batch in batches.items():
+            assert batch.cache_stats == {
+                "hits": 2, "misses": 0, "builds": 0, "evictions": 0,
+                "failed_waits": 0, "migrated": 0, "invalidated": 0,
+                "build_seconds": 0.0, "hit_rate": 1.0,
+            }, name
+        assert engine.stats.hits == 4
+
+    def test_per_batch_cache_stats_add_up_under_contention(self, small_tps):
+        """More client threads than cores on one engine: every batch
+        reports exactly its own hits, and together they add up to the
+        cache's."""
+        engine = QueryEngine()
+        specs = [QuerySpec(kind="triangles", taus=3.0), QuerySpec(kind="pairs-sum", taus=3.0)]
+        engine.run_batch(small_tps, specs)
+        before = engine.stats.snapshot()
+        batches = []
+
+        def client():
+            for _ in range(5):
+                batches.append(engine.run_batch(small_tps, specs))
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(batches) == 40
+        assert {(b.cache_stats["hits"], b.cache_stats["misses"]) for b in batches} == {(2, 0)}
+        assert engine.stats.since(before).hits == 80
 
     def test_reset_clears_cache_and_stats(self, small_tps):
         engine = QueryEngine()

@@ -39,7 +39,7 @@ from repro.serve.registry import (
     DatasetShard,
 )
 
-from conftest import random_tps
+from conftest import check_route_table, random_tps
 
 
 def _event_line(tps: TemporalPointSet, i: int) -> str:
@@ -857,6 +857,7 @@ class TestServeEventsEndpoint:
         assert raw_request(
             ingest_server, "DELETE", "/datasets/live/events"
         )[0] == 405
+        check_route_table(ingest_server, "live")
 
     def test_unknown_dataset_is_404(self, ingest_server):
         status, body = raw_request(

@@ -25,6 +25,8 @@ from repro.router import (
 )
 from repro.router.supervisor import worker_request
 
+from conftest import check_route_table
+
 SOCIAL_SPEC = {"workload": "social", "n": 90, "seed": 5}
 COAUTHOR_SPEC = {"workload": "coauthor", "n": 80, "seed": 3}
 
@@ -411,6 +413,7 @@ class TestRouterProtocol:
     def test_wrong_method_on_delete_path_is_405(self, router):
         status, _ = request_json(router, "GET", "/datasets/social")
         assert status == 405
+        check_route_table(router, "social")
 
     def test_delete_percent_encoded_name(self, router):
         """Names with spaces survive the router→worker DELETE hop (the
@@ -425,6 +428,79 @@ class TestRouterProtocol:
         assert doc["dataset"]["name"] == "with space"  # worker really freed it
         status, _ = request_json(router, "DELETE", "/datasets/with%20space")
         assert status == 404
+
+    def test_proxied_query_streams_count_under_the_status_sent(self):
+        """The router's own /query series and root spans carry the
+        status it actually sent for a proxied stream."""
+        handle = start_router_thread(workers=1, probe_interval=0.3)
+        try:
+            status, doc = request_json(
+                handle, "POST", "/datasets",
+                {"name": "d", "dataset": {"workload": "uniform", "n": 40}},
+            )
+            assert status == 201, doc
+            trace_ids = []
+            for _ in range(3):
+                status, lines = query_lines(
+                    handle, "d", [{"kind": "triangles", "tau": 1.0}]
+                )
+                assert status == 200 and lines[-1]["ok"] is True
+                trace_ids.append(lines[-1]["trace_id"])
+            _, data = request(handle, "GET", "/metrics")
+            own = {
+                s.labels["status"]: s.value
+                for s in parse_exposition(data.decode())["http_requests_total"].samples
+                if "worker" not in s.labels and s.labels["route"] == "/query"
+            }
+            assert own == {"200": 3.0}
+            for trace_id in trace_ids:
+                status, doc = request_json(handle, "GET", f"/debug/traces/{trace_id}")
+                assert status == 200, doc
+                (root,) = (s for s in doc["spans"] if s["name"] == "router.request")
+                assert root["attrs"]["status"] == 200
+        finally:
+            handle.stop()
+
+    def test_both_tiers_word_rejections_the_same(self):
+        """One rule and one message per rejection, serve and router alike."""
+        from repro.serve import start_server_thread
+
+        unknown = (404, "unknown dataset 'ghost'; registered: a")
+        bad_name = "dataset name must be a non-empty string without '/', got {}"
+        expected = [
+            unknown, unknown, unknown,
+            (400, bad_name.format(5)), (400, bad_name.format("'a/b'")),
+        ]
+        tiers = {"serve": start_server_thread()}
+        try:
+            tiers["router"] = start_router_thread(workers=1, probe_interval=0.3)
+            for tier, handle in tiers.items():
+                status, doc = request_json(
+                    handle, "POST", "/datasets",
+                    {"name": "a", "dataset": {"workload": "uniform", "n": 20}},
+                )
+                assert status == 201, doc
+                answers = [
+                    request_json(
+                        handle, "POST", "/query",
+                        {"dataset": "ghost", "queries": [{"kind": "triangles", "tau": 1}]},
+                    ),
+                    request_json(handle, "DELETE", "/datasets/ghost"),
+                    request_json(
+                        handle, "POST", "/datasets/ghost/events",
+                        {"point": [0.5, 0.5], "start": 0.0, "end": 1.0},
+                    ),
+                ] + [
+                    request_json(
+                        handle, "POST", "/datasets",
+                        {"name": name, "dataset": {"workload": "uniform", "n": 20}},
+                    )
+                    for name in (5, "a/b")
+                ]
+                assert [(s, doc["error"]) for s, doc in answers] == expected, tier
+        finally:
+            for handle in tiers.values():
+                handle.stop()
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.serve import (
     submit_plans,
 )
 
-from conftest import random_tps
+from conftest import check_route_table, random_tps
 
 SOCIAL_SPEC = {"workload": "social", "n": 80, "seed": 5}
 COAUTHOR_SPEC = {"workload": "coauthor", "n": 60, "seed": 3}
@@ -238,6 +238,20 @@ class TestProtocol:
         )
         assert status == 400 and "register" in doc["error"]
 
+    def test_every_route_in_the_table_has_a_handler_on_both_tiers(self):
+        import inspect
+
+        from repro.router import RouterApp
+        from repro.serve import ServeApp
+        from repro.serve.server import ROUTES
+
+        for (method, route), handler in ROUTES.items():
+            for app in (ServeApp, RouterApp):
+                params = list(inspect.signature(getattr(app, handler)).parameters)
+                # A route's {…} segment arrives as the first argument.
+                assert len(params) == (5 if "{" in route else 4), (app, handler)
+                assert params[-3:] == ["request", "writer", "state"], (app, handler)
+
     def test_unroutable_paths(self, server):
         status, _ = request_json(server, "GET", "/nope")
         assert status == 404
@@ -245,6 +259,7 @@ class TestProtocol:
         assert status == 405
         status, doc = request_json(server, "POST", "/query", {})
         assert status == 400 and "dataset" in doc["error"]
+        check_route_table(server, "soc")
 
     def test_stats_reports_worker_identity(self, server):
         """The identity block a routing tier attributes counters with."""
@@ -455,6 +470,54 @@ class TestShardIsolation:
             assert counter_value(
                 families, "serve_queries_total", {"dataset": name}
             ) >= 2
+
+    def test_concurrent_batches_on_one_shard_count_their_own_cache_activity(
+        self, monkeypatch
+    ):
+        """Two clients on one warm shard: the batch held open while the
+        other runs ends with its own two hits, not four."""
+        import repro.serve.bridge as bridge_mod
+
+        real_execute = bridge_mod.execute_plan
+        gate = threading.Event()
+
+        def gated_execute(plan, *args, **kwargs):
+            if plan.spec.label == "held":
+                gate.wait(30)
+            return real_execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(bridge_mod, "execute_plan", gated_execute)
+        queries = [{"kind": "triangles", "tau": 2.0}, {"kind": "pairs-sum", "tau": 2.0}]
+        handle = start_server_thread(max_workers=4)
+        held = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+        try:
+            request_json(
+                handle, "POST", "/datasets", {"name": "one", "dataset": SOCIAL_SPEC}
+            )
+            body = {"dataset": "one", "queries": queries, "include_records": False}
+            _, warm = request_ndjson(handle, "POST", "/query", body)
+            assert warm[-1]["cache"]["builds"] == 2
+            held.request("POST", "/query", json.dumps(
+                dict(body, queries=[dict(queries[0], label="held"), queries[1]])
+            ))
+            held_resp = held.getresponse()  # the batch is admitted
+            _, other = request_ndjson(handle, "POST", "/query", body)
+            gate.set()
+            ends = [
+                other[-1],
+                json.loads(held_resp.read().decode().strip().split("\n")[-1]),
+            ]
+        finally:
+            gate.set()
+            held.close()
+            handle.stop()
+        for end in ends:
+            assert end["type"] == "batch-end" and end["ok"], end
+            assert end["cache"] == {
+                "hits": 2, "misses": 0, "builds": 0, "evictions": 0,
+                "failed_waits": 0, "migrated": 0, "invalidated": 0,
+                "build_seconds": 0.0, "hit_rate": 1.0,
+            }, end
 
 
 # ----------------------------------------------------------------------
