@@ -11,7 +11,9 @@ then the same sweep again (warm: what a cached index serves), and the
 warm sweep once more with each τ's ``records`` line encoded by the serve
 encoder (served: what a served query costs before the socket, so
 backends that answer in columns and backends that build record objects
-are charged for the same work), reports
+are charged for the same work), records the bytes of each ``vector``
+index's candidate map (built with the index, so its build time is in
+the build figure), reports
 the vector-over-grid speedups that justify ``vector`` leading
 ``auto``'s preference order (and gates them at n ≥ 5000), and records
 what ``auto`` chooses per shape and why.
@@ -64,7 +66,8 @@ def _measure(spec, tps, repeat: int):
     Each repetition plans ``spec`` on a fresh point-set object over the
     arrays of ``tps``, builds the plan's index, sweeps ``spec.taus`` on
     it, sweeps again on the same index, then sweeps once more encoding
-    each τ's ``records`` line.  Also returns the records of one sweep.
+    each τ's ``records`` line.  Also returns the records of one sweep
+    and the last index built.
     """
     build_s = query_s = warm_s = served_s = float("inf")
     records = 0
@@ -86,7 +89,7 @@ def _measure(spec, tps, repeat: int):
         for tau in spec.taus:
             records_line(0, tau, plan.runner(index, tau))
         served_s = min(served_s, time.perf_counter() - t0)
-    return build_s, query_s, warm_s, served_s, records
+    return build_s, query_s, warm_s, served_s, records, index
 
 
 def main(argv=None) -> int:
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
                     continue
                 # Builder and runner come from a plan, so the bench runs
                 # exactly the dispatch surface production uses.
-                build_s, query_s, warm_s, served_s, records = _measure(
+                build_s, query_s, warm_s, served_s, records, index = _measure(
                     dataclasses.replace(spec, backend=descriptor.name),
                     tps,
                     args.repeat,
@@ -150,14 +153,19 @@ def main(argv=None) -> int:
                     "served_query_seconds": served_s,
                     "served_us_per_record": served_us,
                 }
-                measurements.append(row)
-                print(
+                line = (
                     f"{shape['name']:>13} {spec.kind:<11} {descriptor.name:<11}"
                     f" build {build_s * 1e3:8.1f} ms  query {query_s * 1e3:8.1f} ms"
                     f"  warm {warm_s * 1e3:8.1f} ms ({warm_us:7.1f} us/record)"
-                    f"  served {served_s * 1e3:8.1f} ms ({served_us:7.1f} us/record)",
-                    file=sys.stderr,
+                    f"  served {served_s * 1e3:8.1f} ms ({served_us:7.1f} us/record)"
                 )
+                if descriptor.name == "vector":
+                    # Every point's candidate cells, as CSR arrays.
+                    cmap = index.candidates
+                    row["candidate_map_bytes"] = cmap.indptr.nbytes + cmap.cells.nbytes
+                    line += f"  map {row['candidate_map_bytes'] / 1024:7.1f} KiB"
+                measurements.append(row)
+                print(line, file=sys.stderr)
 
     # Vector-over-grid speedup ratios per (shape, kind): the SoA
     # backend's reason to lead auto's order, recorded so regressions

@@ -6,14 +6,20 @@ Each class holds its point set, ``epsilon`` and the one
 solvers' query surface, and answers queries with batched numpy kernels
 over the layout:
 
-* Candidate generation (:func:`_candidate_pairs`) searches the *sorted
-  integer lattice* of occupied cells: per anchor, the cells whose key
-  lies in a ``±reach`` window are contiguous ``np.searchsorted`` ranges
-  of the mixed-radix cell codes, so no anchors×cells distance matrix is
-  ever materialised; the window superset is refined by one batched
-  rowwise center-distance pass.  (A blocked dense matrix remains as the
-  fallback when the window enumeration would be wider than the cell
-  count.)
+* Candidates are looked up, not searched.  The cells an anchor's
+  radius-1 ball query visits depend on the anchor's position only, so
+  every point's cells are computed once per ``(dataset version, ε)``
+  into a :class:`~repro.backends.vector.soa.CandidateMap`, memoised on
+  the layout and shared by the four served families; a query gathers
+  the rows of its τ-eligible anchors (DESIGN.md note 10).  The
+  generator (:func:`_candidate_pairs`) searches the *sorted integer
+  lattice* of occupied cells: per anchor, the cells whose key lies in a
+  ``±reach`` window are contiguous ``np.searchsorted`` ranges of the
+  mixed-radix cell codes, taken in bounded anchor chunks, and the
+  window superset is refined by one batched rowwise center-distance
+  pass.  (A blocked dense matrix remains as the fallback when the
+  window enumeration would be wider than the cell count.)  Paths and
+  stars call it per query, at their own radii.
 * :class:`VectorTriangleIndex` — partner expansion through the CSR cell
   layout, one boolean mask for the temporal/lexicographic predicate,
   ragged ``i<j`` pair generation batched across *all* anchors, and one
@@ -43,8 +49,9 @@ SUM, UNION and cliques return the ``grid`` backend's records bit for
 bit and in the same order, triangles the same records (the canonical
 cells coincide; DESIGN.md note 8 gives the exactness arguments,
 ``tests/test_backends.py`` compares the lists).
-All per-cell state is built with the index, so a cache hit leaves no
-structure work and a query writes nothing to the index.
+All per-cell and per-point state — the layout, the candidate map and
+the packed coverage profiles — is built with the index, so a cache hit
+leaves no structure work and a query writes nothing to the index.
 
 ``maintained()`` is a fresh build over the merged set, which is what
 maintenance would produce anyway: the four families of one version
@@ -66,6 +73,7 @@ from ...blocks import CliqueBlock, PairBlock, TriangleBlock
 from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
+    CandidateMap,
     SoALayout,
     layout_for,
     pairwise_dists,
@@ -113,18 +121,28 @@ def _link_threshold(resolution: float) -> float:
 # ----------------------------------------------------------------------
 # Candidate generation
 # ----------------------------------------------------------------------
+#: Window entries (anchors × windows) in one chunk of the lattice search,
+#: which keeps a chunk's temporaries to a few hundred KB.  The candidate
+#: map runs the search over every point of each new version; chunks of
+#: ``BLOCK_ELEMS`` entries fragmented the heap, so that peak RSS grew
+#: with every append.
+WINDOW_CHUNK = 1 << 14
+
+
 def _lattice_windows(
-    lay: SoALayout, anchors: np.ndarray, thr: float
+    lay: SoALayout, metric, anchors: np.ndarray, thr: float
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Superset of candidate ``(anchor, cell)`` pairs via key windows.
+    """Candidate ``(anchor, cell)`` pairs via key windows.
 
     Occupied cells sort lexicographically by key, i.e. ascending in
     their mixed-radix code, so for a fixed combination of offsets on the
     leading ``dim−1`` key coordinates the in-window cells are one
-    contiguous code range — two ``searchsorted`` calls for *all*
-    anchors at once.  Returns ``None`` when the window enumeration
-    would not beat the dense distance matrix (wide reach, high dim, or
-    a code space that would overflow int64).
+    contiguous code range.  Anchors go in chunks of at most
+    ``WINDOW_CHUNK`` window entries: per chunk, two
+    ``searchsorted`` calls give the window superset and one rowwise
+    center-distance pass refines it.  Returns ``None`` when the window
+    enumeration would not beat the dense distance matrix (wide reach,
+    high dim, or a code space that would overflow int64).
     """
     keys = lay.cell_keys
     dim = lay.dim
@@ -140,26 +158,34 @@ def _lattice_windows(
     for i in range(dim - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
     codes = ((keys - kmin) * strides).sum(axis=1)
-    ka = np.floor(lay.points[anchors] / lay.side).astype(np.int64) - kmin
     offs = np.arange(-reach, reach + 1, dtype=np.int64)
     if dim > 1:
         grids = np.meshgrid(*([offs] * (dim - 1)), indexing="ij")
         combos = np.stack([g.ravel() for g in grids], axis=1)
     else:
         combos = np.zeros((1, 0), dtype=np.int64)
-    digits = ka[:, None, : dim - 1] + combos[None, :, :]
-    valid = ((digits >= 0) & (digits < sizes[: dim - 1])).all(axis=2)
-    base = (digits * strides[: dim - 1]).sum(axis=2)
-    last_lo = np.maximum(ka[:, dim - 1] - reach, 0)
-    last_hi = np.minimum(ka[:, dim - 1] + reach, sizes[dim - 1] - 1)
-    va, vm = np.nonzero(valid)
-    clo = base[va, vm] + last_lo[va]
-    chi = base[va, vm] + last_hi[va] + 1
-    lo = np.searchsorted(codes, clo)
-    counts = np.searchsorted(codes, chi) - lo
-    ci = ragged_arange(lo, counts)
-    ai = np.repeat(va, counts)
-    return ai, ci
+    parts_a: List[np.ndarray] = []
+    parts_c: List[np.ndarray] = []
+    block = max(1, WINDOW_CHUNK // m_combos)
+    for a0 in range(0, len(anchors), block):
+        chunk = anchors[a0 : a0 + block]
+        ka = np.floor(lay.points[chunk] / lay.side).astype(np.int64) - kmin
+        digits = ka[:, None, : dim - 1] + combos[None, :, :]
+        valid = ((digits >= 0) & (digits < sizes[: dim - 1])).all(axis=2)
+        base = (digits * strides[: dim - 1]).sum(axis=2)
+        last_lo = np.maximum(ka[:, dim - 1] - reach, 0)
+        last_hi = np.minimum(ka[:, dim - 1] + reach, sizes[dim - 1] - 1)
+        va, vm = np.nonzero(valid)
+        clo = base[va, vm] + last_lo[va]
+        chi = base[va, vm] + last_hi[va] + 1
+        lo = np.searchsorted(codes, clo)
+        counts = np.searchsorted(codes, chi) - lo
+        ci = ragged_arange(lo, counts)
+        ai = np.repeat(va, counts)
+        keep = rowwise_dists(metric, lay.centers[ci], lay.points[chunk[ai]]) <= thr
+        parts_a.append(ai[keep] + a0)
+        parts_c.append(ci[keep])
+    return np.concatenate(parts_a), np.concatenate(parts_c)
 
 
 def _candidate_pairs(
@@ -173,22 +199,34 @@ def _candidate_pairs(
     if not len(anchors) or not lay.n_cells:
         return empty, empty
     thr = radius + resolution + GEOMETRY_SLACK
-    lattice = _lattice_windows(lay, anchors, thr)
-    if lattice is None:
-        parts_a: List[np.ndarray] = []
-        parts_c: List[np.ndarray] = []
-        block = max(1, BLOCK_ELEMS // lay.n_cells)
-        for lo in range(0, len(anchors), block):
-            d = pairwise_dists(metric, lay.points[anchors[lo : lo + block]], lay.centers)
-            bai, bci = np.nonzero(d <= thr)
-            parts_a.append(bai + lo)
-            parts_c.append(bci)
-        return np.concatenate(parts_a), np.concatenate(parts_c)
-    ai, ci = lattice
-    if not len(ai):
-        return empty, empty
-    keep = rowwise_dists(metric, lay.centers[ci], lay.points[anchors[ai]]) <= thr
-    return ai[keep], ci[keep]
+    lattice = _lattice_windows(lay, metric, anchors, thr)
+    if lattice is not None:
+        return lattice
+    parts_a: List[np.ndarray] = []
+    parts_c: List[np.ndarray] = []
+    block = max(1, BLOCK_ELEMS // lay.n_cells)
+    for lo in range(0, len(anchors), block):
+        d = pairwise_dists(metric, lay.points[anchors[lo : lo + block]], lay.centers)
+        bai, bci = np.nonzero(d <= thr)
+        parts_a.append(bai + lo)
+        parts_c.append(bci)
+    return np.concatenate(parts_a), np.concatenate(parts_c)
+
+
+def _candidate_map(lay: SoALayout, metric, resolution: float) -> CandidateMap:
+    """Every point's radius-1 candidate cells at ``resolution``.
+
+    Memoised on the layout, as :func:`~repro.backends.vector.soa.
+    layout_for` memoises the layout on its version: the four served
+    families of one ``(version, ε)`` share one map, and it is freed
+    with the version.
+    """
+    cmap = lay.candidate_maps.get(resolution)
+    if cmap is None:
+        pairs = _candidate_pairs(lay, metric, np.arange(lay.n), 1.0, resolution)
+        # Racing first builds may both run; ``setdefault`` keeps one.
+        cmap = lay.candidate_maps.setdefault(resolution, CandidateMap(lay.n, *pairs))
+    return cmap
 
 
 def _anchor_chunks(
@@ -311,7 +349,8 @@ def _segment_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 # Shared index state
 # ----------------------------------------------------------------------
 class _VectorIndex:
-    """What every family holds: the point set, ε and its layout."""
+    """What every family holds: the point set, ε, its layout and the
+    radius-1 candidate map over it."""
 
     def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
         if not 0 < epsilon <= 1:
@@ -324,6 +363,7 @@ class _VectorIndex:
         self.epsilon = float(epsilon)
         side = tps.metric.cell_side_for_diameter(2.0 * self.resolution, tps.dim)
         self.layout = layout_for(tps, side)
+        self.candidates = _candidate_map(self.layout, tps.metric, self.resolution)
 
     @property
     def resolution(self) -> float:
@@ -331,12 +371,20 @@ class _VectorIndex:
         diameter ``≤ ε/2``."""
         return self.epsilon / 4.0
 
+    def _eligible_candidates(
+        self, tau: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The τ-eligible anchors and their ``(anchor position, cell)``
+        candidate pairs, gathered from the map."""
+        eligible = _eligible_anchor_array(self.layout, tau)
+        return (eligible, *self.candidates.rows(eligible))
+
     def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
         """The index over ``tps``, this dataset plus appended points.
 
         A fresh build, which is exactly what maintenance would produce;
-        the families of one version share its layout, so an append pays
-        for one layout.  ``self`` is never mutated.
+        the families of one version share its layout and candidate map,
+        so an append pays for one of each.  ``self`` is never mutated.
         """
         if tps.n <= self.tps.n:
             raise ValidationError(
@@ -363,8 +411,7 @@ class VectorTriangleIndex(_VectorIndex):
         starts, ends, cell_of, centers = lay.starts, lay.ends, lay.cell_of, lay.centers
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible = _eligible_anchor_array(lay, tau)
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
+        eligible, cai, cci = self._eligible_candidates(tau)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
             if expanded is None:
@@ -402,11 +449,8 @@ class VectorTriangleIndex(_VectorIndex):
         lay = self.layout
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
-        eligible = _eligible_anchor_array(lay, tau)
-        if not len(eligible):
-            return 0
+        eligible, cai, cci = self._eligible_candidates(tau)
         total = 0
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -528,8 +572,7 @@ class VectorSumPairIndex(_VectorIndex):
         link_thr = _link_threshold(res)
         prof = self._profiles
         out: List[_Columns] = []
-        eligible = _eligible_anchor_array(lay, tau)
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        eligible, cai, cci = self._eligible_candidates(tau)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -741,8 +784,7 @@ class VectorUnionPairIndex(_VectorIndex):
         link_thr = _link_threshold(res)
         target = UnionPairIndex.GREEDY_FACTOR * tau
         out: List[_Columns] = []
-        eligible = _eligible_anchor_array(lay, tau)
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, res)
+        eligible, cai, cci = self._eligible_candidates(tau)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -832,8 +874,7 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible = _eligible_anchor_array(lay, tau)
-        cai, cci = _candidate_pairs(lay, metric, eligible, 1.0, self.resolution)
+        eligible, cai, cci = self._eligible_candidates(tau)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)

@@ -17,6 +17,9 @@ batched kernels over that layout:
 * :func:`layout_for` — the layout of one point set at one cell side,
   memoised on that point set, so the four query families of one dataset
   version and ε build it once and it is freed with the version.
+* :class:`CandidateMap` — every point's candidate cells as CSR rows,
+  memoised on the layout (``SoALayout.candidate_maps``) by the index
+  that builds it, so a query gathers the rows of its eligible anchors.
 * blocked distance kernels (:func:`pairwise_dists`,
   :func:`rowwise_dists`) reproducing the exact per-metric arithmetic of
   :mod:`repro.geometry.metrics`.
@@ -24,12 +27,15 @@ batched kernels over that layout:
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 import numpy as np
 
 from ...geometry.metrics import Metric
 from ...types import TemporalPointSet
 
 __all__ = [
+    "CandidateMap",
     "SoALayout",
     "layout_for",
     "pairwise_dists",
@@ -106,6 +112,7 @@ class SoALayout:
         "offsets",
         "order_id",
         "order_end",
+        "candidate_maps",
     )
 
     def __init__(self, tps: TemporalPointSet, side: float) -> None:
@@ -131,6 +138,37 @@ class SoALayout:
         # RunSet.iter_desc_by_end.
         ids = np.arange(self.n, dtype=np.int64)
         self.order_end = np.lexsort((ids, -self.ends, self.cell_of)).astype(np.int64)
+        # The radius-1 candidate maps over these cells, by resolution;
+        # each is built with the first index that needs it.
+        self.candidate_maps: Dict[float, CandidateMap] = {}
+
+
+class CandidateMap:
+    """Every point's candidate cells, as CSR rows.
+
+    Point ``i`` owns ``cells[indptr[i] : indptr[i + 1]]``, ascending.
+    Built from the generator's ``(anchor, cell)`` pairs over all points
+    (anchor positions are then point ids); :meth:`rows` gathers the
+    pairs the generator returns for any anchor subset (DESIGN.md
+    note 10).
+    """
+
+    __slots__ = ("indptr", "cells")
+
+    def __init__(self, n: int, ai: np.ndarray, ci: np.ndarray) -> None:
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ai, minlength=n), out=self.indptr[1:])
+        self.cells = ci
+
+    def rows(self, anchors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(position in anchors, cell)`` pairs of the given points,
+        ascending, as int64 arrays."""
+        lo = self.indptr[anchors]
+        counts = self.indptr[anchors + 1] - lo
+        return (
+            np.repeat(np.arange(len(anchors), dtype=np.int64), counts),
+            self.cells[ragged_arange(lo, counts)],
+        )
 
 
 def layout_for(tps: TemporalPointSet, side: float) -> SoALayout:

@@ -191,6 +191,12 @@ class _WorkerProcess:
             self.process.wait(timeout=5.0)
         except subprocess.TimeoutExpired:  # pragma: no cover - defensive
             pass
+        # The reader reaches EOF once the child has exited.  Close the
+        # pipe only after it is done: closing under a blocked read would
+        # wait on that read.
+        self._reader.join(timeout=5.0)
+        if not self._reader.is_alive():
+            self.process.stdout.close()
 
 
 class _WorkerState:

@@ -8,8 +8,10 @@ rule pinned over kinds × metrics × exactness, bit-stable cache keys
 for every pre-existing backend name, grid vs cover-tree record-set
 parity on band-free datasets (property test), the vector index classes
 equal to grid as record lists on clustered float sets (property test),
-read-only vector query paths, the serving layer's per-dataset default
-backend + per-backend counters, and the CLI surfaces.
+read-only vector query paths, the vector candidate map (gathered rows
+equal to the generator's, built once per version), the serving layer's
+per-dataset default backend + per-backend counters, and the CLI
+surfaces.
 """
 
 import gc
@@ -886,10 +888,17 @@ class TestVectorLayoutPerVersion:
         tps = random_tps(n=80, seed=6)
         indexes = [cls(tps, 0.5) for cls in _vector_classes()]
         assert len(built) == 1
+        assert all(index.candidates is indexes[0].candidates for index in indexes)
         merged = _appended(tps)
         maintained = [index.maintained(merged) for index in indexes]
         assert built == [tps, merged]
         assert all(index.layout is maintained[0].layout for index in maintained)
+        # One candidate map per version: the merged version has its own,
+        # with a row for every merged point.
+        fresh = maintained[0].candidates
+        assert all(index.candidates is fresh for index in maintained)
+        assert fresh is not indexes[0].candidates
+        assert len(fresh.indptr) == merged.n + 1
 
     def test_concurrent_first_builds_share_one_layout(self):
         # Builders racing on a fresh version may each build a layout, but
@@ -908,8 +917,9 @@ class TestVectorLayoutPerVersion:
 
                 with ThreadPoolExecutor(max_workers=len(classes)) as pool:
                     futures = [pool.submit(build, cls) for cls in classes]
-                    layouts = {id(f.result(timeout=60).layout) for f in futures}
-                assert len(layouts) == 1, seed
+                    built = [f.result(timeout=60) for f in futures]
+                assert len({id(index.layout) for index in built}) == 1, seed
+                assert len({id(index.candidates) for index in built}) == 1, seed
         finally:
             sys.setswitchinterval(switch)
 
@@ -920,6 +930,102 @@ class TestVectorLayoutPerVersion:
         del indexes, tps
         gc.collect()
         assert alive() is None
+
+
+# ----------------------------------------------------------------------
+# The candidate map: every point's radius-1 candidate cells, built once
+# per version and gathered by the four served families' queries.
+# ----------------------------------------------------------------------
+class TestCandidateMap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 90),
+        dim=st.integers(1, 4),
+        metric=st.sampled_from(["l1", "l2", "linf", "l3"]),
+        epsilon=st.sampled_from([0.5, 1.0]),
+        box=st.sampled_from([1.0, 4.0, 8.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gathered_rows_equal_the_generator(
+        self, n, dim, metric, epsilon, box, seed
+    ):
+        from repro.backends.vector import VectorTriangleIndex
+        from repro.backends.vector.indexes import _candidate_pairs
+
+        tps = random_tps(n=n, dim=dim, seed=seed, metric=metric, box=box)
+        index = VectorTriangleIndex(tps, epsilon)
+        lay = index.layout
+        durations = tps.ends - tps.starts
+        anchor_sets = [np.empty(0, dtype=np.int64), np.arange(n)] + [
+            np.flatnonzero(durations >= tau) for tau in (0.5, 2.0, 4.0, 8.0)
+        ]
+        for anchors in anchor_sets:
+            got = index.candidates.rows(anchors)
+            want = _candidate_pairs(lay, tps.metric, anchors, 1.0, index.resolution)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                assert np.array_equal(g, w), len(anchors)
+
+    def test_lattice_windows_run_in_bounded_chunks(self, monkeypatch):
+        from repro.backends.vector import VectorTriangleIndex, indexes
+        from repro.structures.decomposition import GEOMETRY_SLACK
+
+        # Dim 3 with more occupied cells than ±reach windows, so the
+        # lattice path runs rather than the dense fallback.
+        tps = random_tps(n=400, dim=3, seed=3)
+        index = VectorTriangleIndex(tps, 0.5)
+        lay, metric, res = index.layout, tps.metric, index.resolution
+        anchors = np.arange(tps.n)
+        thr = 1.0 + res + GEOMETRY_SLACK
+        assert indexes._lattice_windows(lay, metric, anchors, thr) is not None
+
+        # One ragged_arange per chunk of anchors.
+        chunks = []
+        ragged = indexes.ragged_arange
+
+        def counted(starts, counts):
+            chunks.append(len(starts))
+            return ragged(starts, counts)
+
+        def pairs(window_chunk):
+            monkeypatch.setattr(indexes, "WINDOW_CHUNK", window_chunk)
+            del chunks[:]
+            return indexes._candidate_pairs(lay, metric, anchors, 1.0, res)
+
+        monkeypatch.setattr(indexes, "ragged_arange", counted)
+        whole = pairs(1 << 40)
+        assert len(chunks) == 1
+        chunked = pairs(20_000)
+        assert len(chunks) >= 3
+        for c, w in zip(chunked, whole):
+            assert c.dtype == w.dtype and np.array_equal(c, w)
+
+    def test_served_families_generate_candidates_only_while_building(
+        self, monkeypatch
+    ):
+        from repro.backends.vector import indexes
+
+        calls = []
+        generate = indexes._candidate_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(indexes, "_candidate_pairs", counted)
+        tps = random_tps(n=150, seed=5)
+        tri, sums, union, pat = [cls(tps, 0.5) for cls in _vector_classes()]
+        assert len(calls) == 1
+        del calls[:]
+        answered = 0
+        for i in range(20):
+            tau = 2.0 + 0.05 * i
+            answered += len(tri.query_block(tau)) + tri.count(tau)
+            answered += len(sums.query_block(tau))
+            answered += len(union.query_block(tau, 3))
+            answered += len(pat.clique_block(3, tau))
+        assert answered
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

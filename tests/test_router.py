@@ -6,12 +6,14 @@ failover classes drive a real router over real sockets, with real
 whole point of the tier, so the tests kill one mid-stream.
 """
 
+import gc
 import http.client
 import json
 import os
 import signal
 import socket
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from repro.errors import ValidationError
 from repro.obs import counter_value, parse_exposition
 from repro.router import (
     PlacementManifest,
+    WorkerPool,
     choose_worker,
     start_router_thread,
 )
@@ -501,6 +504,24 @@ class TestRouterProtocol:
         finally:
             for handle in tiers.values():
                 handle.stop()
+
+
+# ----------------------------------------------------------------------
+# Clean stop
+# ----------------------------------------------------------------------
+class TestCleanStop:
+    def test_stop_closes_every_worker_pipe(self):
+        # A pipe left open is only closed by the garbage collector, which
+        # reports it as a ResourceWarning (shown under ``python -X dev``).
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pool = WorkerPool(workers=1)
+            pool.start()
+            pool.stop()
+            del pool
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 # ----------------------------------------------------------------------
