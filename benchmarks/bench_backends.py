@@ -13,7 +13,11 @@ encoder (served: what a served query costs before the socket, so
 backends that answer in columns and backends that build record objects
 are charged for the same work), records the bytes of each ``vector``
 index's candidate map (built with the index, so its build time is in
-the build figure), reports
+the build figure), times two engine-path sweeps per ``vector`` family
+through one :class:`~repro.engine.QueryEngine` — :data:`SWEEP_TAUS` τs
+ascending, where every τ after the first is narrowed from the τ
+frontier, then descending on a fresh cache entry, where the frontier
+never hits — each τ one query plus its encoded ``records`` line, reports
 the vector-over-grid speedups that justify ``vector`` leading
 ``auto``'s preference order (and gates them at n ≥ 5000), and records
 what ``auto`` chooses per shape and why.
@@ -39,7 +43,7 @@ import time
 from repro import TemporalPointSet
 from repro.backends import default_registry
 from repro.datasets import workload_from_spec
-from repro.engine import QuerySpec
+from repro.engine import QueryEngine, QuerySpec
 from repro.engine.planner import plan_query
 from repro.serve.server import records_line
 
@@ -57,6 +61,35 @@ KIND_SPECS = [
     {"kind": "pairs-union", "taus": [6.0], "kappa": 3},
     {"kind": "cliques", "taus": [4.0], "m": 3},
 ]
+
+#: τs per engine-path sweep: the spec's first τ and up, 0.05 apart.
+SWEEP_TAUS = 20
+
+
+def _engine_sweeps(spec, tps, index, runner):
+    """Ascending and descending engine-path sweeps of ``spec`` over
+    :data:`SWEEP_TAUS` τs, plus the direct ``runner`` counts per τ.
+
+    Each sweep starts from a freshly built cache entry (the build is not
+    timed, and it keeps no frontier) and runs one single-τ query per τ,
+    encoding its ``records`` line.  Returns ``{"up": (seconds, counts),
+    "down": (seconds, counts)}`` and the direct counts, ascending.
+    """
+    taus = [round(spec.taus[0] + 0.05 * i, 2) for i in range(SWEEP_TAUS)]
+    direct = [len(runner(index, tau)) for tau in taus]
+    engine = QueryEngine()
+    sweeps = {}
+    for name, order in (("up", taus), ("down", taus[::-1])):
+        engine.reset()
+        engine.get_index(tps, spec)
+        counts = []
+        t0 = time.perf_counter()
+        for tau in order:
+            records = engine.run(tps, spec, taus=(tau,)).records_by_tau[tau]
+            records_line(0, tau, records)
+            counts.append(len(records))
+        sweeps[name] = (time.perf_counter() - t0, counts)
+    return sweeps, direct
 
 
 def _measure(spec, tps, repeat: int):
@@ -164,6 +197,16 @@ def main(argv=None) -> int:
                     cmap = index.candidates
                     row["candidate_map_bytes"] = cmap.indptr.nbytes + cmap.cells.nbytes
                     line += f"  map {row['candidate_map_bytes'] / 1024:7.1f} KiB"
+                    vector_spec = dataclasses.replace(spec, backend="vector")
+                    sweeps, direct = _engine_sweeps(
+                        vector_spec, tps, index, plan_query(0, vector_spec, tps).runner
+                    )
+                    row["sweep_direct_records"] = direct
+                    for name, (seconds, counts) in sweeps.items():
+                        us = seconds * 1e6 / max(sum(counts), 1)
+                        row[f"sweep_{name}_us_per_record"] = us
+                        row[f"sweep_{name}_records"] = counts
+                        line += f"  sweep {name} {us:7.1f} us/record"
                 measurements.append(row)
                 print(line, file=sys.stderr)
 

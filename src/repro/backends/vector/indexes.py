@@ -108,8 +108,20 @@ def _columns(parts: List[_Columns], id_width: int = 0) -> _Columns:
     return ids, np.empty(0), np.empty(0)
 
 
+# The kernels' two τ tests.  ``narrow`` applies them to a block's rows
+# to answer a higher τ (DESIGN.md note 11), so they are stated once.
+def _anchor_ok(lay: SoALayout, p, tau: float) -> np.ndarray:
+    """Anchor eligibility, ``E_p − S_p ≥ τ``."""
+    return lay.ends[p] - lay.starts[p] >= tau
+
+
+def _partner_ok(lay: SoALayout, p, q, tau: float) -> np.ndarray:
+    """The partner τ-stab, ``E_q ≥ S_p + τ``."""
+    return lay.ends[q] >= lay.starts[p] + tau
+
+
 def _eligible_anchor_array(lay: SoALayout, tau: float) -> np.ndarray:
-    return np.nonzero(lay.ends - lay.starts >= tau)[0]
+    return np.flatnonzero(_anchor_ok(lay, slice(None), tau))
 
 
 def _link_threshold(resolution: float) -> float:
@@ -121,11 +133,12 @@ def _link_threshold(resolution: float) -> float:
 # ----------------------------------------------------------------------
 # Candidate generation
 # ----------------------------------------------------------------------
-#: Window entries (anchors × windows) in one chunk of the lattice search,
-#: which keeps a chunk's temporaries to a few hundred KB.  The candidate
-#: map runs the search over every point of each new version; chunks of
-#: ``BLOCK_ELEMS`` entries fragmented the heap, so that peak RSS grew
-#: with every append.
+#: Entries (anchors × windows, or anchors × cells on the dense path) in
+#: one chunk of the candidate search, which keeps a chunk's temporaries
+#: to a few hundred KB.  The candidate map runs the search over every
+#: point of each new version; chunks of ``BLOCK_ELEMS`` entries
+#: fragmented the heap, so that peak RSS grew with every append, and on
+#: the dense path built a ``BLOCK_ELEMS × dim`` difference tensor twice.
 WINDOW_CHUNK = 1 << 14
 
 
@@ -204,7 +217,7 @@ def _candidate_pairs(
         return lattice
     parts_a: List[np.ndarray] = []
     parts_c: List[np.ndarray] = []
-    block = max(1, BLOCK_ELEMS // lay.n_cells)
+    block = max(1, WINDOW_CHUNK // lay.n_cells)
     for lo in range(0, len(anchors), block):
         d = pairwise_dists(metric, lay.points[anchors[lo : lo + block]], lay.centers)
         bai, bci = np.nonzero(d <= thr)
@@ -274,7 +287,7 @@ def _expand_partners(
     pos = ragged_arange(lay.offsets[ci], cnt)
     q = lay.order_end[pos]
     p = np.repeat(anchors[ai], cnt)
-    keep = (lay.ends[q] >= lay.starts[p] + tau) & (
+    keep = _partner_ok(lay, p, q, tau) & (
         (lay.starts[q] < lay.starts[p]) | ((lay.starts[q] == lay.starts[p]) & (q < p))
     )
     if not keep.any():
@@ -437,6 +450,17 @@ class VectorTriangleIndex(_VectorIndex):
                     np.minimum(ends[anchors_pq], np.minimum(ends[a_ids], ends[b_ids])),
                 ))
         return TriangleBlock(*_columns(parts, 3))
+
+    def narrow(self, block: TriangleBlock, tau: float) -> TriangleBlock:
+        """``query_block(tau)``, from this index's block at a τ₀ ≤ τ: the
+        rows whose anchor and both partners still pass at τ."""
+        _check_tau(tau)
+        lay = self.layout
+        p, q, s = block.ids.T
+        keep = (
+            _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & _partner_ok(lay, p, s, tau)
+        )
+        return block.take(np.flatnonzero(keep))
 
     def count(self, tau: float) -> int:
         """How many records ``query(tau)`` reports, without building them.
@@ -617,6 +641,11 @@ class VectorSumPairIndex(_VectorIndex):
             out.append((pp[keep], qq[keep], total[keep]))
         return PairBlock(*_columns(out))
 
+    def narrow(self, block: PairBlock, tau: float) -> PairBlock:
+        """``query_block(tau)``, from this index's block at a τ₀ ≤ τ."""
+        _check_tau(tau)
+        return _narrow_pairs(self.layout, block, tau, block.score >= tau)
+
 
 def _until_first_failure(
     ok: np.ndarray, run_start: np.ndarray, run_m: np.ndarray
@@ -629,6 +658,25 @@ def _until_first_failure(
     pos = np.arange(len(ok))
     first_fail = np.minimum.reduceat(np.where(ok, len(ok), pos), run_start)
     return np.flatnonzero(pos < np.repeat(first_fail, run_m))
+
+
+def _narrow_pairs(
+    lay: SoALayout, block: PairBlock, tau: float, score_ok: np.ndarray
+) -> PairBlock:
+    """A SUM or UNION block narrowed to τ: the early break re-run on
+    the block's runs, a run being a maximal stretch of equal ``(p, cell
+    of q)``.  A run's partners at τ are a prefix of its partners at the
+    block's τ₀, so each run keeps a prefix of its rows."""
+    if not len(block):
+        return block.take()
+    p, q = block.p, block.q
+    ok = _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & score_ok
+    cell = lay.cell_of[q]
+    new = np.ones(len(p), dtype=bool)
+    new[1:] = (p[1:] != p[:-1]) | (cell[1:] != cell[:-1])
+    run_start = np.flatnonzero(new)
+    run_m = np.diff(np.append(run_start, len(p)))
+    return block.take(_until_first_failure(ok, run_start, run_m))
 
 
 # ----------------------------------------------------------------------
@@ -829,6 +877,13 @@ class VectorUnionPairIndex(_VectorIndex):
             out.append((pp[keep], qq[keep], covered[keep]))
         return PairBlock(*_columns(out))
 
+    def narrow(self, block: PairBlock, tau: float) -> PairBlock:
+        """``query_block(tau, κ)``, from this index's block at a τ₀ ≤ τ
+        and the same κ."""
+        _check_tau(tau)
+        target = UnionPairIndex.GREEDY_FACTOR * tau
+        return _narrow_pairs(self.layout, block, tau, block.score >= target)
+
 
 # ----------------------------------------------------------------------
 # Patterns
@@ -899,6 +954,25 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
                 self._cliques(p[order], q[order], cell[order], m, link_thr)
             )
         return CliqueBlock(*_columns(parts, m))
+
+    def narrow(self, block: CliqueBlock, tau: float) -> CliqueBlock:
+        """``clique_block(m, tau)``, from this index's block at a τ₀ ≤ τ
+        and the same ``m``.
+
+        A row's anchor is its member latest in ``(start, id)`` order:
+        members ascend by id, so it is the last one of the latest start.
+        """
+        _check_tau(tau)
+        lay = self.layout
+        members = block.ids
+        starts = lay.starts[members]
+        latest = starts == starts.max(axis=1)[:, None]
+        col = members.shape[1] - 1 - np.argmax(latest[:, ::-1], axis=1)
+        rows = np.arange(len(members))
+        p = members[rows, col]
+        ok = _partner_ok(lay, p[:, None], members, tau)
+        ok[rows, col] = _anchor_ok(lay, p, tau)
+        return block.take(np.flatnonzero(ok.all(axis=1)))
 
     def _cliques(
         self, p: np.ndarray, q: np.ndarray, cell: np.ndarray, m: int, link_thr: float

@@ -8,13 +8,16 @@ array with one %-format per record, byte-identical to ``json.dumps`` of
 the :func:`~repro.engine.results.record_to_dict` dicts (DESIGN.md
 note 9).  Record objects are built only when a caller iterates the
 block or calls :meth:`RecordBlock.records`, and then kept; ``len()``
-never builds them.
+never builds them.  :meth:`RecordBlock.take` selects rows into a block
+of the same class whose ``json_array`` joins its source's record texts,
+which the source encodes the first time each row is asked for and
+keeps (DESIGN.md note 11).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +56,15 @@ class RecordBlock:
     once; ``len()`` and :meth:`json_array` read the columns only.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_texts", "_source")
 
     def __init__(self) -> None:
         self._records: Optional[list] = None
+        #: ``(texts, encoded)`` of a block others were taken from: each
+        #: record's JSON text (``None`` until encoded) and which are.
+        self._texts: Optional[Tuple[List[Optional[str]], np.ndarray]] = None
+        #: ``(block, rows)`` for a block taken from another.
+        self._source: Optional[Tuple["RecordBlock", Optional[np.ndarray]]] = None
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -75,7 +83,47 @@ class RecordBlock:
 
     def json_array(self) -> str:
         """The JSON array of the records' ``record_to_dict`` dicts."""
-        return "[" + ", ".join(map(self._template().__mod__, self._rows())) + "]"
+        return "[" + ", ".join(self._record_texts()) + "]"
+
+    def take(self, rows: Optional[np.ndarray] = None) -> "RecordBlock":
+        """The records at the ascending positions ``rows`` (all of them
+        when ``None``, sharing the columns) as a block of the same class.
+
+        Its :meth:`json_array` joins this block's record texts, which
+        this block encodes the first time each row is asked for and
+        keeps, so a taken block encodes only the rows it holds.
+        """
+        out = type(self)(*self._columns()) if rows is None else self._select(rows)
+        out._source = (self, rows)
+        return out
+
+    def _select(self, rows: np.ndarray) -> "RecordBlock":
+        return type(self)(*(column[rows] for column in self._columns()))
+
+    def _record_texts(self) -> List[str]:
+        """Each record's JSON text; a taken block picks its source's."""
+        if self._source is None:
+            return list(map(self._template().__mod__, self._rows()))
+        source, rows = self._source
+        kept = source._texts
+        if kept is None:
+            # Racing first uses may each start a table: one stays, and
+            # the rows only the others filled are encoded again later.
+            n = len(source)
+            kept = source._texts = ([None] * n, np.zeros(n, dtype=bool))
+        texts, encoded = kept
+        missing = np.flatnonzero(~encoded) if rows is None else rows[~encoded[rows]]
+        if len(missing) == len(texts):
+            texts[:] = source._record_texts()
+        elif len(missing):
+            encoded_rows = source._select(missing)._record_texts()
+            for i, text in zip(missing.tolist(), encoded_rows):
+                texts[i] = text
+        encoded[missing] = True
+        return texts if rows is None else [texts[i] for i in rows.tolist()]
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        raise NotImplementedError
 
     def _build(self) -> list:
         raise NotImplementedError
@@ -104,6 +152,9 @@ class _LifespanBlock(RecordBlock):
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return self.ids, self.starts, self.ends
 
     def _template(self) -> str:
         members = ", ".join(["%d"] * self.ids.shape[1])
@@ -169,6 +220,9 @@ class PairBlock(RecordBlock):
 
     def __len__(self) -> int:
         return len(self.score)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return self.p, self.q, self.score
 
     def _build(self) -> List[PairRecord]:
         return [

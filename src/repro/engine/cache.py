@@ -9,7 +9,8 @@ the engine tests and by the acceptance criterion of ISSUE 1).
 
 Eviction is LRU when ``max_entries`` is set; the default cache is
 unbounded, which matches the bench harness's historical ``lru_cache``
-behaviour.
+behaviour.  Each entry also keeps its index's τ frontier
+(:mod:`repro.engine.frontier`), which goes with the entry.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
+
+from .frontier import Frontier
 
 __all__ = ["IndexKey", "CacheOutcome", "CacheStats", "IndexCache"]
 
@@ -126,6 +129,7 @@ class _Entry:
     index: Any = None
     error: Optional[BaseException] = None
     build_seconds: float = 0.0
+    frontier: Frontier = field(default_factory=Frontier)
 
 
 def _waiter_copy(exc: BaseException) -> BaseException:
@@ -327,6 +331,17 @@ class IndexCache:
                 self._count(migrated=1)
                 migrated.append(new_key)
         return {"migrated": migrated, "invalidated": invalidated}
+
+    def frontier(self, key: IndexKey, index: Any) -> Optional[Frontier]:
+        """The τ frontier (:mod:`repro.engine.frontier`) kept beside
+        ``index`` in ``key``'s entry; ``None`` once the entry no longer
+        holds that index (evicted, advanced or cleared), so it is freed
+        with it."""
+        with self._lock:
+            entry = self._entries.get(key)
+        if entry is None or not entry.ready.is_set() or entry.index is not index:
+            return None
+        return entry.frontier
 
     def peek(self, key: IndexKey) -> Optional[Any]:
         """The cached index for ``key`` without counting a request."""

@@ -33,6 +33,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.trace import ExecTrace
 from .cache import CacheStats, IndexCache
+from .frontier import sweep
 from .planner import QueryPlan
 from .results import QueryResult
 
@@ -85,7 +86,10 @@ def _execute_one(
     re-raise the original, not a stringified stand-in.
 
     Stage-less plans (the legacy kinds) fetch/build ``plan.key`` and
-    call ``runner(index, tau)``.  Staged plans (``pattern-dsl``)
+    call ``runner(index, tau)``, or, for a plan with ``narrow``, narrow
+    the τ frontier kept in the cache entry beside the index
+    (:func:`~repro.engine.frontier.sweep`); the ``backend.query`` span's
+    ``frontier_hits`` counts the narrowed τs.  Staged plans (``pattern-dsl``)
     acquire every :class:`~repro.engine.planner.PlanStage` through the
     same single-flight cache — per-stage build timing lands on the
     result's ``stages`` — and call ``runner({name: index}, tau)``.
@@ -145,6 +149,7 @@ def _execute_one(
                 )
             stage_timings = tuple(timings)
             target: Any = indexes
+            frontier = None
         else:
             outcome = _traced_get(
                 cache, plan.key, plan.builder, trace, parent_id, activity
@@ -155,8 +160,7 @@ def _execute_one(
             # build before we got here.
             build_seconds = 0.0 if outcome.hit else outcome.build_seconds
             target = outcome.index
-        # Per τ a record list, or a RecordBlock from a column kernel.
-        records_by_tau: "OrderedDict[float, Sequence[Any]]" = OrderedDict()
+            frontier = cache.frontier(plan.key, target)
         if trace is not None:
             # Staged plans evaluate the composed DSL combinator tree over
             # the stage indexes; legacy plans sweep one backend index.
@@ -169,8 +173,8 @@ def _execute_one(
             sweep_span = None
         t_query = time.perf_counter()
         try:
-            for tau in plan.spec.taus:
-                records_by_tau[tau] = plan.runner(target, tau)
+            # Per τ a record list, or a RecordBlock from a column kernel.
+            records_by_tau, narrowed = sweep(plan, target, frontier)
         except Exception as exc:
             if sweep_span is not None:
                 sweep_span.set_error(f"{type(exc).__name__}: {exc}")
@@ -178,6 +182,8 @@ def _execute_one(
             raise
         query_seconds = time.perf_counter() - t_query
         if sweep_span is not None:
+            if not plan.stages:
+                sweep_span.set_attr("frontier_hits", narrowed)
             sweep_span.finish()
     except Exception as exc:
         if query_span is not None:

@@ -21,7 +21,9 @@ primitive queries share keys (asserted by ``tests/test_backends.py``).
 A plan comes in two shapes, told apart by ``stages``:
 
 * **stage-less** (the primitive kinds): the executor builds/fetches
-  ``plan.key`` and calls ``runner(index, tau)``;
+  ``plan.key`` and calls ``runner(index, tau)``, except for the τs a
+  plan with ``narrow`` takes from the entry's τ frontier
+  (:mod:`repro.engine.frontier`);
 * **staged** (``pattern-dsl``): each :class:`PlanStage` names one
   shared index; the executor acquires all of them through the same
   single-flight cache — so a composite plan's sub-indexes are shared
@@ -48,6 +50,7 @@ __all__ = [
     "plan_batch",
     "distinct_index_keys",
     "runner_for",
+    "narrow_for",
 ]
 
 
@@ -68,7 +71,9 @@ class QueryPlan:
     downstream code (and tests) construct plans positionally, so new
     fields append with defaults.  For stage-less plans ``runner`` takes
     ``(index, tau)``; for staged plans it takes
-    ``({stage_name: index}, tau)``.
+    ``({stage_name: index}, tau)``.  ``narrow`` (:func:`narrow_for`)
+    takes ``(index, block, tau)``; it is ``None`` for plans whose
+    answers are not narrowed.
     """
 
     order: int
@@ -77,6 +82,7 @@ class QueryPlan:
     builder: Callable[[], Any]
     runner: Callable[[Any, float], Sequence[Any]]
     stages: Tuple[PlanStage, ...] = field(default=())
+    narrow: Optional[Callable[[Any, Any, float], Any]] = None
 
 
 def runner_for(spec: QuerySpec) -> Callable[[Any, float], Sequence[Any]]:
@@ -107,6 +113,21 @@ def runner_for(spec: QuerySpec) -> Callable[[Any, float], Sequence[Any]]:
         iter_name = "iter_paths" if spec.kind == "paths" else "iter_stars"
         return lambda index, tau: list(getattr(index, iter_name)(m, tau))
     return lambda index, tau: getattr(index, "query_block", index.query)(tau)
+
+
+def narrow_for(
+    spec: QuerySpec, key: IndexKey
+) -> Optional[Callable[[Any, Any, float], Any]]:
+    """The call that narrows ``spec``'s answer at a τ₀ to a τ ≥ τ₀ on
+    the index under ``key`` (:mod:`repro.engine.frontier`).
+
+    Only the four served ``vector`` families narrow (triangles, SUM,
+    UNION, cliques); every other backend, and paths and stars, which
+    share the clique index, get ``None`` and run ``runner`` per τ.
+    """
+    if key.backend != "vector" or spec.kind in ("paths", "stars"):
+        return None
+    return lambda index, block, tau: index.narrow(block, tau)
 
 
 def lower_primitive(
@@ -145,7 +166,9 @@ def plan_query(
 
         return compile_pattern(order, spec, tps, registry)
     key, builder = lower_primitive(spec, tps, registry)
-    return QueryPlan(order, spec, key, builder, runner_for(spec))
+    return QueryPlan(
+        order, spec, key, builder, runner_for(spec), narrow=narrow_for(spec, key)
+    )
 
 
 def plan_batch(

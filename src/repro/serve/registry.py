@@ -351,11 +351,11 @@ class DatasetShard:
 
         Single-writer semantics: one append at a time per shard.  On
         success the shard's ``tps`` is swapped to the merged version
-        (epoch + 1) and the index cache is advanced — families whose
-        indexes support incremental maintenance (the paper's online
-        algorithms; currently durable triangles and SUM pairs over the
-        grid backend) are migrated to the new epoch and keep hitting,
-        the rest are
+        (epoch + 1) and the index cache is advanced: every index whose
+        ``maintained()`` returns one is migrated to the new epoch and
+        keeps hitting — durable triangles and SUM pairs over the grid
+        (extended where points landed) and all four ``vector`` families
+        (a fresh build over the merged set) — and the rest are
         invalidated and rebuild on their next query.  Batches larger
         than :data:`REBUILD_FRACTION` of the dataset skip maintenance
         entirely (rebuild-on-threshold).  Either way, queries after the

@@ -803,19 +803,23 @@ class TestVectorIndexSurface:
             VectorTriangleIndex: {
                 "query": lambda ix: ix.query(tau),
                 "query_block": lambda ix: ix.query_block(tau),
+                "narrow": lambda ix: ix.narrow(ix.query_block(1.0), tau),
                 "count": lambda ix: ix.count(tau),
             },
             VectorSumPairIndex: {
                 "query": lambda ix: ix.query(tau),
                 "query_block": lambda ix: ix.query_block(tau),
+                "narrow": lambda ix: ix.narrow(ix.query_block(1.0), tau),
             },
             VectorUnionPairIndex: {
                 "query": lambda ix: ix.query(tau, 3),
                 "query_block": lambda ix: ix.query_block(tau, 3),
+                "narrow": lambda ix: ix.narrow(ix.query_block(1.0, 3), tau),
             },
             VectorPatternIndex: {
                 "iter_cliques": lambda ix: list(ix.iter_cliques(3, tau)),
                 "clique_block": lambda ix: ix.clique_block(3, tau),
+                "narrow": lambda ix: ix.narrow(ix.clique_block(3, 1.0), tau),
                 "iter_paths": lambda ix: list(ix.iter_paths(3, tau)),
                 "iter_stars": lambda ix: list(ix.iter_stars(3, tau)),
                 "star_summaries": lambda ix: ix.star_summaries(3, tau),
@@ -997,6 +1001,40 @@ class TestCandidateMap:
         assert len(chunks) == 1
         chunked = pairs(20_000)
         assert len(chunks) >= 3
+        for c, w in zip(chunked, whole):
+            assert c.dtype == w.dtype and np.array_equal(c, w)
+
+    def test_dense_fallback_runs_in_bounded_chunks(self, monkeypatch):
+        from repro.backends.vector import VectorTriangleIndex, indexes
+        from repro.structures.decomposition import GEOMETRY_SLACK
+
+        # Dim 4 with fewer occupied cells than ±reach windows, so the
+        # dense fallback runs rather than the lattice path.
+        tps = random_tps(n=400, dim=4, seed=3)
+        index = VectorTriangleIndex(tps, 0.5)
+        lay, metric, res = index.layout, tps.metric, index.resolution
+        anchors = np.arange(tps.n)
+        thr = 1.0 + res + GEOMETRY_SLACK
+        assert indexes._lattice_windows(lay, metric, anchors, thr) is None
+
+        # One anchors × cells distance matrix per chunk of anchors.
+        chunks = []
+        dists = indexes.pairwise_dists
+
+        def counted(metric, a, b):
+            chunks.append(len(a) * len(b))
+            return dists(metric, a, b)
+
+        def pairs(window_chunk):
+            monkeypatch.setattr(indexes, "WINDOW_CHUNK", window_chunk)
+            del chunks[:]
+            return indexes._candidate_pairs(lay, metric, anchors, 1.0, res)
+
+        monkeypatch.setattr(indexes, "pairwise_dists", counted)
+        whole = pairs(1 << 40)
+        assert len(chunks) == 1
+        chunked = pairs(20_000)
+        assert len(chunks) >= 3 and max(chunks) <= 20_000
         for c, w in zip(chunked, whole):
             assert c.dtype == w.dtype and np.array_equal(c, w)
 

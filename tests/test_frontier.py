@@ -1,0 +1,403 @@
+"""τ frontiers: a τ′ ≥ τ₀ answered by narrowing the block computed at τ₀.
+
+* Every served vector family's ``narrow`` of its τ₀ block equals its
+  direct τ′ answer, as record lists and as ``records_line`` bytes
+  (property test).  Lifespans lie on a 0.1 lattice, where ``S_p + τ``
+  rounds; the sets have ties in starts and ends, duplicate points and
+  pairs in the (1, 1+ε] band, in dims 1–4 under l1/l2/linf/l3.  A
+  multi-τ spec answers the same through the engine whether its τs come
+  ascending, descending or shuffled.
+* The narrowing tests are the kernels' own float expressions: a
+  triangle and a clique whose durability rounds below τ are still
+  reported.  Narrowing writes nothing to the index or the kept block's
+  columns.
+* Lifetime: a frontier lives in its cache entry and is freed with it (an
+  append, LRU eviction, a dataset's removal); an entry keeps one,
+  however many κ or m are asked of it; an over-cap block is answered but
+  not kept; racing first queries keep the lower τ.
+* A frontier kept by a counts-only query encodes, for a later records
+  query narrowed from it, only the rows that query reports.
+"""
+
+import gc
+import random
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import QueryEngine, QuerySpec, TemporalPointSet
+from repro.blocks import PairBlock
+from repro.backends.vector import (
+    VectorPatternIndex,
+    VectorSumPairIndex,
+    VectorTriangleIndex,
+    VectorUnionPairIndex,
+)
+from repro.engine import IndexCache, execute_plans, plan_batch, plan_query
+from repro.engine import frontier
+from repro.serve.registry import DatasetRegistry, DatasetShard
+from repro.serve.server import records_line
+
+from conftest import random_tps
+
+
+@st.composite
+def lattice_tps(draw):
+    """Points around a few bases: on one (a duplicate), beside one, or
+    one to two units from one along an axis, so that pairs fall in the
+    (1, 1+ε] band; lifespans on a 0.1 lattice with many ties."""
+    dim = draw(st.integers(1, 4))
+    metric = draw(st.sampled_from(["l1", "l2", "linf", "l3"]))
+    coord = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    bases = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    offset = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 0.1),
+        st.floats(1.0, 2.0, exclude_min=True),
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(bases) - 1),
+                st.integers(0, dim - 1),
+                offset,
+                st.integers(0, 20),
+                st.integers(0, 40),
+            ),
+            min_size=6,
+            max_size=36,
+        )
+    )
+    points, starts, ends = [], [], []
+    for base, axis, shift, start, length in picks:
+        point = list(bases[base])
+        point[axis] += shift
+        points.append(point)
+        starts.append(start / 10)
+        ends.append((start + length) / 10)
+    return TemporalPointSet(np.asarray(points), starts, ends, metric=metric)
+
+
+#: Ascending τs on the same lattice.
+lattice_taus = st.lists(
+    st.integers(1, 30), min_size=2, max_size=4, unique=True
+).map(lambda ts: sorted(t / 10 for t in ts))
+
+
+def _families(tps, epsilon):
+    """``(spec fields, index, direct block at τ)`` per served family."""
+    union = VectorUnionPairIndex(tps, epsilon)
+    cliques = VectorPatternIndex(tps, epsilon)
+    yield {"kind": "triangles"}, VectorTriangleIndex(tps, epsilon), (
+        lambda ix, tau: ix.query_block(tau)
+    )
+    yield {"kind": "pairs-sum"}, VectorSumPairIndex(tps, epsilon), (
+        lambda ix, tau: ix.query_block(tau)
+    )
+    for kappa in (1, 3):
+        yield {"kind": "pairs-union", "kappa": kappa}, union, (
+            lambda ix, tau, kappa=kappa: ix.query_block(tau, kappa)
+        )
+    for m in (2, 3, 4):
+        yield {"kind": "cliques", "m": m}, cliques, (
+            lambda ix, tau, m=m: ix.clique_block(m, tau)
+        )
+
+
+class TestNarrowEqualsDirect:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        tps=lattice_tps(),
+        taus=lattice_taus,
+        epsilon=st.sampled_from([0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_every_family_narrows_to_its_direct_answer(self, tps, taus, epsilon, data):
+        shuffled = data.draw(st.permutations(taus))
+        for fields, index, direct in _families(tps, epsilon):
+            want = {tau: direct(index, tau) for tau in taus}
+            lines = {tau: records_line(0, tau, block) for tau, block in want.items()}
+            for i, tau0 in enumerate(taus):
+                base = direct(index, tau0)
+                for tau in taus[i:]:
+                    got = index.narrow(base, tau)
+                    assert type(got) is type(want[tau]), fields
+                    assert got.records() == want[tau].records(), (fields, tau0, tau)
+                    # Joined from the base's record texts, encoded once.
+                    assert records_line(0, tau, got) == lines[tau], (fields, tau0, tau)
+            for order in (taus, taus[::-1], shuffled):
+                result = QueryEngine().run(
+                    tps, QuerySpec(taus=order, epsilon=epsilon, backend="vector", **fields)
+                )
+                assert list(result.records_by_tau) == list(order)
+                for tau, block in result.records_by_tau.items():
+                    assert records_line(0, tau, block) == lines[tau], (fields, order)
+
+    def test_narrow_writes_nothing(self):
+        # Concurrent queries narrow one kept block on one shared index.
+        tps = random_tps(n=150, seed=5)
+        for fields, index, direct in _families(tps, 0.5):
+            base = direct(index, 2.0)
+            attrs = {name: id(value) for name, value in vars(index).items()}
+            columns = [column.copy() for column in base._columns()]
+            narrowed = [index.narrow(base, 2.0 + 0.1 * i) for i in range(10)]
+            assert any(len(block) for block in narrowed), fields
+            assert {name: id(value) for name, value in vars(index).items()} == attrs
+            for kept, before in zip(base._columns(), columns):
+                assert np.array_equal(kept, before), fields
+
+    def test_narrowing_keeps_the_kernels_rounding(self):
+        # Anchor 2 (S = 0.2, latest by (start, id); point 1 ties its
+        # start) and partners ending at 0.7: at τ = 0.5 both pass
+        # ``E_q ≥ S_p + τ`` (0.2 + 0.5 == 0.7), yet the durability
+        # 0.7 − 0.2 rounds to 0.49999999999999994, so neither a
+        # durability filter nor point 1 taken as the anchor keeps it.
+        points = np.array([[0.0, 0.0], [0.01, 0.0], [0.0, 0.01]])
+        tps = TemporalPointSet(points, [0.0, 0.2, 0.2], [0.7, 0.7, 5.0])
+        triangles = VectorTriangleIndex(tps, 0.5)
+        cliques = VectorPatternIndex(tps, 0.5)
+        for index, direct in (
+            (triangles, triangles.query_block),
+            (cliques, lambda tau: cliques.clique_block(3, tau)),
+        ):
+            want = direct(0.5)
+            assert len(want) == 1 and want.records()[0].durability < 0.5
+            narrowed = index.narrow(direct(0.1), 0.5)
+            assert narrowed.records() == want.records()
+            assert records_line(0, 0.5, narrowed) == records_line(0, 0.5, want)
+
+
+# ----------------------------------------------------------------------
+# Lifetime: kept in the cache entry, freed with it, bounded
+# ----------------------------------------------------------------------
+VECTOR_SPECS = (
+    QuerySpec(kind="triangles", taus=2.0, backend="vector"),
+    QuerySpec(kind="pairs-sum", taus=2.0, backend="vector"),
+    QuerySpec(kind="pairs-union", taus=2.0, kappa=3, backend="vector"),
+    QuerySpec(kind="cliques", taus=2.0, m=3, backend="vector"),
+)
+
+
+def _params(spec):
+    return spec.kappa, spec.m
+
+
+def _frontier(cache, plan):
+    return cache.frontier(plan.key, cache.peek(plan.key))
+
+
+def _warm_frontiers(cache, tps, specs=VECTOR_SPECS):
+    """Run ``specs`` once; weak references to the frontiers kept."""
+    plans = plan_batch(specs, tps)
+    results = execute_plans(plans, cache, parallel=False)
+    assert all(len(result.records_by_tau[2.0]) for result in results)
+    kept = [_frontier(cache, plan) for plan in plans]
+    assert all(f.get(_params(spec))[0] == 2.0 for f, spec in zip(kept, specs))
+    return [weakref.ref(f) for f in kept]
+
+
+class TestFrontierLifetime:
+    def test_append_frees_the_old_entries_frontiers(self):
+        shard = DatasetShard("d", random_tps(n=60, seed=2))
+        try:
+            old = _warm_frontiers(shard.cache, shard.tps)
+            report = shard.append_events(
+                '{"point": [0.5, 0.5], "start": 0.0, "end": 4.0}'
+            )
+            assert report["invalidated_families"] == []
+            gc.collect()
+            assert [ref() for ref in old] == [None] * len(old)
+            # The maintained entries start without a frontier, and the
+            # merged set answers as a fresh index does.
+            for plan in plan_batch(VECTOR_SPECS, shard.tps):
+                index = shard.cache.peek(plan.key)
+                assert shard.cache.frontier(plan.key, index).get(_params(plan.spec)) is None
+                (result,) = execute_plans([plan], shard.cache)
+                fresh = plan.runner(plan.builder(), 2.0)
+                assert records_line(0, 2.0, result.records_by_tau[2.0]) == records_line(
+                    0, 2.0, fresh
+                )
+        finally:
+            shard.close()
+
+    def test_eviction_and_removal_free_the_frontiers(self):
+        cache = IndexCache(max_entries=1)
+        tps = random_tps(n=60, seed=2)
+        (evicted,) = _warm_frontiers(cache, tps, VECTOR_SPECS[:1])
+        (kept,) = _warm_frontiers(cache, tps, VECTOR_SPECS[1:2])
+        gc.collect()
+        assert evicted() is None and kept() is not None
+
+        registry = DatasetRegistry()
+        try:
+            shard = registry.register("d", random_tps(n=60, seed=2))
+            refs = _warm_frontiers(shard.cache, shard.tps)
+            del shard
+            registry.remove("d")
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            registry.close()
+
+    def test_an_over_cap_block_is_answered_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(frontier, "FRONTIER_CAP", 5)
+        tps = random_tps(n=60, seed=2)
+        spec = VECTOR_SPECS[0]
+        plan = plan_query(0, spec, tps)
+        index = plan.builder()
+        cache = IndexCache()
+        big, small = 2.0, 6.0
+        assert len(plan.runner(index, big)) > 5 >= len(plan.runner(index, small)) > 0
+        for tau in (big, big + 0.5):
+            (result,) = execute_plans([plan_query(0, QuerySpec(
+                kind="triangles", taus=tau, backend="vector"), tps)], cache)
+            assert records_line(0, tau, result.records_by_tau[tau]) == records_line(
+                0, tau, plan.runner(index, tau)
+            )
+            kept = _frontier(cache, plan)
+            assert kept.get(_params(spec)) is None
+        execute_plans([plan_query(0, QuerySpec(
+            kind="triangles", taus=small, backend="vector"), tps)], cache)
+        assert kept.get(_params(spec))[0] == small
+
+    def test_racing_first_queries_keep_the_lower_tau(self):
+        # More threads than cores, each a first query at its own τ, on
+        # one built index: whatever the interleaving, the lowest stays.
+        tps = random_tps(n=150, seed=5)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(8):
+                taus = random.Random(trial).sample([1.5, 2.0, 2.5, 3.0, 3.5, 4.0], 4)
+                engine = QueryEngine()
+                spec = VECTOR_SPECS[trial % len(VECTOR_SPECS)]
+                index = engine.get_index(tps, spec)  # race on the frontier only
+                start = threading.Barrier(len(taus))
+                answers = {}
+
+                def run(tau):
+                    start.wait(timeout=30)
+                    result = engine.run(tps, spec, taus=(tau,))
+                    answers[tau] = records_line(0, tau, result.records_by_tau[tau])
+
+                threads = [threading.Thread(target=run, args=(tau,)) for tau in taus]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), trial
+                plan = plan_query(0, spec, tps)
+                kept = engine.cache.frontier(plan.key, index)
+                assert kept.get(_params(spec))[0] == min(taus), trial
+                for tau in taus:
+                    assert answers[tau] == records_line(
+                        0, tau, plan.runner(index, tau)
+                    ), (trial, tau)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_an_entry_keeps_one_frontier_however_many_kappas(self):
+        # UNION keys its index without κ, so every κ shares one entry.
+        # Each κ's low-τ answer replaces the last: one block stays, and
+        # an earlier κ asked again runs its kernel.
+        tps = random_tps(n=150, seed=5)
+        engine = QueryEngine()
+        kappas = range(1, 13)
+
+        def union(kappa, tau=1.0):
+            spec = QuerySpec(kind="pairs-union", taus=tau, kappa=kappa, backend="vector")
+            result = engine.run(tps, spec)
+            return spec, result.records_by_tau[tau]
+
+        def live_pair_blocks():
+            gc.collect()
+            return sum(isinstance(obj, PairBlock) for obj in gc.get_objects())
+
+        before = live_pair_blocks()
+        for kappa in kappas:
+            spec, block = union(kappa)
+            assert len(block), kappa
+            del block
+        assert live_pair_blocks() - before <= 1
+        plan = plan_query(0, spec, tps)
+        kept = _frontier(engine.cache, plan)
+        assert kept.get(_params(spec))[0] == 1.0
+        first, _ = union(kappas[0], 1.5)
+        assert kept.get(_params(spec)) is None
+        assert kept.get(_params(first))[0] == 1.5
+
+
+def test_counts_only_frontier_encodes_only_the_rows_asked_for():
+    # A counts-only query keeps a frontier whose records are never
+    # encoded; a records query narrowed from it encodes its own rows.
+    tps = random_tps(n=150, seed=5)
+    engine = QueryEngine()
+    for spec in VECTOR_SPECS:
+        low, high = 1.0, 4.0
+        assert len(engine.run(tps, spec, taus=(low,)).records_by_tau[low])
+        plan = plan_query(0, spec, tps)
+        index = engine.cache.peek(plan.key)
+        _, kept = _frontier(engine.cache, plan).get(_params(spec))
+        assert kept._texts is None
+        answer = engine.run(tps, spec, taus=(high,)).records_by_tau[high]
+        assert 0 < len(answer) < len(kept), spec.kind
+        assert records_line(0, high, answer) == records_line(
+            0, high, plan.runner(index, high)
+        )
+        _, encoded = kept._texts
+        assert int(encoded.sum()) == len(answer), spec.kind
+        # A lower τ encodes only the rows it adds.
+        mid = 3.0
+        wider = engine.run(tps, spec, taus=(mid,)).records_by_tau[mid]
+        assert records_line(0, mid, wider) == records_line(0, mid, plan.runner(index, mid))
+        assert int(encoded.sum()) == len(wider) < len(kept), spec.kind
+
+
+class TestFrontierSlot:
+    def test_lower_keeps_the_lowest_tau_of_the_latest_params(self):
+        slot = frontier.Frontier()
+        index = VectorTriangleIndex(random_tps(n=40), 0.5)
+        blocks = {tau: index.query_block(tau) for tau in (1.0, 2.0, 3.0)}
+        for tau in (2.0, 3.0, 1.0, 2.0):
+            slot.lower("a", tau, blocks[tau])
+        assert slot.get("a") == (1.0, blocks[1.0])
+        assert slot.get("b") is None
+        # Other params replace the slot whatever their τ.
+        slot.lower("b", 3.0, blocks[3.0])
+        assert slot.get("a") is None and slot.get("b") == (3.0, blocks[3.0])
+
+
+@pytest.mark.parametrize("taus", [(3.0, 1.0, 2.0), (1.0, 1.0, 2.0)])
+def test_sweep_answers_in_spec_order_and_counts_narrowed_taus(taus):
+    tps = random_tps(n=80, seed=1)
+    spec = QuerySpec(kind="triangles", taus=taus, backend="vector")
+    plan = plan_query(0, spec, tps)
+    index = plan.builder()
+    slot = frontier.Frontier()
+    answers, narrowed = frontier.sweep(plan, index, slot)
+    assert list(answers) == list(dict.fromkeys(taus))
+    assert narrowed == len(set(taus)) - 1
+    assert slot.get(_params(spec))[0] == min(taus)
+    again, narrowed = frontier.sweep(plan, index, slot)
+    assert narrowed == len(set(taus))
+    for tau in taus:
+        want = records_line(0, tau, plan.runner(index, tau))
+        assert records_line(0, tau, answers[tau]) == want
+        assert records_line(0, tau, again[tau]) == want
+    # Without a frontier, or for a plan that does not narrow, every τ
+    # runs the kernel.
+    assert frontier.sweep(plan, index, None)[1] == 0
+    for other in (
+        QuerySpec(kind="triangles", taus=taus, backend="grid"),
+        QuerySpec(kind="paths", taus=taus, m=3, backend="vector"),
+        QuerySpec(kind="stars", taus=taus, m=3, backend="vector"),
+    ):
+        other_plan = plan_query(0, other, tps)
+        assert other_plan.narrow is None
+        slot = frontier.Frontier()
+        assert frontier.sweep(other_plan, other_plan.builder(), slot)[1] == 0
+        assert slot.get(_params(other)) is None

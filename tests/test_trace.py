@@ -289,6 +289,27 @@ class TestWorkerTracing:
         assert all(s["duration_ms"] > 0 for s in timed)
         assert sum(s["duration_ms"] for s in timed) <= root["duration_ms"]
 
+    def test_backend_query_span_counts_frontier_hits(self, server):
+        # The clique entry keeps one τ frontier, which this m=5 sweep
+        # replaces: it computes its lowest τ and narrows the other two; a
+        # lower τ misses; then one τ hits.
+        conn = connect(server.host, server.port)
+        hits = []
+        try:
+            for taus in ([2.0, 1.5, 3.0], [1.0], [1.2]):
+                status, lines = _query_lines(
+                    conn, "forum", [{"kind": "cliques", "m": 5, "taus": taus}]
+                )
+                assert status == 200
+                status, doc = fetch_trace(conn, lines[0]["trace_id"])
+                assert status == 200
+                (span,) = [s for s in doc["spans"] if s["name"] == "backend.query"]
+                assert span["attrs"]["taus"] == len(taus)
+                hits.append(span["attrs"]["frontier_hits"])
+        finally:
+            conn.close()
+        assert hits == [2, 0, 1]
+
     def test_client_traceparent_is_continued(self, server):
         trace_id, span_id = new_trace_id(), new_span_id()
         conn = connect(server.host, server.port)
