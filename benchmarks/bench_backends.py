@@ -17,10 +17,14 @@ the build figure), times two engine-path sweeps per ``vector`` family
 through one :class:`~repro.engine.QueryEngine` — :data:`SWEEP_TAUS` τs
 ascending, where every τ after the first is narrowed from the τ
 frontier, then descending on a fresh cache entry, where the frontier
-never hits — each τ one query plus its encoded ``records`` line, reports
-the vector-over-grid speedups that justify ``vector`` leading
-``auto``'s preference order (and gates them at n ≥ 5000), and records
-what ``auto`` chooses per shape and why.
+never hits — each τ one query plus its encoded ``records`` line, times
+an append of :data:`APPEND_EVENTS` events through a
+:class:`~repro.serve.registry.DatasetShard` whose entry keeps the
+ascending sweep's frontier and the sweep's highest τ answered after it
+(narrowed from the carried frontier), reports the vector-over-grid
+speedups that justify ``vector`` leading ``auto``'s preference order
+(and gates them at n ≥ 5000), and records what ``auto`` chooses per
+shape and why.
 
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
 and ``BENCH_serve.json``.
@@ -40,11 +44,14 @@ import platform
 import sys
 import time
 
+import numpy as np
+
 from repro import TemporalPointSet
 from repro.backends import default_registry
 from repro.datasets import workload_from_spec
-from repro.engine import QueryEngine, QuerySpec
+from repro.engine import QueryEngine, QuerySpec, execute_plans
 from repro.engine.planner import plan_query
+from repro.serve.registry import DatasetShard
 from repro.serve.server import records_line
 
 #: Dataset shapes (≥ 2, per the acceptance criterion): a general ℓ2
@@ -65,6 +72,13 @@ KIND_SPECS = [
 #: τs per engine-path sweep: the spec's first τ and up, 0.05 apart.
 SWEEP_TAUS = 20
 
+#: Events per timed append, as in one ``ingest-interleaved`` round.
+APPEND_EVENTS = 5
+
+
+def _sweep_taus(spec):
+    return [round(spec.taus[0] + 0.05 * i, 2) for i in range(SWEEP_TAUS)]
+
 
 def _engine_sweeps(spec, tps, index, runner):
     """Ascending and descending engine-path sweeps of ``spec`` over
@@ -75,7 +89,7 @@ def _engine_sweeps(spec, tps, index, runner):
     encoding its ``records`` line.  Returns ``{"up": (seconds, counts),
     "down": (seconds, counts)}`` and the direct counts, ascending.
     """
-    taus = [round(spec.taus[0] + 0.05 * i, 2) for i in range(SWEEP_TAUS)]
+    taus = _sweep_taus(spec)
     direct = [len(runner(index, tau)) for tau in taus]
     engine = QueryEngine()
     sweeps = {}
@@ -92,6 +106,56 @@ def _engine_sweeps(spec, tps, index, runner):
     return sweeps, direct
 
 
+def _copy(tps):
+    """A fresh point-set object over the arrays of ``tps``."""
+    return TemporalPointSet(tps.points, tps.starts, tps.ends, tps.metric)
+
+
+def _post_append(spec, tps):
+    """One append, then one query, on a shard whose entry keeps the
+    ascending sweep's frontier (its lowest τ).
+
+    The :data:`APPEND_EVENTS` events are uniform in the dataset's box
+    and time span, lifespans 0.5–5.  Returns the append's seconds, the
+    seconds and record count of the sweep's highest τ answered after it
+    (one query plus its encoded ``records`` line), and the direct
+    ``plan.runner`` count on a fresh build of the merged set.
+    """
+    taus = _sweep_taus(spec)
+    rng = np.random.default_rng(0)
+    lo, hi = tps.points.min(axis=0), tps.points.max(axis=0)
+    starts = rng.uniform(tps.starts.min(), tps.starts.max(), APPEND_EVENTS)
+    events = [
+        {"point": point, "start": start, "end": start + length}
+        for point, start, length in zip(
+            rng.uniform(lo, hi, (APPEND_EVENTS, tps.dim)).tolist(),
+            starts.tolist(),
+            rng.uniform(0.5, 5.0, APPEND_EVENTS).tolist(),
+        )
+    ]
+
+    def serve(tau):
+        one = dataclasses.replace(spec, taus=(tau,))
+        (result,) = execute_plans([plan_query(0, one, shard.tps)], shard.cache)
+        return result.records_by_tau[tau]
+
+    shard = DatasetShard("bench", _copy(tps))
+    try:
+        serve(taus[0])
+        t0 = time.perf_counter()
+        shard.append_events(events)
+        append_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        records = serve(taus[-1])
+        records_line(0, taus[-1], records)
+        query_s = time.perf_counter() - t0
+        plan = plan_query(0, spec, _copy(shard.tps))
+        direct = len(plan.runner(plan.builder(), taus[-1]))
+    finally:
+        shard.close()
+    return append_s, query_s, len(records), direct
+
+
 def _measure(spec, tps, repeat: int):
     """Best-of-``repeat`` build, cold-sweep, warm-sweep and served-sweep
     wall times.
@@ -105,9 +169,7 @@ def _measure(spec, tps, repeat: int):
     build_s = query_s = warm_s = served_s = float("inf")
     records = 0
     for _ in range(repeat):
-        plan = plan_query(
-            0, spec, TemporalPointSet(tps.points, tps.starts, tps.ends, tps.metric)
-        )
+        plan = plan_query(0, spec, _copy(tps))
         t0 = time.perf_counter()
         index = plan.builder()
         build_s = min(build_s, time.perf_counter() - t0)
@@ -207,6 +269,15 @@ def main(argv=None) -> int:
                         row[f"sweep_{name}_us_per_record"] = us
                         row[f"sweep_{name}_records"] = counts
                         line += f"  sweep {name} {us:7.1f} us/record"
+                    append_s, post_s, post, post_direct = _post_append(vector_spec, tps)
+                    row["append_ms"] = append_s * 1e3
+                    row["post_append_us_per_record"] = post_s * 1e6 / max(post, 1)
+                    row["post_append_records"] = post
+                    row["post_append_direct_records"] = post_direct
+                    line += (
+                        f"  append {row['append_ms']:6.1f} ms, then"
+                        f" {row['post_append_us_per_record']:7.1f} us/record"
+                    )
                 measurements.append(row)
                 print(line, file=sys.stderr)
 

@@ -56,6 +56,9 @@ leaves no structure work and a query writes nothing to the index.
 ``maintained()`` is a fresh build over the merged set, which is what
 maintenance would produce anyway: the four families of one version
 share its memoised layout, so an append builds one layout for all.
+``carry`` brings a τ frontier's block across that append: the kernel
+reruns over the anchors the append touched only, and every other
+anchor's rows are kept (DESIGN.md note 12).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from ...core.aggregate import UnionPairIndex
 from ...core.patterns import PatternIndex
 from ...errors import BackendError, ValidationError
 from ...structures.decomposition import GEOMETRY_SLACK
-from ...blocks import CliqueBlock, PairBlock, TriangleBlock
+from ...blocks import CliqueBlock, PairBlock, RecordBlock, TriangleBlock
 from ...types import PairRecord, PatternRecord, TemporalPointSet, TriangleRecord
 from .soa import (
     BLOCK_ELEMS,
@@ -100,12 +103,14 @@ _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _columns(parts: List[_Columns], id_width: int = 0) -> _Columns:
-    """The chunks' columns concatenated; empty columns (ids ``k × id_width``,
-    or a flat id column when ``id_width`` is 0) when there are none."""
+    """The chunks' columns concatenated; empty ones of the same dtypes
+    when there are none: ids ``0 × id_width`` and two float columns, or
+    with ``id_width`` 0 a pair block's ``p`` and ``q`` ids and scores."""
     if parts:
         return tuple(np.concatenate(column) for column in zip(*parts))
-    ids = np.empty((0, id_width) if id_width else 0, dtype=np.int64)
-    return ids, np.empty(0), np.empty(0)
+    if not id_width:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    return np.empty((0, id_width), dtype=np.int64), np.empty(0), np.empty(0)
 
 
 # The kernels' two τ tests.  ``narrow`` applies them to a block's rows
@@ -385,12 +390,67 @@ class _VectorIndex:
         return self.epsilon / 4.0
 
     def _eligible_candidates(
-        self, tau: float
+        self, tau: float, anchors: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The τ-eligible anchors and their ``(anchor position, cell)``
-        candidate pairs, gathered from the map."""
-        eligible = _eligible_anchor_array(self.layout, tau)
+        """The τ-eligible anchors, of ``anchors`` (ascending ids) when
+        given and of every point otherwise, and their ``(anchor
+        position, cell)`` candidate pairs, gathered from the map."""
+        if anchors is None:
+            eligible = _eligible_anchor_array(self.layout, tau)
+        else:
+            eligible = anchors[_anchor_ok(self.layout, anchors, tau)]
         return (eligible, *self.candidates.rows(eligible))
+
+    def _kernel(
+        self, tau: float, params: tuple, anchors: Optional[np.ndarray] = None
+    ) -> RecordBlock:
+        """The family's kernel at τ and ``params = (κ, m)``, over the
+        eligible ``anchors`` only when given (``_eligible_candidates``)."""
+        raise NotImplementedError
+
+    def _anchors(self, block: RecordBlock) -> np.ndarray:
+        """Each row's anchor: the point whose partners the row came from."""
+        raise NotImplementedError
+
+    def carry(
+        self, block: RecordBlock, tau: float, params: tuple, since: "_VectorIndex"
+    ) -> RecordBlock:
+        """This version's block at τ and ``params = (κ, m)``, given
+        ``block``, the same family's block at τ and ``params`` on
+        ``since``, the index this one was :meth:`maintained` from.
+
+        Only the *touched* anchors run the kernel: the appended points
+        and every point whose candidate cells include one that gained a
+        point.  Every other anchor's rows, and the texts ``block`` has
+        encoded for them, carry over; a stable sort on anchor puts the
+        two in the kernel's order (DESIGN.md note 12).
+        """
+        _check_tau(tau)
+        if (
+            type(since) is not type(self)
+            or since.epsilon != self.epsilon
+            or since.tps.n >= self.tps.n
+        ):
+            raise ValidationError("carry needs the index this one was maintained from")
+        touched = self._touched(since.tps.n)
+        fresh = self._kernel(tau, params, np.flatnonzero(touched))
+        kept = self._anchors(block)
+        rows = np.flatnonzero(~touched[kept])
+        anchors = np.concatenate((kept[rows], self._anchors(fresh)))
+        return block.splice(rows, fresh, np.argsort(anchors, kind="stable"))
+
+    def _touched(self, since: int) -> np.ndarray:
+        """Mask of the anchors whose rows an append of the points from
+        ``since`` on can change: those points, and every point whose
+        candidate-map row holds a cell that gained one of them."""
+        lay, cmap = self.layout, self.candidates
+        gained = np.zeros(lay.n_cells, dtype=bool)
+        gained[lay.cell_of[since:]] = True
+        touched = np.zeros(lay.n, dtype=bool)
+        touched[since:] = True
+        entries = np.flatnonzero(gained[cmap.cells])
+        touched[np.searchsorted(cmap.indptr, entries, side="right") - 1] = True
+        return touched
 
     def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
         """The index over ``tps``, this dataset plus appended points.
@@ -419,12 +479,15 @@ class VectorTriangleIndex(_VectorIndex):
         """The τ-durable triangles as columns: ``(anchor, q, s)`` ids
         with ``q < s``, lifespan starts and ends."""
         _check_tau(tau)
+        return self._kernel(tau, (None, None))
+
+    def _kernel(self, tau, params, anchors=None) -> TriangleBlock:
         lay = self.layout
         metric = self.tps.metric
         starts, ends, cell_of, centers = lay.starts, lay.ends, lay.cell_of, lay.centers
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau)
+        eligible, cai, cci = self._eligible_candidates(tau, anchors)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
             if expanded is None:
@@ -450,6 +513,9 @@ class VectorTriangleIndex(_VectorIndex):
                     np.minimum(ends[anchors_pq], np.minimum(ends[a_ids], ends[b_ids])),
                 ))
         return TriangleBlock(*_columns(parts, 3))
+
+    def _anchors(self, block: TriangleBlock) -> np.ndarray:
+        return block.ids[:, 0]
 
     def narrow(self, block: TriangleBlock, tau: float) -> TriangleBlock:
         """``query_block(tau)``, from this index's block at a τ₀ ≤ τ: the
@@ -590,13 +656,16 @@ class VectorSumPairIndex(_VectorIndex):
     def query_block(self, tau: float) -> PairBlock:
         """The SUM-durable pairs as ``p``, ``q``, ``score`` columns."""
         _check_tau(tau)
+        return self._kernel(tau, (None, None))
+
+    def _kernel(self, tau, params, anchors=None) -> PairBlock:
         lay = self.layout
         metric = self.tps.metric
         res = self.resolution
         link_thr = _link_threshold(res)
         prof = self._profiles
         out: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau)
+        eligible, cai, cci = self._eligible_candidates(tau, anchors)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -640,6 +709,9 @@ class VectorSumPairIndex(_VectorIndex):
             keep = _until_first_failure(total >= tau, run_start, run_m)
             out.append((pp[keep], qq[keep], total[keep]))
         return PairBlock(*_columns(out))
+
+    def _anchors(self, block: PairBlock) -> np.ndarray:
+        return block.p
 
     def narrow(self, block: PairBlock, tau: float) -> PairBlock:
         """``query_block(tau)``, from this index's block at a τ₀ ≤ τ."""
@@ -825,14 +897,17 @@ class VectorUnionPairIndex(_VectorIndex):
         _check_tau(tau)
         if not (isinstance(kappa, (int, np.integer)) and kappa >= 1):
             raise ValidationError(f"kappa must be a positive integer, got {kappa!r}")
-        kappa = int(kappa)
+        return self._kernel(tau, (int(kappa), None))
+
+    def _kernel(self, tau, params, anchors=None) -> PairBlock:
+        kappa = params[0]
         lay = self.layout
         metric = self.tps.metric
         res = self.resolution
         link_thr = _link_threshold(res)
         target = UnionPairIndex.GREEDY_FACTOR * tau
         out: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau)
+        eligible, cai, cci = self._eligible_candidates(tau, anchors)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -876,6 +951,9 @@ class VectorUnionPairIndex(_VectorIndex):
             keep = _until_first_failure(covered >= target, run_start, run_m)
             out.append((pp[keep], qq[keep], covered[keep]))
         return PairBlock(*_columns(out))
+
+    def _anchors(self, block: PairBlock) -> np.ndarray:
+        return block.p
 
     def narrow(self, block: PairBlock, tau: float) -> PairBlock:
         """``query_block(tau, κ)``, from this index's block at a τ₀ ≤ τ
@@ -925,11 +1003,15 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         (DESIGN.md note 8).
         """
         self._check(m, tau)
+        return self._kernel(tau, (None, m))
+
+    def _kernel(self, tau, params, anchors=None) -> CliqueBlock:
+        m = params[1]
         lay = self.layout
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau)
+        eligible, cai, cci = self._eligible_candidates(tau, anchors)
         for e0, e1 in _anchor_chunks(lay, cai, cci):
             ai, ci = cai[e0:e1], cci[e0:e1]
             expanded = _expand_partners(lay, eligible, ai, ci, tau)
@@ -955,21 +1037,17 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
             )
         return CliqueBlock(*_columns(parts, m))
 
+    def _anchors(self, block: CliqueBlock) -> np.ndarray:
+        return _clique_anchors(self.layout, block.ids)[0]
+
     def narrow(self, block: CliqueBlock, tau: float) -> CliqueBlock:
         """``clique_block(m, tau)``, from this index's block at a τ₀ ≤ τ
-        and the same ``m``.
-
-        A row's anchor is its member latest in ``(start, id)`` order:
-        members ascend by id, so it is the last one of the latest start.
-        """
+        and the same ``m``."""
         _check_tau(tau)
         lay = self.layout
         members = block.ids
-        starts = lay.starts[members]
-        latest = starts == starts.max(axis=1)[:, None]
-        col = members.shape[1] - 1 - np.argmax(latest[:, ::-1], axis=1)
+        p, col = _clique_anchors(lay, members)
         rows = np.arange(len(members))
-        p = members[rows, col]
         ok = _partner_ok(lay, p[:, None], members, tau)
         ok[rows, col] = _anchor_ok(lay, p, tau)
         return block.take(np.flatnonzero(ok.all(axis=1)))
@@ -1133,6 +1211,18 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         )
         np.fill_diagonal(table, True)
         return table
+
+
+def _clique_anchors(
+    lay: SoALayout, members: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each clique row's anchor and its column: the member latest in
+    ``(start, id)`` order, which is the last one of the latest start,
+    members ascending by id."""
+    starts = lay.starts[members]
+    latest = starts == starts.max(axis=1)[:, None]
+    col = members.shape[1] - 1 - np.argmax(latest[:, ::-1], axis=1)
+    return members[np.arange(len(members)), col], col
 
 
 def _start_keys(lay: SoALayout) -> Tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ block or calls :meth:`RecordBlock.records`, and then kept; ``len()``
 never builds them.  :meth:`RecordBlock.take` selects rows into a block
 of the same class whose ``json_array`` joins its source's record texts,
 which the source encodes the first time each row is asked for and
-keeps (DESIGN.md note 11).
+keeps (DESIGN.md note 11); :meth:`RecordBlock.splice` joins kept rows
+of one block, with their texts, to another's (note 12).
 """
 
 from __future__ import annotations
@@ -95,6 +96,35 @@ class RecordBlock:
         """
         out = type(self)(*self._columns()) if rows is None else self._select(rows)
         out._source = (self, rows)
+        return out
+
+    def splice(
+        self, rows: np.ndarray, other: "RecordBlock", order: np.ndarray
+    ) -> "RecordBlock":
+        """This block's rows ``rows`` followed by all of ``other``'s, put
+        in ``order`` (a permutation of the ``len(rows) + len(other)``
+        rows), as a block of this class.
+
+        The texts this block has encoded for the kept rows carry over;
+        ``other``'s rows are encoded on first use.  Which rows have a
+        text is read from a copy of the text list only: readers of this
+        block may be filling it and its mask meanwhile, and a text once
+        written is final.
+        """
+        columns = self._columns()
+        out = type(self)(*(
+            np.concatenate((mine[rows], theirs))[order]
+            for mine, theirs in zip(columns, other._columns())
+        ))
+        if self._texts is not None:
+            texts = np.empty(len(self), dtype=object)
+            texts[:] = list(self._texts[0])  # copied at once, under the GIL
+            spliced = np.concatenate(
+                (texts[rows], np.full(len(other), None, dtype=object))
+            )[order]
+            filled = np.not_equal(spliced, None)
+            if filled.any():
+                out._texts = (spliced.tolist(), filled)
         return out
 
     def _select(self, rows: np.ndarray) -> "RecordBlock":

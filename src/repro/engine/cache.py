@@ -10,13 +10,15 @@ the engine tests and by the acceptance criterion of ISSUE 1).
 Eviction is LRU when ``max_entries`` is set; the default cache is
 unbounded, which matches the bench harness's historical ``lru_cache``
 behaviour.  Each entry also keeps its index's τ frontier
-(:mod:`repro.engine.frontier`), which goes with the entry.
+(:mod:`repro.engine.frontier`), which goes with the entry, or is
+carried into its successor by :meth:`IndexCache.advance`.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -71,6 +73,9 @@ class CacheStats:
     ``failed_waits`` counts requests that joined an in-flight build
     which subsequently failed: they are neither hits (no index was
     served) nor misses (they triggered no build of their own).
+    ``carried`` counts τ frontiers carried into migrated entries; it is
+    exported as a metric, not in :meth:`as_dict`, whose keys are the
+    wire's ``batch-end`` cache figures.
     """
 
     hits: int = 0
@@ -81,6 +86,7 @@ class CacheStats:
     migrated: int = 0
     invalidated: int = 0
     build_seconds: float = 0.0
+    carried: int = 0
 
     @property
     def requests(self) -> int:
@@ -130,6 +136,30 @@ class _Entry:
     error: Optional[BaseException] = None
     build_seconds: float = 0.0
     frontier: Frontier = field(default_factory=Frontier)
+
+
+def _carried(old: _Entry, index: Any) -> Frontier:
+    """The frontier for ``index``, the maintained successor of
+    ``old.index``: ``old``'s frontier carried by ``index.carry`` when
+    both exist (kept only within the cap, as any block), else empty.
+
+    Runs outside the cache lock, on one snapshot of ``old``'s frontier,
+    which old-epoch queries may still lower meanwhile.
+    """
+    frontier = Frontier()
+    kept = old.frontier.kept()
+    carry = getattr(index, "carry", None)
+    if kept is not None and carry is not None:
+        params, tau, block = kept
+        try:
+            frontier.lower(params, tau, carry(block, tau, params, old.index))
+        except Exception:
+            # A carry must never fail an append; an entry without a
+            # frontier just runs its kernel on its next query.
+            logging.getLogger(__name__).exception(
+                "carrying a tau frontier failed; the entry starts without one"
+            )
+    return frontier
 
 
 def _waiter_copy(exc: BaseException) -> BaseException:
@@ -288,6 +318,9 @@ class IndexCache:
         keeps hitting), while ``None`` — or no maintainer at all —
         invalidates the entry, so that family's next request misses and
         rebuilds exactly once through the normal single-flight path.
+        A migrated entry keeps its τ frontier when the new index can
+        ``carry`` it (:func:`_carried`); it is counted under
+        ``stats.carried``.
 
         In-flight builds are deliberately left untouched under their
         old key: their waiters planned against the old epoch and must
@@ -313,6 +346,7 @@ class IndexCache:
             # the swap below.  Maintainers return fresh objects (never
             # mutate ``entry.index`` in place) for exactly that reason.
             kept = maintainer(key, entry.index) if maintainer is not None else None
+            frontier = _carried(entry, kept) if kept is not None else None
             new_key = key._replace(fingerprint=new_fingerprint)
             with self._lock:
                 if self._entries.get(key) is entry:
@@ -325,10 +359,12 @@ class IndexCache:
                     self._count(invalidated=1)
                     invalidated.append(key)
                     continue
-                slot = _Entry(index=kept, build_seconds=entry.build_seconds)
+                slot = _Entry(
+                    index=kept, build_seconds=entry.build_seconds, frontier=frontier
+                )
                 slot.ready.set()
                 self._entries[new_key] = slot
-                self._count(migrated=1)
+                self._count(migrated=1, carried=int(frontier.kept() is not None))
                 migrated.append(new_key)
         return {"migrated": migrated, "invalidated": invalidated}
 

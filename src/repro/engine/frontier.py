@@ -13,8 +13,11 @@ frontier (DESIGN.md note 11).
 
 The frontier lives in the :class:`~repro.engine.cache.IndexCache` entry
 beside the index, never on it, so queries stay read-only and the
-frontier is freed with the entry (an append's ``advance``, LRU
-eviction, a dataset's removal).  One slot per entry bounds what an
+frontier is freed with the entry (LRU eviction, a dataset's removal).
+An append's ``advance`` carries it into the maintained entry: the
+index's ``carry`` reruns the kernel at the kept τ₀ and ``(κ, m)`` over
+the anchors the append touched only, and keeps every other anchor's
+rows and texts (DESIGN.md note 12).  One slot per entry bounds what an
 entry keeps at :data:`FRONTIER_CAP` records however many κ or m its
 queries ask for.
 """
@@ -43,10 +46,14 @@ class Frontier:
         self._lock = threading.Lock()
         self._kept: Optional[Tuple[tuple, float, "RecordBlock"]] = None
 
+    def kept(self) -> Optional[Tuple[tuple, float, "RecordBlock"]]:
+        """``(params, τ₀, block)`` kept, or ``None``."""
+        with self._lock:
+            return self._kept
+
     def get(self, params: tuple) -> Optional[Tuple[float, "RecordBlock"]]:
         """``(τ₀, block)`` kept for ``params``, or ``None``."""
-        with self._lock:
-            kept = self._kept
+        kept = self.kept()
         if kept is None or kept[0] != params:
             return None
         return kept[1], kept[2]

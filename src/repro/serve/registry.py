@@ -356,11 +356,14 @@ class DatasetShard:
         keeps hitting — durable triangles and SUM pairs over the grid
         (extended where points landed) and all four ``vector`` families
         (a fresh build over the merged set) — and the rest are
-        invalidated and rebuild on their next query.  Batches larger
-        than :data:`REBUILD_FRACTION` of the dataset skip maintenance
-        entirely (rebuild-on-threshold).  Either way, queries after the
-        append answer record-set-identically to a fresh registration of
-        the merged point set.
+        invalidated and rebuild on their next query.  A migrated
+        ``vector`` entry keeps its τ frontier, carried by ``carry``,
+        which reruns the kernel for the anchors the append touched only.
+        Batches larger than :data:`REBUILD_FRACTION` of the dataset skip
+        maintenance entirely (rebuild-on-threshold) and carry nothing.
+        Either way, queries after the append answer
+        record-set-identically to a fresh registration of the merged
+        point set.
         """
         if isinstance(events, bytes):
             events = events.decode("utf-8", "replace")
@@ -539,6 +542,9 @@ class DatasetRegistry:
             ("serve_cache_migrated_total", "counter",
              "Indexes carried across an epoch bump by incremental maintenance.",
              lambda s: s.cache.stats.migrated),
+            ("serve_cache_frontiers_carried_total", "counter",
+             "Tau frontiers carried into migrated indexes across an epoch bump.",
+             lambda s: s.cache.stats.carried),
             ("serve_cache_invalidated_total", "counter",
              "Indexes invalidated by an epoch bump (rebuild on next query).",
              lambda s: s.cache.stats.invalidated),

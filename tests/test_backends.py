@@ -799,27 +799,36 @@ class TestVectorIndexSurface:
         merged = _appended(tps)
         tau = 2.0
         common = {"maintained": lambda ix: ix.maintained(merged)}
+
+        def carry(ix, params, block):
+            # The block at τ carried to the next version.
+            return ix.maintained(merged).carry(block, tau, params, ix)
+
         surfaces = {
             VectorTriangleIndex: {
                 "query": lambda ix: ix.query(tau),
                 "query_block": lambda ix: ix.query_block(tau),
                 "narrow": lambda ix: ix.narrow(ix.query_block(1.0), tau),
+                "carry": lambda ix: carry(ix, (None, None), ix.query_block(tau)),
                 "count": lambda ix: ix.count(tau),
             },
             VectorSumPairIndex: {
                 "query": lambda ix: ix.query(tau),
                 "query_block": lambda ix: ix.query_block(tau),
                 "narrow": lambda ix: ix.narrow(ix.query_block(1.0), tau),
+                "carry": lambda ix: carry(ix, (None, None), ix.query_block(tau)),
             },
             VectorUnionPairIndex: {
                 "query": lambda ix: ix.query(tau, 3),
                 "query_block": lambda ix: ix.query_block(tau, 3),
                 "narrow": lambda ix: ix.narrow(ix.query_block(1.0, 3), tau),
+                "carry": lambda ix: carry(ix, (3, None), ix.query_block(tau, 3)),
             },
             VectorPatternIndex: {
                 "iter_cliques": lambda ix: list(ix.iter_cliques(3, tau)),
                 "clique_block": lambda ix: ix.clique_block(3, tau),
                 "narrow": lambda ix: ix.narrow(ix.clique_block(3, 1.0), tau),
+                "carry": lambda ix: carry(ix, (None, 3), ix.clique_block(3, tau)),
                 "iter_paths": lambda ix: list(ix.iter_paths(3, tau)),
                 "iter_stars": lambda ix: list(ix.iter_stars(3, tau)),
                 "star_summaries": lambda ix: ix.star_summaries(3, tau),
@@ -841,6 +850,9 @@ class TestVectorIndexSurface:
                 assert got[name], (cls.__name__, name)  # real work done
             with pytest.raises(ValidationError, match="need more than"):
                 index.maintained(tps)
+            # ``carry`` takes only the index it was maintained from.
+            with pytest.raises(ValidationError, match="maintained from"):
+                index.carry(got["carry"], tau, (3, 3), got["maintained"])
 
 
 class TestVectorTriangleCount:

@@ -17,8 +17,17 @@
   not kept; racing first queries keep the lower τ.
 * A frontier kept by a counts-only query encodes, for a later records
   query narrowed from it, only the rows that query reports.
+* Carried across appends: after each batch of an append chain sent
+  through ``DatasetShard.append_events``, every maintained entry's
+  frontier equals the direct block of a fresh build of the merged set,
+  as columns and as ``records_line`` bytes, with the texts encoded
+  before the append kept (property test), and so does every τ′ ≥ τ₀
+  served from it.  A rebuild-size batch, an over-cap carried block and
+  a failing ``carry`` leave the entry without a frontier; carried
+  frontiers are counted in ``/metrics``.
 """
 
+import dataclasses
 import gc
 import random
 import sys
@@ -39,7 +48,8 @@ from repro.backends.vector import (
 )
 from repro.engine import IndexCache, execute_plans, plan_batch, plan_query
 from repro.engine import frontier
-from repro.serve.registry import DatasetRegistry, DatasetShard
+from repro.obs import counter_value, parse_exposition
+from repro.serve.registry import REBUILD_FRACTION, DatasetRegistry, DatasetShard
 from repro.serve.server import records_line
 
 from conftest import random_tps
@@ -211,13 +221,16 @@ class TestFrontierLifetime:
             assert report["invalidated_families"] == []
             gc.collect()
             assert [ref() for ref in old] == [None] * len(old)
-            # The maintained entries start without a frontier, and the
-            # merged set answers as a fresh index does.
+            # Each maintained entry carries one at the old τ₀ and params,
+            # byte-equal to the direct block, and the merged set answers
+            # as a fresh index does.
             for plan in plan_batch(VECTOR_SPECS, shard.tps):
                 index = shard.cache.peek(plan.key)
-                assert shard.cache.frontier(plan.key, index).get(_params(plan.spec)) is None
-                (result,) = execute_plans([plan], shard.cache)
+                tau, carried = shard.cache.frontier(plan.key, index).get(_params(plan.spec))
+                assert tau == 2.0
                 fresh = plan.runner(plan.builder(), 2.0)
+                assert records_line(0, 2.0, carried.take()) == records_line(0, 2.0, fresh)
+                (result,) = execute_plans([plan], shard.cache)
                 assert records_line(0, 2.0, result.records_by_tau[2.0]) == records_line(
                     0, 2.0, fresh
                 )
@@ -401,3 +414,237 @@ def test_sweep_answers_in_spec_order_and_counts_narrowed_taus(taus):
         slot = frontier.Frontier()
         assert frontier.sweep(other_plan, other_plan.builder(), slot)[1] == 0
         assert slot.get(_params(other)) is None
+
+
+# ----------------------------------------------------------------------
+# Carried across appends: exact, and only where it fits
+# ----------------------------------------------------------------------
+@st.composite
+def append_chains(draw, tps):
+    """1–3 event batches for ``tps``, each of 1–20 events and within the
+    rebuild fraction: duplicates of a point (earlier appends' too),
+    points beside one, one to two units from one along an axis, or
+    anywhere in a wider box (new cells); lifespans on the 0.1 lattice,
+    long enough that appended points anchor and partner."""
+    points = tps.points.tolist()
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, min(20, int(REBUILD_FRACTION * len(points)))))
+        batch = []
+        for _ in range(size):
+            point = list(points[draw(st.integers(0, len(points) - 1))])
+            axis = draw(st.integers(0, tps.dim - 1))
+            kind = draw(st.sampled_from(["duplicate", "beside", "band", "new cell"]))
+            if kind == "beside":
+                point[axis] += draw(st.floats(0.0, 0.1))
+            elif kind == "band":
+                point[axis] += draw(st.sampled_from([-1, 1])) * draw(
+                    st.floats(1.0, 2.0, exclude_min=True)
+                )
+            elif kind == "new cell":
+                point = [draw(st.floats(-4.0, 6.0)) for _ in range(tps.dim)]
+            start = draw(st.integers(0, 20))
+            length = draw(st.integers(5, 40))
+            batch.append({"point": point, "start": start / 10, "end": (start + length) / 10})
+            points.append(point)
+        chain.append(batch)
+    return chain
+
+
+def _fresh(tps):
+    """The same points as a new dataset object, so nothing memoised on
+    ``tps`` (layout, candidate map) is reused."""
+    return TemporalPointSet(tps.points, tps.starts, tps.ends, metric=tps.metric)
+
+
+def _serve(shard, spec, tau):
+    """``spec`` at ``tau`` through ``shard``'s cache, as a shard serves it."""
+    spec = dataclasses.replace(spec, taus=(tau,))
+    (result,) = execute_plans([plan_query(0, spec, shard.tps)], shard.cache)
+    assert result.ok, result.error
+    return result.records_by_tau[tau]
+
+
+def _carried(shard, spec):
+    """``(τ₀, block)`` of the frontier in ``spec``'s entry on ``shard``."""
+    plan = plan_query(0, spec, shard.tps)
+    slot = shard.cache.frontier(plan.key, shard.cache.peek(plan.key))
+    return slot.get(_params(spec))
+
+
+def _assert_same_columns(got, want, label):
+    assert type(got) is type(want), label
+    for mine, theirs in zip(got._columns(), want._columns()):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), label
+
+
+class TestCarryEqualsDirect:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tps=lattice_tps(),
+        taus=lattice_taus,
+        epsilon=st.sampled_from([0.5, 1.0]),
+        kappa=st.sampled_from([1, 3]),
+        m=st.sampled_from([2, 3, 4]),
+        data=st.data(),
+    )
+    def test_carried_frontiers_equal_a_fresh_build(self, tps, taus, epsilon, kappa, m, data):
+        chain = data.draw(append_chains(tps))
+        specs = [
+            QuerySpec(kind=kind, taus=1.0, epsilon=epsilon, backend="vector", **extra)
+            for kind, extra in (
+                ("triangles", {}),
+                ("pairs-sum", {}),
+                ("pairs-union", {"kappa": kappa}),
+                ("cliques", {"m": m}),
+            )
+        ]
+        tau0 = taus[0]
+        shard = DatasetShard("d", tps)
+        try:
+            # A counts-only query keeps each frontier at τ₀; a records
+            # query above it encodes that answer's rows only.
+            for spec in specs:
+                _serve(shard, spec, tau0)
+                records_line(0, taus[-1], _serve(shard, spec, taus[-1]))
+            for step, batch in enumerate(chain):
+                report = shard.append_events(batch)
+                assert report["accepted"] == len(batch)
+                assert report["invalidated_families"] == []
+                fresh_tps = _fresh(shard.tps)
+                for spec in specs:
+                    label = (spec.kind, spec.kappa, spec.m, step)
+                    tau, carried = _carried(shard, spec)
+                    assert tau == tau0, label
+                    plan = plan_query(0, spec, fresh_tps)
+                    index = plan.builder()
+                    want = plan.runner(index, tau0)
+                    _assert_same_columns(carried, want, label)
+                    # The texts carried over are the direct ones.
+                    texts, filled = carried._texts or ([], np.zeros(0, bool))
+                    want_texts = want._record_texts()
+                    for i in np.flatnonzero(filled).tolist():
+                        assert texts[i] == want_texts[i], label
+                    # Every τ′ above τ₀ served narrows the carried block,
+                    # encoding its own rows.
+                    for tau in taus[1:]:
+                        assert records_line(0, tau, _serve(shard, spec, tau)) == (
+                            records_line(0, tau, plan.runner(index, tau))
+                        ), (label, tau)
+                    if step == len(chain) - 1:
+                        line = records_line(0, tau0, want)
+                        assert records_line(0, tau0, carried.take()) == line, label
+                        assert records_line(0, tau0, _serve(shard, spec, tau0)) == line
+        finally:
+            shard.close()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_every_family_carries_a_five_event_append(self, seed):
+        # Blocks of a few thousand rows, many per anchor: the merge must
+        # keep each anchor's rows in the kernel's order.
+        tps = random_tps(n=400, seed=seed)
+        rng = np.random.default_rng(seed)
+        near = tps.points[rng.integers(0, tps.n, 5)]
+        starts = rng.uniform(0.0, 5.0, 5)
+        merged = tps.with_events(
+            near + rng.uniform(-1.5, 1.5, near.shape), starts, starts + rng.uniform(3, 9, 5)
+        )
+        for fields, index, direct in _families(tps, 0.5):
+            params = (fields.get("kappa"), fields.get("m"))
+            tau = 2.0
+            block = direct(index, tau)
+            records_line(0, 4.0, index.narrow(block, 4.0))  # some texts kept
+            successor = index.maintained(merged)
+            carried = successor.carry(block, tau, params, index)
+            want = direct(type(index)(_fresh(merged), 0.5), tau)
+            assert len(want) > len(block) > 1000, fields
+            _assert_same_columns(carried, want, fields)
+            assert records_line(0, tau, carried.take()) == records_line(0, tau, want)
+
+
+def _warm_shard():
+    registry = DatasetRegistry()
+    shard = registry.register("d", random_tps(n=60, seed=2))
+    _warm_frontiers(shard.cache, shard.tps)
+    return registry, shard
+
+
+def _carried_metric(registry):
+    families = parse_exposition(registry.metrics.registry.render())
+    return counter_value(families, "serve_cache_frontiers_carried_total", {"dataset": "d"})
+
+
+EVENT = {"point": [0.5, 0.5], "start": 0.0, "end": 4.0}
+
+
+class TestCarryLifetime:
+    def test_carried_frontiers_are_counted_in_metrics(self):
+        registry, shard = _warm_shard()
+        try:
+            assert _carried_metric(registry) == 0
+            shard.append_events([EVENT])
+            assert _carried_metric(registry) == 4 == shard.cache.stats.carried
+            # A rebuild-size batch maintains nothing, so carries nothing.
+            report = shard.append_events([EVENT] * (shard.tps.n // 2 + 1))
+            assert report["maintained_families"] == []
+            assert _carried_metric(registry) == 4
+        finally:
+            registry.close()
+
+    def test_a_rebuild_size_batch_carries_nothing(self):
+        registry, shard = _warm_shard()
+        try:
+            report = shard.append_events([EVENT] * (shard.tps.n // 2 + 1))
+            assert len(report["invalidated_families"]) == len(VECTOR_SPECS)
+            assert shard.cache.stats.carried == 0
+            for spec in VECTOR_SPECS:
+                plan = plan_query(0, spec, shard.tps)
+                assert shard.cache.peek(plan.key) is None
+                _serve(shard, spec, 3.0)
+                assert _carried(shard, spec)[0] == 3.0  # a fresh frontier
+        finally:
+            registry.close()
+
+    def test_an_over_cap_carried_block_is_not_kept(self, monkeypatch):
+        registry, shard = _warm_shard()
+        try:
+            monkeypatch.setattr(frontier, "FRONTIER_CAP", 5)
+            report = shard.append_events([EVENT])
+            assert report["invalidated_families"] == []
+            assert shard.cache.stats.carried == 0
+            for spec in VECTOR_SPECS:
+                assert _carried(shard, spec) is None, spec.kind
+                plan = plan_query(0, spec, _fresh(shard.tps))
+                assert records_line(0, 2.0, _serve(shard, spec, 2.0)) == records_line(
+                    0, 2.0, plan.runner(plan.builder(), 2.0)
+                )
+        finally:
+            registry.close()
+
+    def test_a_failing_carry_leaves_the_append_and_an_empty_entry(
+        self, monkeypatch, caplog
+    ):
+        def broken(self, block, tau, params, since):
+            raise RuntimeError("carry failed")
+
+        registry, shard = _warm_shard()
+        try:
+            for cls in (
+                VectorTriangleIndex, VectorSumPairIndex, VectorUnionPairIndex,
+                VectorPatternIndex,
+            ):
+                monkeypatch.setattr(cls, "carry", broken)
+            report = shard.append_events([EVENT])
+            assert report["accepted"] == 1
+            assert len(report["maintained_families"]) == len(VECTOR_SPECS)
+            assert shard.cache.stats.carried == 0
+            # Each failure is reported with its traceback.
+            failures = [r for r in caplog.records if r.exc_info]
+            assert len(failures) == len(VECTOR_SPECS)
+            assert all(str(r.exc_info[1]) == "carry failed" for r in failures)
+            for spec in VECTOR_SPECS:
+                plan = plan_query(0, spec, shard.tps)
+                assert shard.cache.peek(plan.key) is not None
+                assert _carried(shard, spec) is None, spec.kind
+        finally:
+            registry.close()
