@@ -26,6 +26,13 @@ speedups that justify ``vector`` leading ``auto``'s preference order
 (and gates them at n ≥ 5000), and records what ``auto`` chooses per
 shape and why.
 
+Whatever ``--n`` is, a fixed ``maintenance`` block then times the four
+``vector`` families' ``maintained()`` after an append of
+:data:`APPEND_EVENTS` events against a fresh build of the merged set, on
+each of :data:`MAINTENANCE_RUNGS`, and checks that every array the two
+hold is equal; the bench fails when one differs, or when maintenance on
+the largest rung costs more than :data:`MAINTENANCE_GATE` of the build.
+
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
 and ``BENCH_serve.json``.
 
@@ -48,7 +55,8 @@ import numpy as np
 
 from repro import TemporalPointSet
 from repro.backends import default_registry
-from repro.datasets import workload_from_spec
+from repro.backends import vector
+from repro.datasets import benchmark_workload, workload_from_spec
 from repro.engine import QueryEngine, QuerySpec, execute_plans
 from repro.engine.planner import plan_query
 from repro.serve.registry import DatasetShard
@@ -74,6 +82,25 @@ SWEEP_TAUS = 20
 
 #: Events per timed append, as in one ``ingest-interleaved`` round.
 APPEND_EVENTS = 5
+
+
+#: ``(n, dim)`` of each maintenance rung (``benchmark_workload``, seed 0):
+#: dim 2 at three sizes, and dim 3, where the candidate search is dearest.
+MAINTENANCE_RUNGS = [(2000, 2), (8000, 2), (32000, 2), (2000, 3)]
+
+#: The largest share of a fresh four-family build that maintenance may
+#: cost on the largest rung.
+MAINTENANCE_GATE = 0.1
+
+#: Timed repetitions per maintenance rung (median).
+MAINTENANCE_REPEAT = 3
+
+VECTOR_CLASSES = (
+    vector.VectorTriangleIndex,
+    vector.VectorSumPairIndex,
+    vector.VectorUnionPairIndex,
+    vector.VectorPatternIndex,
+)
 
 
 def _sweep_taus(spec):
@@ -111,6 +138,98 @@ def _copy(tps):
     return TemporalPointSet(tps.points, tps.starts, tps.ends, tps.metric)
 
 
+def _append_events(tps, rng):
+    """:data:`APPEND_EVENTS` events uniform in the box and time span of
+    ``tps``, lifespans 0.5–5, as ``(points, starts, ends)``."""
+    lo, hi = tps.points.min(axis=0), tps.points.max(axis=0)
+    starts = rng.uniform(tps.starts.min(), tps.starts.max(), APPEND_EVENTS)
+    return (
+        rng.uniform(lo, hi, (APPEND_EVENTS, tps.dim)),
+        starts,
+        starts + rng.uniform(0.5, 5.0, APPEND_EVENTS),
+    )
+
+
+def _arrays(index):
+    """Every array a query of ``index`` reads, by name."""
+    lay, cmap = index.layout, index.candidates
+    names = ("points", "starts", "ends", "cell_keys", "cell_of", "centers",
+             "counts", "offsets", "order_id", "order_end")
+    out = {name: getattr(lay, name) for name in names}
+    out["indptr"], out["cells"] = cmap.indptr, cmap.cells
+    profiles = getattr(index, "_profiles", None)
+    if profiles is not None:
+        for name in ("offsets", "times", "integral", "slopes", "ranks", "keys"):
+            out[f"profiles.{name}"] = getattr(profiles, name)
+    if hasattr(index, "_start_keys"):
+        out["start_keys"], out["start_ranks"] = index._start_keys
+    return out
+
+
+def _same(mine, theirs):
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        for a, b in zip(mine.values(), theirs.values())
+    ) and mine.keys() == theirs.keys()
+
+
+def _maintenance(n, dim):
+    """One maintenance rung: the median seconds of the four families'
+    ``maintained()`` after an append and of a fresh build of the merged
+    set, and whether every array of the two is equal."""
+    tps = benchmark_workload(n, dim=dim, seed=0)
+    indexes = [cls(tps, 0.5) for cls in VECTOR_CLASSES]
+    rng = np.random.default_rng(0)
+    maintain_s, fresh_s, equal = [], [], True
+    for _ in range(MAINTENANCE_REPEAT):
+        # A new merged object per repetition, so nothing is memoised.
+        merged = tps.with_events(*_append_events(tps, rng))
+        t0 = time.perf_counter()
+        maintained = [index.maintained(merged) for index in indexes]
+        maintain_s.append(time.perf_counter() - t0)
+        fresh_tps = _copy(merged)
+        t0 = time.perf_counter()
+        fresh = [cls(fresh_tps, 0.5) for cls in VECTOR_CLASSES]
+        fresh_s.append(time.perf_counter() - t0)
+        equal &= all(_same(_arrays(a), _arrays(b)) for a, b in zip(maintained, fresh))
+    return float(np.median(maintain_s)), float(np.median(fresh_s)), equal
+
+
+def _maintenance_block():
+    """The ``maintenance`` block over :data:`MAINTENANCE_RUNGS`, gated."""
+    rungs = []
+    for n, dim in MAINTENANCE_RUNGS:
+        maintain_s, fresh_s, equal = _maintenance(n, dim)
+        rungs.append({
+            "n": n,
+            "dim": dim,
+            "events": APPEND_EVENTS,
+            "maintained_ms": maintain_s * 1e3,
+            "fresh_ms": fresh_s * 1e3,
+            "ratio": maintain_s / fresh_s,
+            "arrays_equal": equal,
+        })
+        print(
+            f"maintenance n={n:>6} dim={dim}: maintained {maintain_s * 1e3:7.1f} ms"
+            f"  fresh {fresh_s * 1e3:7.1f} ms  ratio {maintain_s / fresh_s:6.3f}"
+            f"  arrays {'equal' if equal else 'DIFFER'}",
+            file=sys.stderr,
+        )
+    largest = max(rungs, key=lambda rung: rung["n"])
+    failures = [
+        f"arrays differ from a fresh build at n={r['n']} dim={r['dim']}"
+        for r in rungs
+        if not r["arrays_equal"]
+    ]
+    if largest["ratio"] > MAINTENANCE_GATE:
+        failures.append(
+            f"maintenance at n={largest['n']} costs {largest['ratio']:.3f} of a"
+            f" fresh build, above {MAINTENANCE_GATE}"
+        )
+    return {"gate_ratio": MAINTENANCE_GATE, "rungs": rungs, "failures": failures,
+            "ok": not failures}
+
+
 def _post_append(spec, tps):
     """One append, then one query, on a shard whose entry keeps the
     ascending sweep's frontier (its lowest τ).
@@ -122,16 +241,10 @@ def _post_append(spec, tps):
     ``plan.runner`` count on a fresh build of the merged set.
     """
     taus = _sweep_taus(spec)
-    rng = np.random.default_rng(0)
-    lo, hi = tps.points.min(axis=0), tps.points.max(axis=0)
-    starts = rng.uniform(tps.starts.min(), tps.starts.max(), APPEND_EVENTS)
+    points, starts, ends = _append_events(tps, np.random.default_rng(0))
     events = [
-        {"point": point, "start": start, "end": start + length}
-        for point, start, length in zip(
-            rng.uniform(lo, hi, (APPEND_EVENTS, tps.dim)).tolist(),
-            starts.tolist(),
-            rng.uniform(0.5, 5.0, APPEND_EVENTS).tolist(),
-        )
+        {"point": point, "start": start, "end": end}
+        for point, start, end in zip(points.tolist(), starts.tolist(), ends.tolist())
     ]
 
     def serve(tau):
@@ -336,6 +449,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
+    maintenance = _maintenance_block()
+    for failure in maintenance["failures"]:
+        print(f"FAIL {failure}", file=sys.stderr)
+
     payload = {
         "bench": "backends",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -348,13 +465,14 @@ def main(argv=None) -> int:
         "vector_speedup_over_grid": speedups,
         "best_vector_speedup": best_speedup,
         "auto_choices": auto_choices,
+        "maintenance": maintenance,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     backends = sorted({m["backend"] for m in measurements})
     print(f"wrote {args.out}: {len(measurements)} measurements over "
           f"{len(backends)} backends")
-    return 0
+    return 0 if maintenance["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -49,16 +49,22 @@ SUM, UNION and cliques return the ``grid`` backend's records bit for
 bit and in the same order, triangles the same records (the canonical
 cells coincide; DESIGN.md note 8 gives the exactness arguments,
 ``tests/test_backends.py`` compares the lists).
-All per-cell and per-point state — the layout, the candidate map and
-the packed coverage profiles — is built with the index, so a cache hit
-leaves no structure work and a query writes nothing to the index.
+All per-cell and per-point state — the layout, the candidate map, the
+packed coverage profiles and the start keys — is built with the index,
+so a cache hit leaves no structure work and a query writes nothing to
+the index.
 
-``maintained()`` is a fresh build over the merged set, which is what
-maintenance would produce anyway: the four families of one version
-share its memoised layout, so an append builds one layout for all.
-``carry`` brings a τ frontier's block across that append: the kernel
-reruns over the anchors the append touched only, and every other
-anchor's rows are kept (DESIGN.md note 12).
+``maintained()`` extends that state to the merged set by merge and
+gather instead of rebuilding it (DESIGN.md note 13): the layout gains
+the appended points' cells, the candidate map reruns the generator for
+the appended points and the points within reach of a new cell only,
+and the profiles recompute the cells that gained a point only; every
+array equals a fresh build's.  A fresh build is the same routine
+extending empty structures.  The four families of one version share
+the extended layout and map.  ``carry`` brings a τ frontier's block
+across that append: the kernel reruns over the anchors the append
+touched only, which the map lists, and every other anchor's rows are
+kept (DESIGN.md note 12).
 """
 
 from __future__ import annotations
@@ -147,60 +153,85 @@ def _link_threshold(resolution: float) -> float:
 WINDOW_CHUNK = 1 << 14
 
 
-def _lattice_windows(
-    lay: SoALayout, metric, anchors: np.ndarray, thr: float
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Candidate ``(anchor, cell)`` pairs via key windows.
+def _key_windows(
+    lay: SoALayout, keys: np.ndarray, reach: int
+) -> Optional[Iterator[Tuple[int, np.ndarray, np.ndarray]]]:
+    """The occupied cells whose key lies within ``±reach`` on every axis
+    of each row of ``keys`` (integer cell keys), via key windows.
 
     Occupied cells sort lexicographically by key, i.e. ascending in
     their mixed-radix code, so for a fixed combination of offsets on the
     leading ``dim−1`` key coordinates the in-window cells are one
-    contiguous code range.  Anchors go in chunks of at most
-    ``WINDOW_CHUNK`` window entries: per chunk, two
-    ``searchsorted`` calls give the window superset and one rowwise
-    center-distance pass refines it.  Returns ``None`` when the window
-    enumeration would not beat the dense distance matrix (wide reach,
-    high dim, or a code space that would overflow int64).
+    contiguous code range.  Rows go in chunks of at most
+    ``WINDOW_CHUNK`` window entries; each chunk yields ``(r0, ri, ci)``,
+    rows ``r0 + ri`` and their cells, ascending per row, found by two
+    ``searchsorted`` calls.  Returns ``None`` when the window
+    enumeration would not beat a scan of every cell (wide reach, high
+    dim, or a code space that would overflow int64).
     """
-    keys = lay.cell_keys
+    cell_keys = lay.cell_keys
     dim = lay.dim
-    reach = int(np.floor(thr / lay.side)) + 1
-    kmin = keys.min(axis=0)
-    sizes = keys.max(axis=0) - kmin + 1
     m_combos = (2 * reach + 1) ** (dim - 1)
     if m_combos >= max(lay.n_cells, 2):
         return None
+    # Column by column throughout: a reduction over the short key axis,
+    # or along the long one of the whole array, costs several times more.
+    kmin = np.array([cell_keys[:, i].min() for i in range(dim)])
+    sizes = np.array([cell_keys[:, i].max() for i in range(dim)]) - kmin + 1
     if int(np.prod([int(s) for s in sizes])) > 2**62:
         return None
     strides = np.ones(dim, dtype=np.int64)
     for i in range(dim - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
-    codes = ((keys - kmin) * strides).sum(axis=1)
+    codes = np.zeros(lay.n_cells, dtype=np.int64)
+    for i in range(dim):
+        codes += (cell_keys[:, i] - kmin[i]) * strides[i]
     offs = np.arange(-reach, reach + 1, dtype=np.int64)
     if dim > 1:
         grids = np.meshgrid(*([offs] * (dim - 1)), indexing="ij")
         combos = np.stack([g.ravel() for g in grids], axis=1)
     else:
         combos = np.zeros((1, 0), dtype=np.int64)
+
+    def windows() -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        block = max(1, WINDOW_CHUNK // m_combos)
+        for r0 in range(0, len(keys), block):
+            ka = keys[r0 : r0 + block] - kmin
+            digits = ka[:, None, : dim - 1] + combos[None, :, :]
+            valid = ((digits >= 0) & (digits < sizes[: dim - 1])).all(axis=2)
+            base = (digits * strides[: dim - 1]).sum(axis=2)
+            last_lo = np.maximum(ka[:, dim - 1] - reach, 0)
+            last_hi = np.minimum(ka[:, dim - 1] + reach, sizes[dim - 1] - 1)
+            va, vm = np.nonzero(valid)
+            clo = base[va, vm] + last_lo[va]
+            chi = base[va, vm] + last_hi[va] + 1
+            lo = np.searchsorted(codes, clo)
+            counts = np.searchsorted(codes, chi) - lo
+            yield r0, np.repeat(va, counts), ragged_arange(lo, counts)
+
+    return windows()
+
+
+def _lattice_windows(
+    lay: SoALayout, metric, anchors: np.ndarray, thr: float
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Candidate ``(anchor, cell)`` pairs via key windows.
+
+    The cells within ``±reach`` of each anchor's key
+    (:func:`_key_windows`, which bounds every cell within ``thr``) are
+    refined by one rowwise center-distance pass per chunk.  Returns
+    ``None`` when the window enumeration would not beat the dense
+    distance matrix.
+    """
+    reach = int(np.floor(thr / lay.side)) + 1
+    keys = np.floor(lay.points[anchors] / lay.side).astype(np.int64)
+    windows = _key_windows(lay, keys, reach)
+    if windows is None:
+        return None
     parts_a: List[np.ndarray] = []
     parts_c: List[np.ndarray] = []
-    block = max(1, WINDOW_CHUNK // m_combos)
-    for a0 in range(0, len(anchors), block):
-        chunk = anchors[a0 : a0 + block]
-        ka = np.floor(lay.points[chunk] / lay.side).astype(np.int64) - kmin
-        digits = ka[:, None, : dim - 1] + combos[None, :, :]
-        valid = ((digits >= 0) & (digits < sizes[: dim - 1])).all(axis=2)
-        base = (digits * strides[: dim - 1]).sum(axis=2)
-        last_lo = np.maximum(ka[:, dim - 1] - reach, 0)
-        last_hi = np.minimum(ka[:, dim - 1] + reach, sizes[dim - 1] - 1)
-        va, vm = np.nonzero(valid)
-        clo = base[va, vm] + last_lo[va]
-        chi = base[va, vm] + last_hi[va] + 1
-        lo = np.searchsorted(codes, clo)
-        counts = np.searchsorted(codes, chi) - lo
-        ci = ragged_arange(lo, counts)
-        ai = np.repeat(va, counts)
-        keep = rowwise_dists(metric, lay.centers[ci], lay.points[chunk[ai]]) <= thr
+    for a0, ai, ci in windows:
+        keep = rowwise_dists(metric, lay.centers[ci], lay.points[anchors[a0 + ai]]) <= thr
         parts_a.append(ai[keep] + a0)
         parts_c.append(ci[keep])
     return np.concatenate(parts_a), np.concatenate(parts_c)
@@ -231,8 +262,64 @@ def _candidate_pairs(
     return np.concatenate(parts_a), np.concatenate(parts_c)
 
 
-def _candidate_map(lay: SoALayout, metric, resolution: float) -> CandidateMap:
-    """Every point's radius-1 candidate cells at ``resolution``.
+def _key_box(
+    lay: SoALayout, cells: np.ndarray, reach: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, c)`` pairs, one per cell ``c`` whose key lies within
+    ``±reach`` on every axis of the key of ``cells[i]`` (``cells`` not
+    empty).
+
+    By key windows (:func:`_key_windows`) where they pay; otherwise each
+    query's slab of ``±reach`` on the first axis, one contiguous range
+    of the sorted keys, is refined by the ℓ∞ key test, in chunks of at
+    most ``WINDOW_CHUNK`` entries.
+    """
+    keys = lay.cell_keys
+    query = keys[cells]
+    windows = _key_windows(lay, query, reach)
+    if windows is None:
+        lo = np.searchsorted(keys[:, 0], query[:, 0] - reach)
+        span = np.searchsorted(keys[:, 0], query[:, 0] + reach, side="right") - lo
+        windows = []
+        for i0, i1 in _slices(span, WINDOW_CHUNK):
+            ci = ragged_arange(lo[i0:i1], span[i0:i1])
+            qi = np.repeat(np.arange(i0, i1), span[i0:i1])
+            inside = (np.abs(keys[ci] - query[qi]) <= reach).all(axis=1)
+            windows.append((0, qi[inside], ci[inside]))
+    qi, ci = zip(*[(r0 + ri, ci) for r0, ri, ci in windows])
+    return np.concatenate(qi), np.concatenate(ci)
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending.  ``np.unique`` would do,
+    but its hash path imports ``numpy.ma`` (half a megabyte) on first
+    use."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _members(lay: SoALayout, cells: np.ndarray) -> np.ndarray:
+    """The ids of the points in ``cells``, cell by cell, ids ascending."""
+    return lay.order_id[ragged_arange(lay.offsets[cells], lay.counts[cells])]
+
+
+def _members_before(lay: SoALayout, cells: np.ndarray, since: int) -> np.ndarray:
+    """The ids below ``since`` of the points in ``cells``, ascending."""
+    ids = _members(lay, _distinct(cells))
+    return np.sort(ids[ids < since])
+
+
+#: The map of no points, which a map built from scratch extends.
+_NO_MAP = CandidateMap(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _candidate_map(
+    lay: SoALayout, metric, resolution: float, base: Optional[CandidateMap] = None
+) -> CandidateMap:
+    """Every point's radius-1 candidate cells at ``resolution``,
+    extending ``base``, the map of an earlier version, when given.
 
     Memoised on the layout, as :func:`~repro.backends.vector.soa.
     layout_for` memoises the layout on its version: the four served
@@ -241,9 +328,56 @@ def _candidate_map(lay: SoALayout, metric, resolution: float) -> CandidateMap:
     """
     cmap = lay.candidate_maps.get(resolution)
     if cmap is None:
-        pairs = _candidate_pairs(lay, metric, np.arange(lay.n), 1.0, resolution)
+        grown = _extended_map(_NO_MAP if base is None else base, lay, metric, resolution)
         # Racing first builds may both run; ``setdefault`` keeps one.
-        cmap = lay.candidate_maps.setdefault(resolution, CandidateMap(lay.n, *pairs))
+        cmap = lay.candidate_maps.setdefault(resolution, grown)
+    return cmap
+
+
+def _extended_map(
+    old: CandidateMap, lay: SoALayout, metric, resolution: float
+) -> CandidateMap:
+    """The map over ``lay``, given ``old``, the map over its first
+    ``m`` points (DESIGN.md note 13).
+
+    A row depends on its point and on the set of occupied cells only,
+    and a cell holds a candidate within ``±reach`` of the point's key on
+    every axis.  So the generator reruns for the appended points and for
+    the points within that reach of a new cell only; every other row is
+    kept, renumbered, and the rerun rows are spliced in.
+    """
+    m = len(old.indptr) - 1
+    gained, new, renumber = lay.growth(m)
+    reach = int(np.floor((1.0 + resolution + GEOMETRY_SLACK) / lay.side)) + 1
+    near = pool = np.empty(0, dtype=np.int64)
+    if m:
+        qi, box = _key_box(lay, gained, reach)
+        near = _members_before(lay, box[new[qi]], m)
+        pool = _members_before(lay, box, m)
+    rerun = np.concatenate((near, np.arange(m, lay.n)))
+    ai, ci = _candidate_pairs(lay, metric, rerun, 1.0, resolution)
+    counts = np.bincount(ai, minlength=len(rerun))
+    lengths = np.diff(old.indptr)
+    gone = lengths[near]
+    body = np.delete(renumber[old.cells], ragged_arange(old.indptr[near], gone))
+    # Each rerun row goes where its old row was, appended rows last.
+    at = np.concatenate(
+        (old.indptr[near] - (np.cumsum(gone) - gone), np.full(lay.n - m, len(body)))
+    )
+    cells = np.insert(body, np.repeat(at, counts), ci)
+    lengths = np.concatenate((lengths, np.zeros(lay.n - m, dtype=np.int64)))
+    lengths[rerun] = counts
+    indptr = np.zeros(lay.n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    cmap = CandidateMap(indptr, cells, m, len(rerun))
+    if m:
+        # The rows that hold a cell that gained a point: such a cell is
+        # within reach of the row's point too, so the row is in ``pool``.
+        owner, held = cmap.rows(pool)
+        grew = np.zeros(lay.n_cells, dtype=bool)
+        grew[gained] = True
+        hit = _distinct(pool[owner[grew[held]]])
+        cmap.touched = np.concatenate((hit, np.arange(m, lay.n)))
     return cmap
 
 
@@ -377,11 +511,33 @@ class _VectorIndex:
             raise BackendError(
                 f"the vector backend requires an lp metric, got {tps.metric.name!r}"
             )
+        self._build(tps, float(epsilon), None)
+
+    def _build(
+        self, tps: TemporalPointSet, epsilon: float, base: Optional["_VectorIndex"]
+    ) -> None:
+        """Set up over ``tps``: from scratch, or, given ``base``, the
+        same family's index over the first points of ``tps``, by
+        extending its structures (which are never written)."""
         self.tps = tps
-        self.epsilon = float(epsilon)
+        self.epsilon = epsilon
         side = tps.metric.cell_side_for_diameter(2.0 * self.resolution, tps.dim)
-        self.layout = layout_for(tps, side)
-        self.candidates = _candidate_map(self.layout, tps.metric, self.resolution)
+        self.layout = layout_for(tps, side, None if base is None else base.layout)
+        self.candidates = _candidate_map(
+            self.layout,
+            tps.metric,
+            self.resolution,
+            None if base is None else base.candidates,
+        )
+
+    @property
+    def maintenance(self) -> Dict[str, int]:
+        """What an append cost this version's candidate map, which the
+        families of one ε share: ``rerun_rows``, the rows the generator
+        recomputed (every row for a fresh build), and
+        ``touched_anchors``, the anchors :meth:`carry` reruns."""
+        cmap = self.candidates
+        return {"rerun_rows": cmap.rerun, "touched_anchors": len(cmap.touched)}
 
     @property
     def resolution(self) -> float:
@@ -421,49 +577,43 @@ class _VectorIndex:
 
         Only the *touched* anchors run the kernel: the appended points
         and every point whose candidate cells include one that gained a
-        point.  Every other anchor's rows, and the texts ``block`` has
-        encoded for them, carry over; a stable sort on anchor puts the
-        two in the kernel's order (DESIGN.md note 12).
+        point, which the candidate map lists (``CandidateMap.touched``).
+        Every other anchor's rows, and the texts ``block`` has encoded
+        for them, carry over; a stable sort on anchor puts the two in
+        the kernel's order (DESIGN.md note 12).
         """
         _check_tau(tau)
+        cmap = self.candidates
         if (
             type(since) is not type(self)
             or since.epsilon != self.epsilon
-            or since.tps.n >= self.tps.n
+            or since.tps.n != cmap.since
         ):
             raise ValidationError("carry needs the index this one was maintained from")
-        touched = self._touched(since.tps.n)
-        fresh = self._kernel(tau, params, np.flatnonzero(touched))
+        fresh = self._kernel(tau, params, cmap.touched)
         kept = self._anchors(block)
+        touched = np.zeros(self.tps.n, dtype=bool)
+        touched[cmap.touched] = True
         rows = np.flatnonzero(~touched[kept])
         anchors = np.concatenate((kept[rows], self._anchors(fresh)))
         return block.splice(rows, fresh, np.argsort(anchors, kind="stable"))
 
-    def _touched(self, since: int) -> np.ndarray:
-        """Mask of the anchors whose rows an append of the points from
-        ``since`` on can change: those points, and every point whose
-        candidate-map row holds a cell that gained one of them."""
-        lay, cmap = self.layout, self.candidates
-        gained = np.zeros(lay.n_cells, dtype=bool)
-        gained[lay.cell_of[since:]] = True
-        touched = np.zeros(lay.n, dtype=bool)
-        touched[since:] = True
-        entries = np.flatnonzero(gained[cmap.cells])
-        touched[np.searchsorted(cmap.indptr, entries, side="right") - 1] = True
-        return touched
-
     def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
         """The index over ``tps``, this dataset plus appended points.
 
-        A fresh build, which is exactly what maintenance would produce;
-        the families of one version share its layout and candidate map,
-        so an append pays for one of each.  ``self`` is never mutated.
+        Its layout, candidate map and per-family arrays extend this
+        index's by merge and gather, and equal a fresh build's of
+        ``tps`` (DESIGN.md note 13); the families of one version share
+        its layout and candidate map, so an append derives one of each.
+        ``self`` is never mutated.
         """
         if tps.n <= self.tps.n:
             raise ValidationError(
                 f"extension target has {tps.n} points, need more than {self.tps.n}"
             )
-        return type(self)(tps, self.epsilon)
+        index = object.__new__(type(self))
+        index._build(tps, self.epsilon, self)
+        return index
 
 
 # ----------------------------------------------------------------------
@@ -578,6 +728,38 @@ def _segmented_cumsum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _profile_rows(
+    lay: SoALayout, cells: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coverage-profile rows of ``cells`` (ascending, none empty):
+    each cell's row count, then every row's time, slope and integral,
+    cell by cell.  Each is a sum over the cell's own events only."""
+    counts = lay.counts[cells]
+    members = _members(lay, cells)
+    owner = np.repeat(cells, counts)
+    k = len(members)
+    cell = np.concatenate((owner, owner))
+    events = np.concatenate((lay.starts[members], lay.ends[members]))
+    deltas = np.concatenate((np.ones(k, np.int64), -np.ones(k, np.int64)))
+    order = np.lexsort((deltas, events, cell))
+    cell, ts = cell[order], events[order]
+    # Each cell's deltas sum to zero, so one running sum over the cells
+    # in turn is every cell's own covering count.
+    cover = np.cumsum(deltas[order])
+    first = np.ones(2 * k, dtype=bool)  # first event at its (cell, time)
+    first[1:] = (cell[1:] != cell[:-1]) | (ts[1:] > ts[:-1])
+    last = np.append(first[1:], True)
+    times = ts[first]
+    slopes = cover[last].astype(np.float64)
+    rows = np.bincount(cell[first], minlength=lay.n_cells)[cells]
+    offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(rows, out=offsets[1:])
+    steps = np.zeros(len(times))
+    steps[1:] = slopes[:-1] * np.diff(times)
+    steps[offsets[:-1]] = 0.0
+    return rows, times, slopes, _segmented_cumsum(steps, offsets)
+
+
 class PackedProfiles:
     """Every cell's coverage profile, packed into CSR arrays.
 
@@ -591,34 +773,67 @@ class PackedProfiles:
     ``keys`` is ``cell × len(ranks) + rank``, where ``ranks`` holds all
     profile times sorted and distinct: strictly increasing integers, so
     one ``searchsorted`` locates a time in every requested cell at once.
+
+    Like the layout, profiles are extensions: :meth:`empty` covers no
+    cell and :meth:`extended` covers a later version's layout.
     """
 
     __slots__ = ("offsets", "times", "integral", "slopes", "ranks", "keys")
 
-    def __init__(self, lay: SoALayout) -> None:
-        n = lay.n
-        cells = np.concatenate((lay.cell_of, lay.cell_of))
-        events = np.concatenate((lay.starts, lay.ends))
-        deltas = np.concatenate((np.ones(n, np.int64), -np.ones(n, np.int64)))
-        order = np.lexsort((deltas, events, cells))
-        cells, ts = cells[order], events[order]
-        # Each cell's deltas sum to zero, so one global running sum is
-        # every cell's own covering count.
-        cover = np.cumsum(deltas[order])
-        first = np.ones(2 * n, dtype=bool)  # first event at its (cell, time)
-        first[1:] = (cells[1:] != cells[:-1]) | (ts[1:] > ts[:-1])
-        last = np.append(first[1:], True)
-        row_cell = cells[first]
-        self.times = ts[first]
-        self.slopes = cover[last].astype(np.float64)
-        self.offsets = np.searchsorted(row_cell, np.arange(lay.n_cells + 1))
-        steps = np.zeros(len(self.times))
-        steps[1:] = self.slopes[:-1] * np.diff(self.times)
-        steps[self.offsets[:-1]] = 0.0
-        self.integral = _segmented_cumsum(steps, self.offsets)
-        ranks = np.sort(self.times)
-        self.ranks = ranks[np.append(True, ranks[1:] > ranks[:-1])]
-        self.keys = row_cell * len(self.ranks) + np.searchsorted(self.ranks, self.times)
+    @classmethod
+    def empty(cls) -> "PackedProfiles":
+        """The profiles of no cells."""
+        prof = cls.__new__(cls)
+        prof.offsets = np.zeros(1, dtype=np.int64)
+        prof.times = prof.integral = prof.slopes = prof.ranks = np.empty(0)
+        prof.keys = np.empty(0, dtype=np.int64)
+        return prof
+
+    def extended(self, lay: SoALayout, since: int) -> "PackedProfiles":
+        """The profiles over ``lay``, given that these are the profiles
+        of its first ``since`` points (DESIGN.md note 13).
+
+        The rows of every cell that gained a point are recomputed; the
+        other cells keep theirs, renumbered, and their keys shift by
+        the ranks of the appended times below theirs.  Nothing here is
+        written or shared.
+        """
+        gained, new, renumber = lay.growth(since)
+        rows, times, slopes, integral = _profile_rows(lay, gained)
+        # Each gained cell's index among these cells, or, for a new
+        # one, the next cell's; ``lo:hi`` are its rows here.
+        old = gained - (np.cumsum(new) - new)
+        lo = self.offsets[old]
+        hi = lo.copy()
+        hi[~new] = self.offsets[old[~new] + 1]
+        drop = ragged_arange(lo, hi - lo)
+        at = np.repeat(lo - (np.cumsum(hi - lo) - (hi - lo)), rows)
+        prof = PackedProfiles.__new__(PackedProfiles)
+        prof.times = np.insert(np.delete(self.times, drop), at, times)
+        prof.slopes = np.insert(np.delete(self.slopes, drop), at, slopes)
+        prof.integral = np.insert(np.delete(self.integral, drop), at, integral)
+        counts = np.zeros(lay.n_cells, dtype=np.int64)
+        counts[renumber] = np.diff(self.offsets)
+        counts[gained] = rows
+        prof.offsets = np.zeros(lay.n_cells + 1, dtype=np.int64)
+        np.cumsum(counts, out=prof.offsets[1:])
+        # The appended endpoint times not yet ranked, merged in.
+        ts = _distinct(np.concatenate((lay.starts[since:], lay.ends[since:])))
+        pos = np.searchsorted(self.ranks, ts)
+        known = pos < len(self.ranks)
+        known[known] = self.ranks[pos[known]] == ts[known]
+        prof.ranks = np.insert(self.ranks, pos[~known], ts[~known])
+        width, old_width = len(prof.ranks), len(self.ranks)
+        shift = np.cumsum(np.bincount(pos[~known], minlength=old_width + 1))
+        row_cell = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+        rank = self.keys - row_cell * old_width
+        keys = renumber[row_cell] * width + rank + shift[rank]
+        prof.keys = np.insert(
+            np.delete(keys, drop),
+            at,
+            np.repeat(gained, rows) * width + np.searchsorted(prof.ranks, times),
+        )
+        return prof
 
     def values(
         self, cells: np.ndarray, ts: np.ndarray, rank_right: np.ndarray
@@ -645,9 +860,12 @@ class VectorSumPairIndex(_VectorIndex):
     identity carries ``"profile"`` whatever the query asked for.
     """
 
-    def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
-        super().__init__(tps, epsilon)
-        self._profiles = PackedProfiles(self.layout)
+    def _build(self, tps, epsilon, base) -> None:
+        super()._build(tps, epsilon, base)
+        if base is None:
+            self._profiles = PackedProfiles.empty().extended(self.layout, 0)
+        else:
+            self._profiles = base._profiles.extended(self.layout, base.tps.n)
 
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
@@ -981,9 +1199,11 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
     #: call; only the per-call copies made by :meth:`_for_call` have it.
     _call_map: Dict[int, tuple]
 
-    def __init__(self, tps: TemporalPointSet, epsilon: float = 0.5) -> None:
-        super().__init__(tps, epsilon)
-        self._start_keys = _start_keys(self.layout)
+    def _build(self, tps, epsilon, base) -> None:
+        super()._build(tps, epsilon, base)
+        self._start_keys = _start_keys(
+            self.layout, None if base is None else base._start_keys
+        )
 
     # ------------------------------------------------------------------
     # Cliques
@@ -1225,10 +1445,33 @@ def _clique_anchors(
     return members[np.arange(len(members)), col], col
 
 
-def _start_keys(lay: SoALayout) -> Tuple[np.ndarray, np.ndarray]:
+def _start_keys(
+    lay: SoALayout, base: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """``(keys, ranks)``: every point's rank in global ``(start, id)``
     order, and ``cell × n + rank`` sorted — each cell's members in
-    ``(start, id)`` order, addressable by one ``searchsorted``."""
-    ranks = np.empty(lay.n, dtype=np.int64)
-    ranks[np.lexsort((np.arange(lay.n), lay.starts))] = np.arange(lay.n)
-    return np.sort(lay.cell_of * lay.n + ranks), ranks
+    ``(start, id)`` order, addressable by one ``searchsorted``.
+
+    Given ``base``, the pair of the layout of the first ``len(ranks)``
+    points, the appended points are merged in: an appended point follows
+    every earlier point that starts no later (its id is larger), the
+    earlier points' ranks shift by the appended points ahead of them,
+    and their keys keep their order (DESIGN.md note 13).
+    """
+    if base is None:
+        base = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    keys, ranks = base
+    m, n = len(ranks), lay.n
+    ids = np.arange(m, n)
+    order = np.lexsort((ids, lay.starts[m:]))
+    by_rank = np.empty(m)
+    by_rank[ranks] = lay.starts[:m]
+    ahead = np.searchsorted(by_rank, lay.starts[m:][order], side="right")
+    shift = np.cumsum(np.bincount(ahead, minlength=m + 1))
+    new_ranks = np.empty(n, dtype=np.int64)
+    new_ranks[:m] = ranks + shift[ranks]
+    new_ranks[ids[order]] = ahead + np.arange(len(ids))
+    cell, rank = np.divmod(keys, max(m, 1))
+    kept = lay.growth(m)[2][cell] * n + rank + shift[rank]
+    fresh = np.sort(lay.cell_of[m:] * n + new_ranks[m:])
+    return np.insert(kept, np.searchsorted(kept, fresh), fresh), new_ranks

@@ -162,6 +162,19 @@ def _carried(old: _Entry, index: Any) -> Frontier:
     return frontier
 
 
+@contextmanager
+def _span(
+    recorder: Any, name: str, parent_id: Optional[str], key: IndexKey
+) -> Iterator[Dict[str, Any]]:
+    """Time the block as span ``name`` of ``key``'s family when tracing;
+    yields the span's attributes, to which the block may add."""
+    if recorder is None:
+        yield {}
+        return
+    with recorder.start_span(name, parent_id=parent_id, attrs={"family": key.family}) as span:
+        yield span.span.attrs
+
+
 def _waiter_copy(exc: BaseException) -> BaseException:
     """A fresh exception for one waiter of a failed flight.
 
@@ -309,6 +322,9 @@ class IndexCache:
         old_fingerprint: str,
         new_fingerprint: str,
         maintainer: Optional[Callable[[IndexKey, Any], Optional[Any]]] = None,
+        *,
+        recorder: Any = None,
+        parent_span_id: Optional[str] = None,
     ) -> Dict[str, list]:
         """Carry the cache across a dataset epoch bump.
 
@@ -328,6 +344,11 @@ class IndexCache:
         carries ``new_fingerprint`` in its key, so it can never join an
         old-epoch flight or be handed a pre-append index.
 
+        Given a trace ``recorder``, each entry's maintenance and carry
+        are ``engine.cache.maintain`` and ``engine.cache.carry`` spans
+        under ``parent_span_id``, one after the other; both carry the
+        family and the index's ``maintenance`` figures, when it has them.
+
         Returns ``{"migrated": [new keys], "invalidated": [old keys]}``.
         """
         if old_fingerprint == new_fingerprint:
@@ -345,8 +366,16 @@ class IndexCache:
             # lock; old-epoch readers keep hitting the old entry until
             # the swap below.  Maintainers return fresh objects (never
             # mutate ``entry.index`` in place) for exactly that reason.
-            kept = maintainer(key, entry.index) if maintainer is not None else None
-            frontier = _carried(entry, kept) if kept is not None else None
+            with _span(recorder, "engine.cache.maintain", parent_span_id, key) as span:
+                kept = maintainer(key, entry.index) if maintainer is not None else None
+                span.update(getattr(kept, "maintenance", {}))
+            frontier = None
+            if kept is not None:
+                with _span(recorder, "engine.cache.carry", parent_span_id, key) as span:
+                    frontier = _carried(entry, kept)
+                    span.update(getattr(kept, "maintenance", {}))
+                    block = frontier.kept()
+                    span["rows"] = 0 if block is None else len(block[2])
             new_key = key._replace(fingerprint=new_fingerprint)
             with self._lock:
                 if self._entries.get(key) is entry:

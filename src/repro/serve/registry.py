@@ -338,7 +338,11 @@ class DatasetShard:
 
     # ------------------------------------------------------------------
     def append_events(
-        self, events: Union[str, bytes, Sequence[Any]]
+        self,
+        events: Union[str, bytes, Sequence[Any]],
+        *,
+        recorder: Any = None,
+        parent_span_id: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Append an event batch, bump the epoch, maintain the cache.
 
@@ -355,7 +359,8 @@ class DatasetShard:
         ``maintained()`` returns one is migrated to the new epoch and
         keeps hitting — durable triangles and SUM pairs over the grid
         (extended where points landed) and all four ``vector`` families
-        (a fresh build over the merged set) — and the rest are
+        (their layout, candidate map and per-family arrays extended by
+        merge and gather, equal to a fresh build's) — and the rest are
         invalidated and rebuild on their next query.  A migrated
         ``vector`` entry keeps its τ frontier, carried by ``carry``,
         which reruns the kernel for the anchors the append touched only.
@@ -364,7 +369,25 @@ class DatasetShard:
         Either way, queries after the append answer
         record-set-identically to a fresh registration of the merged
         point set.
+
+        Given a trace ``recorder``, the append is a ``serve.append``
+        span under ``parent_span_id`` (events accepted and rejected, the
+        new ``n``), with each entry's maintenance and carry under it.
         """
+        if recorder is None:
+            return self._append(events, None, None)
+        with recorder.start_span("serve.append", parent_id=parent_span_id) as span:
+            report = self._append(events, recorder, span.span_id)
+            for name in ("accepted", "rejected", "n"):
+                span.set_attr(name, report[name])
+        return report
+
+    def _append(
+        self,
+        events: Union[str, bytes, Sequence[Any]],
+        recorder: Any,
+        parent_span_id: Optional[str],
+    ) -> Dict[str, Any]:
         if isinstance(events, bytes):
             events = events.decode("utf-8", "replace")
         errors: List[str] = []
@@ -420,7 +443,11 @@ class DatasetShard:
                             return None
 
                 moved = self.cache.advance(
-                    old.fingerprint(), merged.fingerprint(), maintainer
+                    old.fingerprint(),
+                    merged.fingerprint(),
+                    maintainer,
+                    recorder=recorder,
+                    parent_span_id=parent_span_id,
                 )
                 maintained_keys = moved["migrated"]
                 invalidated_keys = moved["invalidated"]

@@ -67,6 +67,7 @@ batch keeps streaming.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import threading
@@ -1012,9 +1013,18 @@ class ServeApp(AsyncApp):
             raise ProtocolError(400, "event batch body must not be empty")
         # Raises UnknownDatasetError -> the connection loop answers 404.
         shard = self.registry.get(name)
+        root = state.root_span
+        if root is not None:
+            root.set_attr("dataset", name)
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
-            None, shard.append_events, request.body
+            None,
+            functools.partial(
+                shard.append_events,
+                request.body,
+                recorder=state.trace,
+                parent_span_id=root.span_id if root is not None else None,
+            ),
         )
         await self._respond(writer, state, 200, {"appended": report})
 

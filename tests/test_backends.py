@@ -893,14 +893,16 @@ class TestVectorLayoutPerVersion:
     def test_four_families_share_one_layout_per_version(self, monkeypatch):
         from repro.backends.vector import soa
 
+        # Every layout is built by extending one: the empty layout for a
+        # fresh version, the previous version's for a maintained one.
         built = []
-        init = soa.SoALayout.__init__
+        extend = soa.SoALayout.extended
 
-        def counted(self, tps, side):
+        def counted(self, tps):
             built.append(tps)
-            init(self, tps, side)
+            return extend(self, tps)
 
-        monkeypatch.setattr(soa.SoALayout, "__init__", counted)
+        monkeypatch.setattr(soa.SoALayout, "extended", counted)
         tps = random_tps(n=80, seed=6)
         indexes = [cls(tps, 0.5) for cls in _vector_classes()]
         assert len(built) == 1

@@ -310,6 +310,71 @@ class TestWorkerTracing:
             conn.close()
         assert hits == [2, 0, 1]
 
+    def test_append_span_tree(self, server):
+        # The four vector families, warm with a frontier each, so the
+        # append maintains and carries four entries.
+        from repro.obs.tracestore import _self_ms_by_name
+
+        conn = connect(server.host, server.port)
+        try:
+            status, _ = request(
+                conn, "POST", "/datasets",
+                {"name": "ingest", "dataset": {"workload": "uniform", "n": 150, "seed": 3}},
+            )
+            assert status == 201
+            queries = [
+                {"kind": "triangles", "tau": 2.0},
+                {"kind": "pairs-sum", "tau": 2.0},
+                {"kind": "pairs-union", "tau": 2.0, "kappa": 3},
+                {"kind": "cliques", "tau": 2.0, "m": 3},
+            ]
+            status, _ = _query_lines(
+                conn, "ingest", [{**q, "backend": "vector"} for q in queries]
+            )
+            assert status == 200
+            trace_id = new_trace_id()
+            events = [
+                {"point": [1.0, 1.0], "start": 0.0, "end": 6.0},
+                {"point": [30.0, 30.0], "start": 1.0, "end": 4.0},
+            ]
+            body = "\n".join([json.dumps(e) for e in events] + ["not json"])
+            conn.request(
+                "POST", "/datasets/ingest/events", body=body.encode(),
+                headers={"traceparent": format_traceparent(trace_id, new_span_id())},
+            )
+            resp = conn.getresponse()
+            report = json.loads(resp.read())["appended"]
+            assert resp.status == 200 and report["accepted"] == 2
+            status, doc = fetch_trace(conn, trace_id)
+            assert status == 200
+        finally:
+            conn.close()
+        spans = doc["spans"]
+        (root,) = [s for s in spans if s["name"] == "serve.request"]
+        (append,) = [s for s in spans if s["name"] == "serve.append"]
+        assert append["parent_id"] == root["span_id"]
+        assert append["attrs"] == {"accepted": 2, "rejected": 1, "n": 152}
+        steps = sorted(
+            (s for s in spans if s["parent_id"] == append["span_id"]),
+            key=lambda s: s["start"],
+        )
+        # Cliques are one of the pattern index's families.
+        families = {"triangles", "pairs-sum", "pairs-union", "patterns"}
+        for name in ("engine.cache.maintain", "engine.cache.carry"):
+            mine = [s for s in steps if s["name"] == name]
+            assert {s["attrs"]["family"] for s in mine} == families, name
+            for s in mine:
+                assert s["attrs"]["rerun_rows"] > 0 and s["attrs"]["touched_anchors"] > 0
+        assert all(s["attrs"]["rows"] > 0 for s in steps if s["name"].endswith("carry"))
+        assert len(steps) == 8
+        # One after the other, so self times add up to the root's.
+        for before, after in zip(steps, steps[1:]):
+            end = before["start"] * 1e3 + before["duration_ms"]
+            assert after["start"] * 1e3 >= end - 0.05, (before, after)
+        self_ms = _self_ms_by_name(spans)
+        assert min(self_ms.values()) >= 0
+        assert sum(self_ms.values()) == pytest.approx(root["duration_ms"], abs=0.05)
+
     def test_client_traceparent_is_continued(self, server):
         trace_id, span_id = new_trace_id(), new_span_id()
         conn = connect(server.host, server.port)
