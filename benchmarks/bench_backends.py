@@ -85,8 +85,9 @@ APPEND_EVENTS = 5
 
 
 #: ``(n, dim)`` of each maintenance rung (``benchmark_workload``, seed 0):
-#: dim 2 at three sizes, and dim 3, where the candidate search is dearest.
-MAINTENANCE_RUNGS = [(2000, 2), (8000, 2), (32000, 2), (2000, 3)]
+#: dim 2 at three sizes, and dims 3 and 4, where a ±reach box holds the
+#: most cells and a new cell reruns the most candidate rows.
+MAINTENANCE_RUNGS = [(2000, 2), (8000, 2), (32000, 2), (2000, 3), (2000, 4)]
 
 #: The largest share of a fresh four-family build that maintenance may
 #: cost on the largest rung.

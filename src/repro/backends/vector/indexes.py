@@ -10,16 +10,18 @@ over the layout:
   radius-1 ball query visits depend on the anchor's position only, so
   every point's cells are computed once per ``(dataset version, ε)``
   into a :class:`~repro.backends.vector.soa.CandidateMap`, memoised on
-  the layout and shared by the four served families; a query gathers
-  the rows of its τ-eligible anchors (DESIGN.md note 10).  The
-  generator (:func:`_candidate_pairs`) searches the *sorted integer
-  lattice* of occupied cells: per anchor, the cells whose key lies in a
-  ``±reach`` window are contiguous ``np.searchsorted`` ranges of the
-  mixed-radix cell codes, taken in bounded anchor chunks, and the
-  window superset is refined by one batched rowwise center-distance
-  pass.  (A blocked dense matrix remains as the fallback when the
-  window enumeration would be wider than the cell count.)  Paths and
-  stars call it per query, at their own radii.
+  the version with its layout and shared by the four served families;
+  a query gathers the rows of its τ-eligible anchors (DESIGN.md note
+  10).  The generator (:func:`_candidate_pairs`) runs one exact search
+  of the occupied cells (:class:`_CellSearch`): cells are bucketed by
+  their last ``dim − 1`` key coordinates over ``reach``, so the
+  ``±reach`` box around an anchor's key meets at most three buckets
+  per bucketed axis, each read as one contiguous range of first
+  coordinates; the superset is refined by one batched rowwise
+  center-distance pass per bounded chunk.  Paths and stars call it per
+  query, at their own radii.
+* Every kernel walks the same chunks of partners, the ones
+  :func:`_expanded` yields from its eligible anchors' candidate pairs.
 * :class:`VectorTriangleIndex` — partner expansion through the CSR cell
   layout, one boolean mask for the temporal/lexicographic predicate,
   ragged ``i<j`` pair generation batched across *all* anchors, and one
@@ -57,10 +59,11 @@ the index.
 ``maintained()`` extends that state to the merged set by merge and
 gather instead of rebuilding it (DESIGN.md note 13): the layout gains
 the appended points' cells, the candidate map reruns the generator for
-the appended points and the points within reach of a new cell only,
-and the profiles recompute the cells that gained a point only; every
-array equals a fresh build's.  A fresh build is the same routine
-extending empty structures.  The four families of one version share
+the appended points and the points within reach of a new cell only
+(one cell search of the new layout finds both those points and their
+new rows), and the profiles recompute the cells that gained a point
+only; every array equals a fresh build's.  A fresh build is the same
+routine extending empty structures.  The four families of one version share
 the extended layout and map.  ``carry`` brings a τ frontier's block
 across that append: the kernel reruns over the anchors the append
 touched only, which the map lists, and every other anchor's rows are
@@ -70,7 +73,7 @@ kept (DESIGN.md note 12).
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +88,8 @@ from .soa import (
     CandidateMap,
     SoALayout,
     layout_for,
+    locate,
+    memoised,
     pairwise_dists,
     ragged_arange,
     rowwise_dists,
@@ -144,160 +149,150 @@ def _link_threshold(resolution: float) -> float:
 # ----------------------------------------------------------------------
 # Candidate generation
 # ----------------------------------------------------------------------
-#: Entries (anchors × windows, or anchors × cells on the dense path) in
-#: one chunk of the candidate search, which keeps a chunk's temporaries
-#: to a few hundred KB.  The candidate map runs the search over every
-#: point of each new version; chunks of ``BLOCK_ELEMS`` entries
-#: fragmented the heap, so that peak RSS grew with every append, and on
-#: the dense path built a ``BLOCK_ELEMS × dim`` difference tensor twice.
-WINDOW_CHUNK = 1 << 14
+#: Entries (probed buckets, or the cells read from them) in one chunk of
+#: the occupied-cell search, which keeps a chunk's temporaries to a few
+#: hundred KB.  The candidate map runs the search over every point of
+#: each new version; chunks of ``BLOCK_ELEMS`` entries fragmented the
+#: heap, so that peak RSS grew with every append.
+SEARCH_CHUNK = 1 << 14
 
 
-def _key_windows(
-    lay: SoALayout, keys: np.ndarray, reach: int
-) -> Optional[Iterator[Tuple[int, np.ndarray, np.ndarray]]]:
-    """The occupied cells whose key lies within ``±reach`` on every axis
-    of each row of ``keys`` (integer cell keys), via key windows.
+def _slices(weights: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``[i0, i1)`` ranges whose weights sum to at most
+    ``cap`` (a single heavier item gets a range of its own)."""
+    cum = np.cumsum(weights)
+    i0 = 0
+    while i0 < len(weights):
+        base = cum[i0 - 1] if i0 else 0
+        i1 = max(int(np.searchsorted(cum, base + cap, side="right")), i0 + 1)
+        yield i0, i1
+        i0 = i1
 
-    Occupied cells sort lexicographically by key, i.e. ascending in
-    their mixed-radix code, so for a fixed combination of offsets on the
-    leading ``dim−1`` key coordinates the in-window cells are one
-    contiguous code range.  Rows go in chunks of at most
-    ``WINDOW_CHUNK`` window entries; each chunk yields ``(r0, ri, ci)``,
-    rows ``r0 + ri`` and their cells, ascending per row, found by two
-    ``searchsorted`` calls.  Returns ``None`` when the window
-    enumeration would not beat a scan of every cell (wide reach, high
-    dim, or a code space that would overflow int64).
+
+def _dense_ranks(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``x``, ascending, and each ``x``'s index
+    among them.  ``np.unique`` would do, but its hash path imports
+    ``numpy.ma`` (half a megabyte) on first use."""
+    order = np.argsort(x)
+    x = x[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = x[1:] != x[:-1]
+    rank = np.empty(len(x), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return x[new], rank
+
+
+class _CellSearch:
+    """The occupied cells of a layout, indexed for ``±reach`` key boxes.
+
+    Each cell goes in the bucket of its last ``dim − 1`` key coordinates
+    floor-divided by ``reach``, so the box of ``±reach`` around any key
+    meets at most three buckets per bucketed axis, at most
+    ``3^(dim−1)`` in all.  A bucket keeps its cells in the layout's
+    order, which sorts them by their first key coordinate, so each
+    probed bucket reads one contiguous range.  Codes are exact ranks:
+    each bucketed axis's dense ranks among its occupied values are
+    chained into the dense ranks of the occupied prefixes, and a cell's
+    index ranks its first coordinate, so no code exceeds ``n_cells²``
+    whatever span the keys cover (DESIGN.md note 10).
     """
-    cell_keys = lay.cell_keys
-    dim = lay.dim
-    m_combos = (2 * reach + 1) ** (dim - 1)
-    if m_combos >= max(lay.n_cells, 2):
-        return None
-    # Column by column throughout: a reduction over the short key axis,
-    # or along the long one of the whole array, costs several times more.
-    kmin = np.array([cell_keys[:, i].min() for i in range(dim)])
-    sizes = np.array([cell_keys[:, i].max() for i in range(dim)]) - kmin + 1
-    if int(np.prod([int(s) for s in sizes])) > 2**62:
-        return None
-    strides = np.ones(dim, dtype=np.int64)
-    for i in range(dim - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    codes = np.zeros(lay.n_cells, dtype=np.int64)
-    for i in range(dim):
-        codes += (cell_keys[:, i] - kmin[i]) * strides[i]
-    offs = np.arange(-reach, reach + 1, dtype=np.int64)
-    if dim > 1:
-        grids = np.meshgrid(*([offs] * (dim - 1)), indexing="ij")
-        combos = np.stack([g.ravel() for g in grids], axis=1)
-    else:
-        combos = np.zeros((1, 0), dtype=np.int64)
 
-    def windows() -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        block = max(1, WINDOW_CHUNK // m_combos)
-        for r0 in range(0, len(keys), block):
-            ka = keys[r0 : r0 + block] - kmin
-            digits = ka[:, None, : dim - 1] + combos[None, :, :]
-            valid = ((digits >= 0) & (digits < sizes[: dim - 1])).all(axis=2)
-            base = (digits * strides[: dim - 1]).sum(axis=2)
-            last_lo = np.maximum(ka[:, dim - 1] - reach, 0)
-            last_hi = np.minimum(ka[:, dim - 1] + reach, sizes[dim - 1] - 1)
-            va, vm = np.nonzero(valid)
-            clo = base[va, vm] + last_lo[va]
-            chi = base[va, vm] + last_hi[va] + 1
-            lo = np.searchsorted(codes, clo)
-            counts = np.searchsorted(codes, chi) - lo
-            yield r0, np.repeat(va, counts), ragged_arange(lo, counts)
+    def __init__(self, keys: np.ndarray, reach: int) -> None:
+        self.reach = reach
+        #: Per bucketed axis: its occupied values, and the occupied codes
+        #: ``prefix rank × len(values) + value rank`` of the axes so far.
+        self.axes: List[Tuple[np.ndarray, np.ndarray]] = []
+        bucket = np.zeros(len(keys), dtype=np.int64)
+        for j in range(1, keys.shape[1]):
+            values, rank = _dense_ranks(keys[:, j] // reach)
+            if j == 1:  # no prefix yet: the codes are the value ranks
+                codes, bucket = np.arange(len(values)), rank
+            else:
+                codes, bucket = _dense_ranks(bucket * len(values) + rank)
+            self.axes.append((values, codes))
+        self.first = np.ascontiguousarray(keys[:, 0])
+        code = bucket * len(keys) + np.arange(len(keys))
+        self.order = np.argsort(code)
+        self.codes = code[self.order]
 
-    return windows()
+    def near(self, query: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(i, c)`` pairs covering every occupied cell ``c`` whose key
+        lies within ``±reach`` of ``query[i]`` on every axis: the cells
+        of the probed buckets within ``±reach`` on the first axis, a
+        superset that the caller refines.
+
+        The probes descend axis by axis and keep the occupied prefixes
+        only, so their number follows the occupied buckets near a key.
+        Chunks hold whole rows, ascending, and at most ``SEARCH_CHUNK``
+        entries unless one row has more; a row's cells come bucket by
+        bucket, not ascending.
+        """
+        reach, width = self.reach, len(self.first)
+        step = np.array([-1, 0, 1], dtype=np.int64)
+        block = max(1, SEARCH_CHUNK // 3 ** len(self.axes))
+        for r0 in range(0, len(query), block):
+            q = query[r0 : r0 + block]
+            row = np.arange(len(q))
+            bucket = np.zeros(len(q), dtype=np.int64)
+            for j, (values, codes) in enumerate(self.axes):
+                row = np.repeat(row, 3)
+                value = q[row, j + 1] // reach + np.tile(step, len(bucket))
+                at, there = locate(values, value)
+                bucket, known = locate(codes, np.repeat(bucket, 3) * len(values) + at)
+                found = np.flatnonzero(there & known)
+                row, bucket = row[found], bucket[found]
+            lo = np.searchsorted(self.first, q[row, 0] - reach)
+            hi = np.searchsorted(self.first, q[row, 0] + reach, side="right")
+            start = np.searchsorted(self.codes, bucket * width + lo)
+            count = np.searchsorted(self.codes, bucket * width + hi) - start
+            # Each row's first probe, and the entries before each row.
+            probe = np.searchsorted(row, np.arange(len(q) + 1))
+            before = np.concatenate(([0], np.cumsum(count)))[probe]
+            for i0, i1 in _slices(np.diff(before), SEARCH_CHUNK):
+                p0, p1 = probe[i0], probe[i1]
+                yield (
+                    np.repeat(row[p0:p1] + r0, count[p0:p1]),
+                    self.order[ragged_arange(start[p0:p1], count[p0:p1])],
+                )
 
 
-def _lattice_windows(
-    lay: SoALayout, metric, anchors: np.ndarray, thr: float
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Candidate ``(anchor, cell)`` pairs via key windows.
-
-    The cells within ``±reach`` of each anchor's key
-    (:func:`_key_windows`, which bounds every cell within ``thr``) are
-    refined by one rowwise center-distance pass per chunk.  Returns
-    ``None`` when the window enumeration would not beat the dense
-    distance matrix.
-    """
-    reach = int(np.floor(thr / lay.side)) + 1
-    keys = np.floor(lay.points[anchors] / lay.side).astype(np.int64)
-    windows = _key_windows(lay, keys, reach)
-    if windows is None:
-        return None
-    parts_a: List[np.ndarray] = []
-    parts_c: List[np.ndarray] = []
-    for a0, ai, ci in windows:
-        keep = rowwise_dists(metric, lay.centers[ci], lay.points[anchors[a0 + ai]]) <= thr
-        parts_a.append(ai[keep] + a0)
-        parts_c.append(ci[keep])
-    return np.concatenate(parts_a), np.concatenate(parts_c)
+def _cell_search(lay: SoALayout, thr: float) -> _CellSearch:
+    """The search for the cells within ``thr`` of a point: a centre
+    within ``thr`` of a point in cell ``k`` has ``|key − k| ≤
+    floor(thr/side) + 1`` on every axis, with half a side of margin,
+    since every ℓ_α distance (α ≥ 1) is at least the ℓ∞ one."""
+    return _CellSearch(lay.cell_keys, int(np.floor(thr / lay.side)) + 1)
 
 
 def _candidate_pairs(
-    lay: SoALayout, metric, anchors: np.ndarray, radius: float, resolution: float
+    lay: SoALayout,
+    metric,
+    anchors: np.ndarray,
+    radius: float,
+    resolution: float,
+    search: Optional[_CellSearch] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All ``(anchor index, cell index)`` pairs passing the candidate
     test (center within ``radius + resolution + slack``), ascending in
     ``(anchor, cell)`` — the legacy ``candidate_groups`` sweep for a
-    whole anchor batch."""
+    whole anchor batch.  ``search`` is the layout's search at this
+    threshold (:func:`_cell_search`), built here when not given."""
     empty = np.empty(0, dtype=np.int64)
     if not len(anchors) or not lay.n_cells:
         return empty, empty
     thr = radius + resolution + GEOMETRY_SLACK
-    lattice = _lattice_windows(lay, metric, anchors, thr)
-    if lattice is not None:
-        return lattice
+    if search is None:
+        search = _cell_search(lay, thr)
+    points = lay.points[anchors]
     parts_a: List[np.ndarray] = []
     parts_c: List[np.ndarray] = []
-    block = max(1, WINDOW_CHUNK // lay.n_cells)
-    for lo in range(0, len(anchors), block):
-        d = pairwise_dists(metric, lay.points[anchors[lo : lo + block]], lay.centers)
-        bai, bci = np.nonzero(d <= thr)
-        parts_a.append(bai + lo)
-        parts_c.append(bci)
+    for ai, ci in search.near(lay.cell_keys[lay.cell_of[anchors]]):
+        keep = rowwise_dists(metric, lay.centers[ci], points[ai]) <= thr
+        ai, ci = ai[keep], ci[keep]
+        order = np.argsort(ai * lay.n_cells + ci)
+        parts_a.append(ai[order])
+        parts_c.append(ci[order])
     return np.concatenate(parts_a), np.concatenate(parts_c)
-
-
-def _key_box(
-    lay: SoALayout, cells: np.ndarray, reach: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(i, c)`` pairs, one per cell ``c`` whose key lies within
-    ``±reach`` on every axis of the key of ``cells[i]`` (``cells`` not
-    empty).
-
-    By key windows (:func:`_key_windows`) where they pay; otherwise each
-    query's slab of ``±reach`` on the first axis, one contiguous range
-    of the sorted keys, is refined by the ℓ∞ key test, in chunks of at
-    most ``WINDOW_CHUNK`` entries.
-    """
-    keys = lay.cell_keys
-    query = keys[cells]
-    windows = _key_windows(lay, query, reach)
-    if windows is None:
-        lo = np.searchsorted(keys[:, 0], query[:, 0] - reach)
-        span = np.searchsorted(keys[:, 0], query[:, 0] + reach, side="right") - lo
-        windows = []
-        for i0, i1 in _slices(span, WINDOW_CHUNK):
-            ci = ragged_arange(lo[i0:i1], span[i0:i1])
-            qi = np.repeat(np.arange(i0, i1), span[i0:i1])
-            inside = (np.abs(keys[ci] - query[qi]) <= reach).all(axis=1)
-            windows.append((0, qi[inside], ci[inside]))
-    qi, ci = zip(*[(r0 + ri, ci) for r0, ri, ci in windows])
-    return np.concatenate(qi), np.concatenate(ci)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, ascending.  ``np.unique`` would do,
-    but its hash path imports ``numpy.ma`` (half a megabyte) on first
-    use."""
-    x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
 
 
 def _members(lay: SoALayout, cells: np.ndarray) -> np.ndarray:
@@ -306,32 +301,14 @@ def _members(lay: SoALayout, cells: np.ndarray) -> np.ndarray:
 
 
 def _members_before(lay: SoALayout, cells: np.ndarray, since: int) -> np.ndarray:
-    """The ids below ``since`` of the points in ``cells``, ascending."""
-    ids = _members(lay, _distinct(cells))
+    """The ids below ``since`` of the points in ``cells`` (distinct),
+    ascending."""
+    ids = _members(lay, cells)
     return np.sort(ids[ids < since])
 
 
 #: The map of no points, which a map built from scratch extends.
 _NO_MAP = CandidateMap(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-
-def _candidate_map(
-    lay: SoALayout, metric, resolution: float, base: Optional[CandidateMap] = None
-) -> CandidateMap:
-    """Every point's radius-1 candidate cells at ``resolution``,
-    extending ``base``, the map of an earlier version, when given.
-
-    Memoised on the layout, as :func:`~repro.backends.vector.soa.
-    layout_for` memoises the layout on its version: the four served
-    families of one ``(version, ε)`` share one map, and it is freed
-    with the version.
-    """
-    cmap = lay.candidate_maps.get(resolution)
-    if cmap is None:
-        grown = _extended_map(_NO_MAP if base is None else base, lay, metric, resolution)
-        # Racing first builds may both run; ``setdefault`` keeps one.
-        cmap = lay.candidate_maps.setdefault(resolution, grown)
-    return cmap
 
 
 def _extended_map(
@@ -344,18 +321,28 @@ def _extended_map(
     and a cell holds a candidate within ``±reach`` of the point's key on
     every axis.  So the generator reruns for the appended points and for
     the points within that reach of a new cell only; every other row is
-    kept, renumbered, and the rerun rows are spliced in.
+    kept, renumbered, and the rerun rows are spliced in.  One search of
+    the new layout's cells finds those points and reruns their rows.
     """
     m = len(old.indptr) - 1
     gained, new, renumber = lay.growth(m)
-    reach = int(np.floor((1.0 + resolution + GEOMETRY_SLACK) / lay.side)) + 1
+    search = _cell_search(lay, 1.0 + resolution + GEOMETRY_SLACK)
     near = pool = np.empty(0, dtype=np.int64)
     if m:
-        qi, box = _key_box(lay, gained, reach)
-        near = _members_before(lay, box[new[qi]], m)
-        pool = _members_before(lay, box, m)
+        # The cells within ±reach keys of a cell that gained a point, and
+        # of a new one: whose rows can hold a gained cell, and change.
+        keys = lay.cell_keys
+        query = keys[gained]
+        in_pool = np.zeros(lay.n_cells, dtype=bool)
+        in_near = np.zeros(lay.n_cells, dtype=bool)
+        for qi, ci in search.near(query):
+            inside = (np.abs(keys[ci] - query[qi]) <= search.reach).all(axis=1)
+            in_pool[ci[inside]] = True
+            in_near[ci[inside & new[qi]]] = True
+        near = _members_before(lay, np.flatnonzero(in_near), m)
+        pool = _members_before(lay, np.flatnonzero(in_pool), m)
     rerun = np.concatenate((near, np.arange(m, lay.n)))
-    ai, ci = _candidate_pairs(lay, metric, rerun, 1.0, resolution)
+    ai, ci = _candidate_pairs(lay, metric, rerun, 1.0, resolution, search)
     counts = np.bincount(ai, minlength=len(rerun))
     lengths = np.diff(old.indptr)
     gone = lengths[near]
@@ -376,7 +363,7 @@ def _extended_map(
         owner, held = cmap.rows(pool)
         grew = np.zeros(lay.n_cells, dtype=bool)
         grew[gained] = True
-        hit = _distinct(pool[owner[grew[held]]])
+        hit = _dense_ranks(pool[owner[grew[held]]])[0]
         cmap.touched = np.concatenate((hit, np.arange(m, lay.n)))
     return cmap
 
@@ -407,66 +394,74 @@ def _anchor_chunks(
         e0 = t
 
 
-def _expand_partners(
-    lay: SoALayout, anchors: np.ndarray, ai: np.ndarray, ci: np.ndarray, tau: float
-):
-    """Every ``durableBallQ`` partner for a candidate-pair chunk.
+class _Chunk(NamedTuple):
+    """Candidate pairs expanded into partners (:func:`_expanded`)."""
 
-    Expands the ``(ai, ci)`` pairs through the CSR cell layout and
-    applies the τ-stab + anchor-precedence predicate in one mask.
-    Returns ``(P, Q, run_start, run_m, run_src)`` — per-pair
-    anchor/partner ids plus the contiguous runs of equal ``(anchor,
-    cell)`` with ``run_src`` indexing back into ``ai``/``ci``; partners
-    inside a run are in ``(end desc, id asc)`` order (the legacy
-    ``iter_desc_by_end`` order) — or ``None`` when nothing qualifies.
+    #: The ``(anchor position, cell)`` pairs, whole anchors, ascending.
+    ai: np.ndarray
+    ci: np.ndarray
+    #: Per partner: its anchor's id and its own.
+    p: np.ndarray
+    q: np.ndarray
+    #: The contiguous runs of equal ``(anchor, cell)``: where each
+    #: starts, its partner count, and its pair (an index into ``ai``).
+    run_start: np.ndarray
+    run_m: np.ndarray
+    run_src: np.ndarray
+
+
+def _expanded(
+    lay: SoALayout, anchors: np.ndarray, ai: np.ndarray, ci: np.ndarray, tau: float
+) -> Iterator[_Chunk]:
+    """Every ``durableBallQ`` partner of ``anchors`` through their
+    candidate pairs ``(ai, ci)``, in chunks of bounded expansion
+    (:func:`_anchor_chunks`); chunks without a partner are skipped.
+
+    Each chunk's pairs expand through the CSR cell layout, and one mask
+    applies the τ-stab and anchor-precedence predicate.  Partners inside
+    a run come in ``(end desc, id asc)`` order (the legacy
+    ``iter_desc_by_end`` order).
     """
-    if not len(ai):
-        return None
-    cnt = lay.counts[ci]
-    pos = ragged_arange(lay.offsets[ci], cnt)
-    q = lay.order_end[pos]
-    p = np.repeat(anchors[ai], cnt)
-    keep = _partner_ok(lay, p, q, tau) & (
-        (lay.starts[q] < lay.starts[p]) | ((lay.starts[q] == lay.starts[p]) & (q < p))
-    )
-    if not keep.any():
-        return None
-    src = np.repeat(np.arange(len(ai)), cnt)[keep]
-    p, q = p[keep], q[keep]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1, [len(src)]))
-    run_start = bounds[:-1]
-    run_m = np.diff(bounds)
-    return p, q, run_start, run_m, src[run_start]
+    for e0, e1 in _anchor_chunks(lay, ai, ci):
+        a, c = ai[e0:e1], ci[e0:e1]
+        cnt = lay.counts[c]
+        q = lay.order_end[ragged_arange(lay.offsets[c], cnt)]
+        p = np.repeat(anchors[a], cnt)
+        keep = _partner_ok(lay, p, q, tau) & (
+            (lay.starts[q] < lay.starts[p]) | ((lay.starts[q] == lay.starts[p]) & (q < p))
+        )
+        if not keep.any():
+            continue
+        src = np.repeat(np.arange(len(a)), cnt)[keep]
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1, [len(src)]))
+        run_start = bounds[:-1]
+        yield _Chunk(
+            a, c, p[keep], q[keep], run_start, np.diff(bounds), src[run_start]
+        )
 
 
 def _witness_pools(
-    lay: SoALayout,
-    metric,
-    ai: np.ndarray,
-    ci: np.ndarray,
-    run_src: np.ndarray,
-    link_thr: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lay: SoALayout, metric, chunk: _Chunk, link_thr: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """Witness cells per run, batched: ``{gi ∈ cand(p) : linked(gi, j)}``.
 
     One ragged expansion of each run's full candidate-cell segment and
-    one rowwise center-distance pass.  Returns ``(wit_run, wit_cell,
-    wit_counts)`` with pools in ascending cell order per run — the
-    legacy witness sweep order.
+    one rowwise center-distance pass.  Returns ``(wit_run, wit_cell)``
+    with pools in ascending cell order per run — the legacy witness
+    sweep order.
     """
-    n_runs = len(run_src)
+    ai, ci, run_src = chunk.ai, chunk.ci, chunk.run_src
     a_bounds = np.concatenate(([0], np.flatnonzero(np.diff(ai)) + 1, [len(ai)]))
     seg = np.searchsorted(a_bounds, run_src, side="right") - 1
     wlen = a_bounds[seg + 1] - a_bounds[seg]
     wpos = ragged_arange(a_bounds[seg], wlen)
-    wrun = np.repeat(np.arange(n_runs), wlen)
+    wrun = np.repeat(np.arange(len(run_src)), wlen)
     wcell = ci[wpos]
     dd = rowwise_dists(
         metric, lay.centers[ci[run_src][wrun]], lay.centers[wcell]
     )
     wm = dd <= link_thr
-    wit_run, wit_cell = wrun[wm], wcell[wm]
-    return wit_run, wit_cell, np.bincount(wit_run, minlength=n_runs)
+    return wrun[wm], wcell[wm]
 
 
 def _segment_pairs(key: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -521,13 +516,13 @@ class _VectorIndex:
         extending its structures (which are never written)."""
         self.tps = tps
         self.epsilon = epsilon
-        side = tps.metric.cell_side_for_diameter(2.0 * self.resolution, tps.dim)
-        self.layout = layout_for(tps, side, None if base is None else base.layout)
-        self.candidates = _candidate_map(
-            self.layout,
-            tps.metric,
-            self.resolution,
-            None if base is None else base.candidates,
+        res = self.resolution
+        side = tps.metric.cell_side_for_diameter(2.0 * res, tps.dim)
+        lay = self.layout = layout_for(tps, side, None if base is None else base.layout)
+        # One radius-1 map per (version, ε), which the four families share.
+        old = _NO_MAP if base is None else base.candidates
+        self.candidates = memoised(
+            tps, ("map", res), lambda: _extended_map(old, lay, tps.metric, res)
         )
 
     @property
@@ -545,23 +540,23 @@ class _VectorIndex:
         diameter ``≤ ε/2``."""
         return self.epsilon / 4.0
 
-    def _eligible_candidates(
+    def _partners(
         self, tau: float, anchors: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The τ-eligible anchors, of ``anchors`` (ascending ids) when
-        given and of every point otherwise, and their ``(anchor
-        position, cell)`` candidate pairs, gathered from the map."""
+    ) -> Iterator[_Chunk]:
+        """The partners of the τ-eligible anchors, of ``anchors``
+        (ascending ids) when given and of every point otherwise, through
+        their candidate pairs gathered from the map (:func:`_expanded`)."""
         if anchors is None:
             eligible = _eligible_anchor_array(self.layout, tau)
         else:
             eligible = anchors[_anchor_ok(self.layout, anchors, tau)]
-        return (eligible, *self.candidates.rows(eligible))
+        return _expanded(self.layout, eligible, *self.candidates.rows(eligible), tau)
 
     def _kernel(
         self, tau: float, params: tuple, anchors: Optional[np.ndarray] = None
     ) -> RecordBlock:
         """The family's kernel at τ and ``params = (κ, m)``, over the
-        eligible ``anchors`` only when given (``_eligible_candidates``)."""
+        eligible ``anchors`` only when given (``_partners``)."""
         raise NotImplementedError
 
     def _anchors(self, block: RecordBlock) -> np.ndarray:
@@ -637,12 +632,8 @@ class VectorTriangleIndex(_VectorIndex):
         starts, ends, cell_of, centers = lay.starts, lay.ends, lay.cell_of, lay.centers
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau, anchors)
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            expanded = _expand_partners(lay, eligible, cai[e0:e1], cci[e0:e1], tau)
-            if expanded is None:
-                continue
-            p, q = expanded[0], expanded[1]
+        for chunk in self._partners(tau, anchors):
+            p, q = chunk.p, chunk.q
             # One anchor's partners span several (anchor, cell) runs but
             # are contiguous; pair them i<j within each anchor segment,
             # batched across ALL anchors.
@@ -689,17 +680,12 @@ class VectorTriangleIndex(_VectorIndex):
         lay = self.layout
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
-        eligible, cai, cci = self._eligible_candidates(tau)
         total = 0
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            ai, ci = cai[e0:e1], cci[e0:e1]
-            expanded = _expand_partners(lay, eligible, ai, ci, tau)
-            if expanded is None:
-                continue
-            run_m, run_src = expanded[3], expanded[4]
+        for chunk in self._partners(tau):
+            run_m, run_src = chunk.run_m, chunk.run_src
             total += int((run_m * (run_m - 1) // 2).sum())
-            run_cell = ci[run_src]
-            for i, j in _segment_pairs(ai[run_src]):
+            run_cell = chunk.ci[run_src]
+            for i, j in _segment_pairs(chunk.ai[run_src]):
                 linked = (
                     rowwise_dists(
                         metric, lay.centers[run_cell[i]], lay.centers[run_cell[j]]
@@ -818,10 +804,8 @@ class PackedProfiles:
         prof.offsets = np.zeros(lay.n_cells + 1, dtype=np.int64)
         np.cumsum(counts, out=prof.offsets[1:])
         # The appended endpoint times not yet ranked, merged in.
-        ts = _distinct(np.concatenate((lay.starts[since:], lay.ends[since:])))
-        pos = np.searchsorted(self.ranks, ts)
-        known = pos < len(self.ranks)
-        known[known] = self.ranks[pos[known]] == ts[known]
+        ts = _dense_ranks(np.concatenate((lay.starts[since:], lay.ends[since:])))[0]
+        pos, known = locate(self.ranks, ts)
         prof.ranks = np.insert(self.ranks, pos[~known], ts[~known])
         width, old_width = len(prof.ranks), len(self.ranks)
         shift = np.cumsum(np.bincount(pos[~known], minlength=old_width + 1))
@@ -883,21 +867,14 @@ class VectorSumPairIndex(_VectorIndex):
         link_thr = _link_threshold(res)
         prof = self._profiles
         out: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau, anchors)
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            ai, ci = cai[e0:e1], cci[e0:e1]
-            expanded = _expand_partners(lay, eligible, ai, ci, tau)
-            if expanded is None:
-                continue
-            pp, qq, run_start, run_m, run_src = expanded
+        for chunk in self._partners(tau, anchors):
+            pp, qq, run_start, run_m = chunk.p, chunk.q, chunk.run_start, chunk.run_m
             n_pairs = len(pp)
             sp_pair = lay.starts[pp]
             his = np.minimum(lay.ends[pp], lay.ends[qq])
             window = his - sp_pair
-            run_cell = ci[run_src]
-            wit_run, wit_cell, _ = _witness_pools(
-                lay, metric, ai, ci, run_src, link_thr
-            )
+            run_cell = chunk.ci[chunk.run_src]
+            wit_run, wit_cell = _witness_pools(lay, metric, chunk, link_thr)
             # One request per (witness cell, pair).  Requests run
             # witness-major within each run, so every pair meets its
             # witness cells in ascending order and ``np.bincount``
@@ -919,7 +896,7 @@ class VectorSumPairIndex(_VectorIndex):
                 rowwise_dists(
                     metric,
                     lay.centers[run_cell],
-                    lay.centers[lay.cell_of[eligible[ai[run_src]]]],
+                    lay.centers[lay.cell_of[pp[run_start]]],
                 )
                 <= link_thr
             )
@@ -972,18 +949,6 @@ def _narrow_pairs(
 # ----------------------------------------------------------------------
 # UNION pairs
 # ----------------------------------------------------------------------
-def _slices(weights: np.ndarray, cap: int) -> Iterator[Tuple[int, int]]:
-    """Consecutive ``[i0, i1)`` ranges whose weights sum to at most
-    ``cap`` (a single heavier item gets a range of its own)."""
-    cum = np.cumsum(weights)
-    i0 = 0
-    while i0 < len(weights):
-        base = cum[i0 - 1] if i0 else 0
-        i1 = max(int(np.searchsorted(cum, base + cap, side="right")), i0 + 1)
-        yield i0, i1
-        i0 = i1
-
-
 def _best_witnesses(
     lay: SoALayout,
     pool: np.ndarray,
@@ -1125,19 +1090,12 @@ class VectorUnionPairIndex(_VectorIndex):
         link_thr = _link_threshold(res)
         target = UnionPairIndex.GREEDY_FACTOR * tau
         out: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau, anchors)
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            ai, ci = cai[e0:e1], cci[e0:e1]
-            expanded = _expand_partners(lay, eligible, ai, ci, tau)
-            if expanded is None:
-                continue
-            pp, qq, run_start, run_m, run_src = expanded
+        for chunk in self._partners(tau, anchors):
+            pp, qq, run_start, run_m = chunk.p, chunk.q, chunk.run_start, chunk.run_m
             n_runs = len(run_start)
             sp = lay.starts[pp]
             his = np.minimum(lay.ends[pp], lay.ends[qq])
-            wit_run, wit_cell, _ = _witness_pools(
-                lay, metric, ai, ci, run_src, link_thr
-            )
+            wit_run, wit_cell = _witness_pools(lay, metric, chunk, link_thr)
             # Each run's witness pool: its witness cells' members in the
             # legacy order (cells ascending, ids ascending), less the
             # anchor and any member that cannot overlap the run's widest
@@ -1231,19 +1189,14 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         metric = self.tps.metric
         link_thr = _link_threshold(self.resolution)
         parts: List[_Columns] = []
-        eligible, cai, cci = self._eligible_candidates(tau, anchors)
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            ai, ci = cai[e0:e1], cci[e0:e1]
-            expanded = _expand_partners(lay, eligible, ai, ci, tau)
-            if expanded is None:
-                continue
-            p, q, _, run_m, run_src = expanded
-            run_cell = ci[run_src]
+        for chunk in self._partners(tau, anchors):
+            p, q, run_m = chunk.p, chunk.q, chunk.run_m
+            run_cell = chunk.ci[chunk.run_src]
             linked = np.repeat(
                 rowwise_dists(
                     metric,
                     lay.centers[run_cell],
-                    lay.centers[lay.cell_of[eligible[ai[run_src]]]],
+                    lay.centers[lay.cell_of[p[chunk.run_start]]],
                 )
                 <= link_thr,
                 run_m,
@@ -1364,18 +1317,12 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         ctx: Dict[int, tuple] = {}
         lay = self.layout
         anchors = _eligible_anchor_array(lay, tau)
-        if not len(anchors):
-            return ctx
-        cai, cci = _candidate_pairs(lay, self.tps.metric, anchors, radius, self.resolution)
-        for e0, e1 in _anchor_chunks(lay, cai, cci):
-            ai, ci = cai[e0:e1], cci[e0:e1]
-            expanded = _expand_partners(lay, anchors, ai, ci, tau)
-            if expanded is None:
-                continue
-            pp, qq, run_start, run_m, run_src = expanded
-            run_cell = ci[run_src]
-            qq = qq[self._dominance_order(pp, qq, run_m, run_cell)]
-            run_row = ai[run_src]
+        ai, ci = _candidate_pairs(lay, self.tps.metric, anchors, radius, self.resolution)
+        for chunk in _expanded(lay, anchors, ai, ci, tau):
+            run_start, run_m = chunk.run_start, chunk.run_m
+            run_cell = chunk.ci[chunk.run_src]
+            qq = chunk.q[self._dominance_order(chunk.p, chunk.q, run_m, run_cell)]
+            run_row = chunk.ai[chunk.run_src]
             rb = np.concatenate(
                 ([0], np.flatnonzero(np.diff(run_row)) + 1, [len(run_row)])
             )

@@ -17,15 +17,16 @@ batched kernels over that layout:
   later version's appended points into the previous version's arrays
   (a fresh build extends :meth:`SoALayout.empty`), and the result
   equals a fresh build's (DESIGN.md note 13).
-* :func:`layout_for` — the layout of one point set at one cell side,
-  memoised on that point set, so the four query families of one dataset
-  version and ε build or extend it once and it is freed with the
-  version.
+* :func:`memoised` — one memo per point set, freed with the version:
+  structures are built under the point set's lock, so racing first
+  builds of one version build each once.  :func:`layout_for` keeps the
+  layout of one cell side there, so the four query families of one
+  dataset version and ε build or extend it once.
 * :class:`CandidateMap` — every point's candidate cells as CSR rows,
-  memoised on the layout (``SoALayout.candidate_maps``) by the index
-  that builds it, so a query gathers the rows of its eligible anchors;
-  a later version's map extends the previous one's, and lists the
-  anchors the append touched.
+  memoised on the version beside its layout by the index that builds
+  it, so a query gathers the rows of its eligible anchors; a later
+  version's map extends the previous one's, and lists the anchors the
+  append touched.
 * blocked distance kernels (:func:`pairwise_dists`,
   :func:`rowwise_dists`) reproducing the exact per-metric arithmetic of
   :mod:`repro.geometry.metrics`.
@@ -33,7 +34,7 @@ batched kernels over that layout:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +45,11 @@ __all__ = [
     "CandidateMap",
     "SoALayout",
     "layout_for",
+    "memoised",
     "pairwise_dists",
     "rowwise_dists",
     "ragged_arange",
+    "locate",
 ]
 
 #: Soft cap on elements of any one broadcast distance matrix; blocks are
@@ -66,6 +69,15 @@ def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         - np.repeat(cum, counts)
         + np.repeat(np.asarray(starts, dtype=np.int64), counts)
     )
+
+
+def locate(values: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each ``x``'s index in ``values`` (ascending, distinct), and
+    whether it is there."""
+    at = np.searchsorted(values, x)
+    there = at < len(values)
+    there[there] = values[at[there]] == x[there]
+    return at, there
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +136,6 @@ class SoALayout:
         "offsets",
         "order_id",
         "order_end",
-        "candidate_maps",
     )
 
     @classmethod
@@ -141,7 +152,6 @@ class SoALayout:
             0, dtype=np.int64
         )
         lay.offsets = np.zeros(1, dtype=np.int64)
-        lay.candidate_maps = {}
         return lay
 
     def extended(self, tps: TemporalPointSet) -> "SoALayout":
@@ -170,9 +180,7 @@ class SoALayout:
         # located among this layout's cells by one search.
         coords = np.floor(lay.points[m:] / side).astype(np.int64)
         keys, inverse = np.unique(coords.view(row).ravel(), return_inverse=True)
-        at = np.searchsorted(old_keys, keys)
-        found = at < self.n_cells
-        found[found] = old_keys[at[found]] == keys[found]
+        at, found = locate(old_keys, keys)
         ins = at[~found]
         added = ins + np.arange(len(ins))
         lay.n_cells = self.n_cells + len(ins)
@@ -210,9 +218,6 @@ class SoALayout:
         )
         by_end = np.lexsort((ids, -ends, cell))
         lay.order_end = np.insert(self.order_end, (lo + ahead)[by_end], ids[by_end])
-        # The radius-1 candidate maps over these cells, by resolution;
-        # each is built with the first index that needs it.
-        lay.candidate_maps: Dict[float, CandidateMap] = {}
         return lay
 
     def growth(self, since: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,22 +276,36 @@ class CandidateMap:
         )
 
 
+def memoised(tps: TemporalPointSet, key: Hashable, build: Callable[[], Any]) -> Any:
+    """``tps``'s memo entry ``key``, which ``build()`` makes the first
+    time it is asked for.
+
+    The memo lives on ``tps`` itself, as :meth:`~repro.types.
+    TemporalPointSet.fingerprint` does (the arrays of a version are
+    immutable), so it is freed together with the point set.  Builds run
+    under the point set's lock: racing first builds of one version wait
+    for one build instead of each running their own.
+    """
+    with tps._memo_lock:
+        value = tps._memo.get(key)
+        if value is None:
+            value = tps._memo[key] = build()
+    return value
+
+
 def layout_for(
     tps: TemporalPointSet, side: float, base: Optional[SoALayout] = None
 ) -> SoALayout:
     """The layout of one dataset version at one cell side, extending
     ``base``, the layout of an earlier version, when given.
 
-    Memoised on ``tps`` itself, as :meth:`~repro.types.TemporalPointSet.
-    fingerprint` is (the arrays of a version are immutable), so the
-    four index families of one ``(version, ε)`` share one layout and it
-    is freed together with the point set.
+    Memoised on ``tps`` (:func:`memoised`), so the four index families
+    of one ``(version, ε)`` share one layout, built once.
     """
     side = float(side)
-    layout = tps._layouts.get(side)
-    if layout is None:
-        if base is None:
-            base = SoALayout.empty(tps.dim, side)
-        # Racing first builds may both run; ``setdefault`` keeps one.
-        layout = tps._layouts.setdefault(side, base.extended(tps))
-    return layout
+
+    def build() -> SoALayout:
+        start = SoALayout.empty(tps.dim, side) if base is None else base
+        return start.extended(tps)
+
+    return memoised(tps, ("layout", side), build)

@@ -46,13 +46,6 @@ DEFAULT_QUEUE_LIMIT = 64
 #: without limit under a churning query mix.
 DEFAULT_MAX_ENTRIES = 32
 
-#: Rebuild-on-threshold bound for appends: when one accepted batch
-#: exceeds this fraction of the current point count, incremental index
-#: maintenance is skipped and every cached family is invalidated — at
-#: that scale a fresh build costs about the same as maintenance and the
-#: append call should not pay either inline.
-REBUILD_FRACTION = 0.5
-
 #: Cap on per-line error strings echoed back in an append report.
 MAX_EVENT_ERRORS = 8
 
@@ -364,11 +357,9 @@ class DatasetShard:
         invalidated and rebuild on their next query.  A migrated
         ``vector`` entry keeps its τ frontier, carried by ``carry``,
         which reruns the kernel for the anchors the append touched only.
-        Batches larger than :data:`REBUILD_FRACTION` of the dataset skip
-        maintenance entirely (rebuild-on-threshold) and carry nothing.
-        Either way, queries after the append answer
-        record-set-identically to a fresh registration of the merged
-        point set.
+        Queries after the append answer record-set-identically to a
+        fresh registration of the merged point set, whatever the
+        batch's size.
 
         Given a trace ``recorder``, the append is a ``serve.append``
         span under ``parent_span_id`` (events accepted and rejected, the
@@ -428,19 +419,17 @@ class DatasetShard:
                     np.asarray([d[1] for d in docs], dtype=float),
                     np.asarray([d[2] for d in docs], dtype=float),
                 )
-                maintainer = None
-                if len(docs) <= REBUILD_FRACTION * old.n:
 
-                    def maintainer(key, index):
-                        maintain = getattr(index, "maintained", None)
-                        if maintain is None:
-                            return None
-                        try:
-                            return maintain(merged)
-                        except Exception:
-                            # Maintenance must never fail an append; a
-                            # dropped entry just rebuilds on next query.
-                            return None
+                def maintainer(key, index):
+                    maintain = getattr(index, "maintained", None)
+                    if maintain is None:
+                        return None
+                    try:
+                        return maintain(merged)
+                    except Exception:
+                        # Maintenance must never fail an append; a
+                        # dropped entry just rebuilds on next query.
+                        return None
 
                 moved = self.cache.advance(
                     old.fingerprint(),

@@ -8,6 +8,7 @@ and one lifespan interval per point.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -47,7 +48,7 @@ class TemporalPointSet:
 
     __slots__ = (
         "points", "starts", "ends", "metric", "epoch",
-        "_fingerprint", "_layouts",
+        "_fingerprint", "_memo", "_memo_lock",
     )
 
     def __init__(
@@ -86,9 +87,11 @@ class TemporalPointSet:
         self.metric = get_metric(metric)
         self.epoch = epoch
         self._fingerprint: Optional[str] = None
-        # The ``vector`` backend's array layouts of this version, by cell
-        # side (see :func:`repro.backends.vector.soa.layout_for`).
-        self._layouts: Dict[float, Any] = {}
+        # The ``vector`` backend's per-version structures (layouts and
+        # candidate maps) and the lock their builds take (see
+        # :func:`repro.backends.vector.soa.memoised`).
+        self._memo: Dict[Any, Any] = {}
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property

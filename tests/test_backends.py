@@ -889,6 +889,16 @@ class TestVectorTriangleCount:
         assert [index.count(tau) for tau in taus] == expected
 
 
+def _wide_tps(dim, seed, metric):
+    """40 clusters of 15 points within ±1 of a centre uniform in ±1e9."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1e9, 1e9, (40, dim))
+    points = np.repeat(centres, 15, axis=0) + rng.uniform(-1.0, 1.0, (600, dim))
+    starts = rng.integers(0, 10, 600).astype(float)
+    ends = starts + rng.integers(0, 21, 600)
+    return TemporalPointSet(points, starts, ends, metric=metric)
+
+
 class TestVectorLayoutPerVersion:
     def test_four_families_share_one_layout_per_version(self, monkeypatch):
         from repro.backends.vector import soa
@@ -918,13 +928,29 @@ class TestVectorLayoutPerVersion:
         assert fresh is not indexes[0].candidates
         assert len(fresh.indptr) == merged.n + 1
 
-    def test_concurrent_first_builds_share_one_layout(self):
-        # Builders racing on a fresh version may each build a layout, but
-        # the memo must hand every one of them the same object.
+    def test_concurrent_first_builds_share_one_layout(self, monkeypatch):
+        # Threads racing to build a fresh version wait for one build of
+        # the layout and one of the candidate map, and all get those objects.
+        from repro.backends.vector import indexes, soa
+
+        layouts, maps = [], []
+        extend, extend_map = soa.SoALayout.extended, indexes._extended_map
+
+        def counted_layout(self, tps):
+            layouts.append(tps)
+            return extend(self, tps)
+
+        def counted_map(*args):
+            maps.append(args)
+            return extend_map(*args)
+
+        monkeypatch.setattr(soa.SoALayout, "extended", counted_layout)
+        monkeypatch.setattr(indexes, "_extended_map", counted_map)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(5):
+                del layouts[:], maps[:]
                 tps = random_tps(n=200, seed=seed)
                 classes = _vector_classes() * 3
                 start = threading.Barrier(len(classes))
@@ -936,6 +962,7 @@ class TestVectorLayoutPerVersion:
                 with ThreadPoolExecutor(max_workers=len(classes)) as pool:
                     futures = [pool.submit(build, cls) for cls in classes]
                     built = [f.result(timeout=60) for f in futures]
+                assert (len(layouts), len(maps)) == (1, 1), seed
                 assert len({id(index.layout) for index in built}) == 1, seed
                 assert len({id(index.candidates) for index in built}) == 1, seed
         finally:
@@ -984,71 +1011,86 @@ class TestCandidateMap:
                 assert g.dtype == w.dtype == np.int64
                 assert np.array_equal(g, w), len(anchors)
 
-    def test_lattice_windows_run_in_bounded_chunks(self, monkeypatch):
-        from repro.backends.vector import VectorTriangleIndex, indexes
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 90),
+        dim=st.integers(1, 6),
+        metric=st.sampled_from(["l1", "l2", "linf", "l3"]),
+        epsilon=st.sampled_from([0.5, 1.0]),
+        box=st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_candidates_equal_a_brute_force_scan(
+        self, n, dim, metric, epsilon, box, wide, seed
+    ):
+        from repro.backends.vector import VectorTriangleIndex
+        from repro.backends.vector.indexes import _candidate_pairs
+        from repro.backends.vector.soa import pairwise_dists
         from repro.structures.decomposition import GEOMETRY_SLACK
 
-        # Dim 3 with more occupied cells than ±reach windows, so the
-        # lattice path runs rather than the dense fallback.
-        tps = random_tps(n=400, dim=3, seed=3)
+        if wide:
+            tps = _wide_tps(dim, seed, metric)
+        else:
+            tps = random_tps(n=n, dim=dim, seed=seed, metric=metric, box=box)
+        index = VectorTriangleIndex(tps, epsilon)
+        lay = index.layout
+        thr = 1.0 + index.resolution + GEOMETRY_SLACK
+        rng = np.random.default_rng(seed)
+        anchor_sets = [
+            np.arange(tps.n),
+            np.flatnonzero(rng.random(tps.n) < 0.3),
+            np.empty(0, dtype=np.int64),
+        ]
+        for anchors in anchor_sets:
+            want = np.nonzero(
+                pairwise_dists(tps.metric, lay.points[anchors], lay.centers) <= thr
+            )
+            got = _candidate_pairs(lay, tps.metric, anchors, 1.0, index.resolution)
+            rows = index.candidates.rows(anchors)
+            for g, r, w in zip(got, rows, want):
+                assert g.dtype == r.dtype == np.int64
+                assert np.array_equal(g, w) and np.array_equal(r, w), len(anchors)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_wide_sets_answer_like_grid(self, dim):
+        # Keys spanning ±1e9 / side on every axis: a mixed-radix code of
+        # that span overflows int64.
+        from repro.backends.vector import VectorTriangleIndex
+
+        tps = _wide_tps(dim, 0, "l2")
+        vec = VectorTriangleIndex(tps, 0.5).query(6.0)
+        grid = DurableTriangleIndex(tps, 0.5, backend="grid").query(6.0)
+        assert len(grid) > 100
+        assert sorted(vec, key=lambda r: r.key) == sorted(grid, key=lambda r: r.key)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_the_search_runs_in_bounded_chunks(self, monkeypatch, dim):
+        from repro.backends.vector import VectorTriangleIndex, indexes
+
+        tps = random_tps(n=400, dim=dim, seed=3)
         index = VectorTriangleIndex(tps, 0.5)
         lay, metric, res = index.layout, tps.metric, index.resolution
         anchors = np.arange(tps.n)
-        thr = 1.0 + res + GEOMETRY_SLACK
-        assert indexes._lattice_windows(lay, metric, anchors, thr) is not None
 
-        # One ragged_arange per chunk of anchors.
+        # One rowwise distance pass per chunk of probed cells.
         chunks = []
-        ragged = indexes.ragged_arange
-
-        def counted(starts, counts):
-            chunks.append(len(starts))
-            return ragged(starts, counts)
-
-        def pairs(window_chunk):
-            monkeypatch.setattr(indexes, "WINDOW_CHUNK", window_chunk)
-            del chunks[:]
-            return indexes._candidate_pairs(lay, metric, anchors, 1.0, res)
-
-        monkeypatch.setattr(indexes, "ragged_arange", counted)
-        whole = pairs(1 << 40)
-        assert len(chunks) == 1
-        chunked = pairs(20_000)
-        assert len(chunks) >= 3
-        for c, w in zip(chunked, whole):
-            assert c.dtype == w.dtype and np.array_equal(c, w)
-
-    def test_dense_fallback_runs_in_bounded_chunks(self, monkeypatch):
-        from repro.backends.vector import VectorTriangleIndex, indexes
-        from repro.structures.decomposition import GEOMETRY_SLACK
-
-        # Dim 4 with fewer occupied cells than ±reach windows, so the
-        # dense fallback runs rather than the lattice path.
-        tps = random_tps(n=400, dim=4, seed=3)
-        index = VectorTriangleIndex(tps, 0.5)
-        lay, metric, res = index.layout, tps.metric, index.resolution
-        anchors = np.arange(tps.n)
-        thr = 1.0 + res + GEOMETRY_SLACK
-        assert indexes._lattice_windows(lay, metric, anchors, thr) is None
-
-        # One anchors × cells distance matrix per chunk of anchors.
-        chunks = []
-        dists = indexes.pairwise_dists
+        dists = indexes.rowwise_dists
 
         def counted(metric, a, b):
-            chunks.append(len(a) * len(b))
+            chunks.append(len(a))
             return dists(metric, a, b)
 
-        def pairs(window_chunk):
-            monkeypatch.setattr(indexes, "WINDOW_CHUNK", window_chunk)
+        def pairs(search_chunk):
+            monkeypatch.setattr(indexes, "SEARCH_CHUNK", search_chunk)
             del chunks[:]
             return indexes._candidate_pairs(lay, metric, anchors, 1.0, res)
 
-        monkeypatch.setattr(indexes, "pairwise_dists", counted)
+        monkeypatch.setattr(indexes, "rowwise_dists", counted)
         whole = pairs(1 << 40)
         assert len(chunks) == 1
-        chunked = pairs(20_000)
-        assert len(chunks) >= 3 and max(chunks) <= 20_000
+        chunked = pairs(10_000)
+        assert len(chunks) >= 3 and max(chunks) <= 10_000
         for c, w in zip(chunked, whole):
             assert c.dtype == w.dtype and np.array_equal(c, w)
 

@@ -22,8 +22,8 @@
   frontier equals the direct block of a fresh build of the merged set,
   as columns and as ``records_line`` bytes, with the texts encoded
   before the append kept (property test), and so does every τ′ ≥ τ₀
-  served from it.  A rebuild-size batch, an over-cap carried block and
-  a failing ``carry`` leave the entry without a frontier; carried
+  served from it, however large the batch.  An over-cap carried block
+  and a failing ``carry`` leave the entry without a frontier; carried
   frontiers are counted in ``/metrics``.
 """
 
@@ -49,7 +49,7 @@ from repro.backends.vector import (
 from repro.engine import IndexCache, execute_plans, plan_batch, plan_query
 from repro.engine import frontier
 from repro.obs import counter_value, parse_exposition
-from repro.serve.registry import REBUILD_FRACTION, DatasetRegistry, DatasetShard
+from repro.serve.registry import DatasetRegistry, DatasetShard
 from repro.serve.server import records_line
 
 from conftest import random_tps
@@ -421,15 +421,15 @@ def test_sweep_answers_in_spec_order_and_counts_narrowed_taus(taus):
 # ----------------------------------------------------------------------
 @st.composite
 def append_chains(draw, tps):
-    """1–3 event batches for ``tps``, each of 1–20 events and within the
-    rebuild fraction: duplicates of a point (earlier appends' too),
+    """1–3 event batches for ``tps``, each of 1–20 events and at most
+    half the set: duplicates of a point (earlier appends' too),
     points beside one, one to two units from one along an axis, or
     anywhere in a wider box (new cells); lifespans on the 0.1 lattice,
     long enough that appended points anchor and partner."""
     points = tps.points.tolist()
     chain = []
     for _ in range(draw(st.integers(1, 3))):
-        size = draw(st.integers(1, min(20, int(REBUILD_FRACTION * len(points)))))
+        size = draw(st.integers(1, min(20, int(0.5 * len(points)))))
         batch = []
         for _ in range(size):
             point = list(points[draw(st.integers(0, len(points) - 1))])
@@ -584,24 +584,25 @@ class TestCarryLifetime:
             assert _carried_metric(registry) == 0
             shard.append_events([EVENT])
             assert _carried_metric(registry) == 4 == shard.cache.stats.carried
-            # A rebuild-size batch maintains nothing, so carries nothing.
+            # A batch larger than half the set is maintained and carried too.
             report = shard.append_events([EVENT] * (shard.tps.n // 2 + 1))
-            assert report["maintained_families"] == []
-            assert _carried_metric(registry) == 4
+            assert len(report["maintained_families"]) == 4
+            assert _carried_metric(registry) == 8
         finally:
             registry.close()
 
-    def test_a_rebuild_size_batch_carries_nothing(self):
+    def test_a_large_batch_carries_every_frontier(self):
         registry, shard = _warm_shard()
         try:
             report = shard.append_events([EVENT] * (shard.tps.n // 2 + 1))
-            assert len(report["invalidated_families"]) == len(VECTOR_SPECS)
-            assert shard.cache.stats.carried == 0
+            assert report["invalidated_families"] == []
+            assert shard.cache.stats.carried == len(VECTOR_SPECS)
             for spec in VECTOR_SPECS:
-                plan = plan_query(0, spec, shard.tps)
-                assert shard.cache.peek(plan.key) is None
-                _serve(shard, spec, 3.0)
-                assert _carried(shard, spec)[0] == 3.0  # a fresh frontier
+                assert _carried(shard, spec)[0] == 2.0, spec.kind
+                plan = plan_query(0, spec, _fresh(shard.tps))
+                assert records_line(0, 3.0, _serve(shard, spec, 3.0)) == records_line(
+                    0, 3.0, plan.runner(plan.builder(), 3.0)
+                )
         finally:
             registry.close()
 

@@ -32,12 +32,7 @@ from repro.engine.cache import IndexCache, IndexKey
 from repro.engine.executor import execute_plans
 from repro.errors import ValidationError
 from repro.router.manifest import PlacementManifest
-from repro.serve.registry import (
-    MAX_EVENT_ERRORS,
-    REBUILD_FRACTION,
-    DatasetRegistry,
-    DatasetShard,
-)
+from repro.serve.registry import MAX_EVENT_ERRORS, DatasetRegistry, DatasetShard
 
 from conftest import check_route_table, random_tps
 
@@ -433,24 +428,22 @@ class TestShardAppend:
         finally:
             registry.close()
 
-    def test_large_batch_skips_maintenance_rebuild_on_threshold(self):
-        shard = DatasetShard("d", random_tps(n=10))
+    def test_a_large_batch_is_maintained_like_a_fresh_registration(self):
+        # A batch three times the size of the set it joins.
+        full = random_tps(n=40, seed=2)
+        shard = DatasetShard("d", _prefix(full, 10))
+        fresh = DatasetShard("fresh", full)
         spec = QuerySpec(kind="triangles", taus=2.0, backend="grid")
         try:
             self._warm(shard, [spec])
-            batch = "\n".join(
-                json.dumps(
-                    {"point": [0.1 * i, 0.1], "start": 0.0, "end": 3.0}
-                )
-                for i in range(int(REBUILD_FRACTION * 10) + 1)
-            )
-            report = shard.append_events(batch)
-            assert report["maintained_families"] == []
-            assert report["invalidated_families"] == ["triangles"]
-            result = self._warm(shard, [spec])[0]
-            assert not result.cache_hit  # rebuilt over the merged set
+            report = shard.append_events(_ndjson(full, 10, 40))
+            assert report["maintained_families"] == ["triangles"]
+            assert report["invalidated_families"] == []
+            assert self._warm(shard, [spec])[0].cache_hit
+            assert _record_sets(shard) == _record_sets(fresh)
         finally:
             shard.close()
+            fresh.close()
 
     def test_concurrent_appends_are_serialised(self):
         shard = DatasetShard("d", random_tps(n=30))

@@ -23,13 +23,8 @@ from repro.backends.vector import (
     VectorSumPairIndex,
     VectorTriangleIndex,
 )
-from repro.backends.vector.indexes import (
-    _candidate_pairs,
-    _lattice_windows,
-    _segmented_cumsum,
-)
+from repro.backends.vector.indexes import _candidate_pairs, _segmented_cumsum
 from repro.serve.registry import DatasetShard
-from repro.structures.decomposition import GEOMETRY_SLACK
 
 from conftest import random_tps
 
@@ -207,14 +202,13 @@ class TestMaintainedArraysEqualAFreshBuild:
             assert np.array_equal(cmap.touched, _touched(fresh[0], since))
 
     def test_a_chain_across_the_lattice_dense_flip(self):
-        # Dim 3, ε=1: the lattice search runs once the cells outnumber
-        # the (2·reach + 1)² = 121 key windows, so a chain that opens
-        # new cells takes the fresh build from the dense path to it.
+        # Dim 3, ε=1: a chain that opens new cells, taking the cells from
+        # fewer to more than the (2·reach + 1)² = 121 key windows of a
+        # ±reach box.
         tps = random_tps(n=90, dim=3, seed=4, box=6.0)
         epsilon = 1.0
         indexes = [cls(tps, epsilon) for cls in FAMILIES]
         rng = np.random.default_rng(4)
-        paths = []
         for _ in range(3):
             points = rng.uniform(-2.0, 8.0, (20, 3))
             starts = rng.integers(0, 20, 20) / 2
@@ -223,10 +217,6 @@ class TestMaintainedArraysEqualAFreshBuild:
             fresh = [cls(_fresh(tps), epsilon) for cls in FAMILIES]
             for mine, theirs in zip(indexes, fresh):
                 _assert_equal(_arrays(mine), _arrays(theirs), type(mine).__name__)
-            lay = fresh[0].layout
-            thr = 1.0 + fresh[0].resolution + GEOMETRY_SLACK
-            paths.append(_lattice_windows(lay, tps.metric, np.arange(1), thr) is None)
-        assert paths[0] and not paths[-1], paths
 
     def test_the_old_arrays_are_never_written(self):
         tps = random_tps(n=120, seed=7)
