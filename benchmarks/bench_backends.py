@@ -30,8 +30,12 @@ Whatever ``--n`` is, a fixed ``maintenance`` block then times the four
 ``vector`` families' ``maintained()`` after an append of
 :data:`APPEND_EVENTS` events against a fresh build of the merged set, on
 each of :data:`MAINTENANCE_RUNGS`, and checks that every array the two
-hold is equal; the bench fails when one differs, or when maintenance on
-the largest rung costs more than :data:`MAINTENANCE_GATE` of the build.
+hold is equal.  It also times each family's ``carry`` of its block at
+its first :data:`KIND_SPECS` τ into the maintained index, with the
+anchors the carry reran and the anchors the append touched, and checks
+the carried blocks against the fresh build's.  The bench fails when an
+array or a block differs, or when maintenance on the largest rung costs
+more than :data:`MAINTENANCE_GATE` of the build.
 
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
 and ``BENCH_serve.json``.
@@ -174,33 +178,85 @@ def _same(mine, theirs):
     ) and mine.keys() == theirs.keys()
 
 
+def _carry_plans(tps):
+    """Per family, the plan of its :data:`KIND_SPECS` entry at that
+    entry's first τ, in :data:`VECTOR_CLASSES` order."""
+    return [
+        plan_query(0, QuerySpec(**{**spec, "taus": spec["taus"][:1]}, backend="vector"), tps)
+        for spec in KIND_SPECS
+    ]
+
+
 def _maintenance(n, dim):
     """One maintenance rung: the median seconds of the four families'
     ``maintained()`` after an append and of a fresh build of the merged
-    set, and whether every array of the two is equal."""
+    set, whether every array of the two is equal, and per family the
+    carry of its block at its first :data:`KIND_SPECS` τ (median
+    milliseconds, anchors rerun and touched) and whether the last
+    repetition's carried blocks equal the fresh build's."""
     tps = benchmark_workload(n, dim=dim, seed=0)
     indexes = [cls(tps, 0.5) for cls in VECTOR_CLASSES]
+    plans = _carry_plans(tps)
+    blocks = [
+        plan.runner(index, plan.spec.taus[0]) for plan, index in zip(plans, indexes)
+    ]
     rng = np.random.default_rng(0)
     maintain_s, fresh_s, equal = [], [], True
+    carries = {plan.spec.kind: [] for plan in plans}
     for _ in range(MAINTENANCE_REPEAT):
         # A new merged object per repetition, so nothing is memoised.
         merged = tps.with_events(*_append_events(tps, rng))
         t0 = time.perf_counter()
         maintained = [index.maintained(merged) for index in indexes]
         maintain_s.append(time.perf_counter() - t0)
+        carried = []
+        for plan, index, successor, block in zip(plans, indexes, maintained, blocks):
+            tau, params = plan.spec.taus[0], (plan.spec.kappa, plan.spec.m)
+            t0 = time.perf_counter()
+            carried.append(successor.carry(block, tau, params, index))
+            carries[plan.spec.kind].append((
+                time.perf_counter() - t0,
+                len(successor.reruns(tau)),
+                len(successor.candidates.touched),
+            ))
         fresh_tps = _copy(merged)
         t0 = time.perf_counter()
         fresh = [cls(fresh_tps, 0.5) for cls in VECTOR_CLASSES]
         fresh_s.append(time.perf_counter() - t0)
         equal &= all(_same(_arrays(a), _arrays(b)) for a, b in zip(maintained, fresh))
-    return float(np.median(maintain_s)), float(np.median(fresh_s)), equal
+    carries_equal = all(
+        _same_block(block, plan.runner(index, plan.spec.taus[0]))
+        for plan, index, block in zip(plans, fresh, carried)
+    )
+    carry_figures = {}
+    for kind, rows in carries.items():
+        seconds, rerun, touched = np.median(np.asarray(rows), axis=0)
+        carry_figures[kind] = {
+            "carry_ms": seconds * 1e3,
+            "rerun_anchors": int(rerun),
+            "touched_anchors": int(touched),
+        }
+    return (
+        float(np.median(maintain_s)),
+        float(np.median(fresh_s)),
+        equal,
+        carry_figures,
+        carries_equal,
+    )
+
+
+def _same_block(mine, theirs):
+    """Whether two record blocks hold the same columns and dtypes."""
+    return type(mine) is type(theirs) and _same(
+        dict(enumerate(mine._columns())), dict(enumerate(theirs._columns()))
+    )
 
 
 def _maintenance_block():
     """The ``maintenance`` block over :data:`MAINTENANCE_RUNGS`, gated."""
     rungs = []
     for n, dim in MAINTENANCE_RUNGS:
-        maintain_s, fresh_s, equal = _maintenance(n, dim)
+        maintain_s, fresh_s, equal, carries, carries_equal = _maintenance(n, dim)
         rungs.append({
             "n": n,
             "dim": dim,
@@ -209,11 +265,19 @@ def _maintenance_block():
             "fresh_ms": fresh_s * 1e3,
             "ratio": maintain_s / fresh_s,
             "arrays_equal": equal,
+            "carries": carries,
+            "carries_equal": carries_equal,
         })
         print(
             f"maintenance n={n:>6} dim={dim}: maintained {maintain_s * 1e3:7.1f} ms"
             f"  fresh {fresh_s * 1e3:7.1f} ms  ratio {maintain_s / fresh_s:6.3f}"
-            f"  arrays {'equal' if equal else 'DIFFER'}",
+            f"  arrays {'equal' if equal else 'DIFFER'}  carries "
+            + ", ".join(
+                f"{kind} {c['carry_ms']:.2f} ms"
+                f" ({c['rerun_anchors']}/{c['touched_anchors']})"
+                for kind, c in carries.items()
+            )
+            + f" {'equal' if carries_equal else 'DIFFER'}",
             file=sys.stderr,
         )
     largest = max(rungs, key=lambda rung: rung["n"])
@@ -221,6 +285,10 @@ def _maintenance_block():
         f"arrays differ from a fresh build at n={r['n']} dim={r['dim']}"
         for r in rungs
         if not r["arrays_equal"]
+    ] + [
+        f"carried blocks differ from a fresh build's at n={r['n']} dim={r['dim']}"
+        for r in rungs
+        if not r["carries_equal"]
     ]
     if largest["ratio"] > MAINTENANCE_GATE:
         failures.append(

@@ -58,16 +58,17 @@ the index.
 
 ``maintained()`` extends that state to the merged set by merge and
 gather instead of rebuilding it (DESIGN.md note 13): the layout gains
-the appended points' cells, the candidate map reruns the generator for
-the appended points and the points within reach of a new cell only
-(one cell search of the new layout finds both those points and their
-new rows), and the profiles recompute the cells that gained a point
-only; every array equals a fresh build's.  A fresh build is the same
-routine extending empty structures.  The four families of one version share
-the extended layout and map.  ``carry`` brings a τ frontier's block
-across that append: the kernel reruns over the anchors the append
-touched only, which the map lists, and every other anchor's rows are
-kept (DESIGN.md note 12).
+the appended points' cells, the candidate map runs the generator for
+the appended points only and inserts each new cell into the old rows
+within its reach (the map keeps its cell search, which the next
+version extends), and the profiles recompute the cells that gained a
+point only; every array equals a fresh build's.  A fresh build is the
+same routine extending empty structures.  The four families of one
+version share the extended layout and map.  ``carry`` brings a τ
+frontier's block across that append: the kernel reruns only over the
+anchors an appended point in their candidate cells can change, by each
+family's own test (``reruns``), their runs in the block are replaced,
+and every other anchor's rows are kept (DESIGN.md note 12).
 """
 
 from __future__ import annotations
@@ -182,6 +183,14 @@ def _dense_ranks(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return x[new], rank
 
 
+def _merged(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``values`` (ascending, distinct) with the distinct values of
+    ``x`` they lack inserted."""
+    x = _dense_ranks(x)[0]
+    at, there = locate(values, x)
+    return np.insert(values, at[~there], x[~there])
+
+
 class _CellSearch:
     """The occupied cells of a layout, indexed for ``±reach`` key boxes.
 
@@ -195,25 +204,64 @@ class _CellSearch:
     chained into the dense ranks of the occupied prefixes, and a cell's
     index ranks its first coordinate, so no code exceeds ``n_cells²``
     whatever span the keys cover (DESIGN.md note 10).
+
+    Like the layout, a search is an extension: a new one indexes no
+    cell, and :meth:`extended` indexes a later version's cells.
     """
 
-    def __init__(self, keys: np.ndarray, reach: int) -> None:
-        self.reach = reach
+    def __init__(self, lay: SoALayout, thr: float) -> None:
+        """The search, over no cells yet, for the cells within ``thr``
+        of a point of ``lay``: a centre within ``thr`` of a point in
+        cell ``k`` has ``|key − k| ≤ floor(thr/side) + 1`` on every
+        axis, with half a side of margin, since every ℓ_α distance
+        (α ≥ 1) is at least the ℓ∞ one."""
+        self.reach = int(np.floor(thr / lay.side)) + 1
+        empty = np.empty(0, dtype=np.int64)
         #: Per bucketed axis: its occupied values, and the occupied codes
         #: ``prefix rank × len(values) + value rank`` of the axes so far.
-        self.axes: List[Tuple[np.ndarray, np.ndarray]] = []
-        bucket = np.zeros(len(keys), dtype=np.int64)
-        for j in range(1, keys.shape[1]):
-            values, rank = _dense_ranks(keys[:, j] // reach)
-            if j == 1:  # no prefix yet: the codes are the value ranks
-                codes, bucket = np.arange(len(values)), rank
-            else:
-                codes, bucket = _dense_ranks(bucket * len(values) + rank)
-            self.axes.append((values, codes))
-        self.first = np.ascontiguousarray(keys[:, 0])
-        code = bucket * len(keys) + np.arange(len(keys))
-        self.order = np.argsort(code)
-        self.codes = code[self.order]
+        self.axes: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * (lay.dim - 1)
+        self.first = self.order = self.codes = empty
+
+    def extended(self, keys: np.ndarray, renumber: np.ndarray) -> "_CellSearch":
+        """The search over ``keys``, a layout's cell keys, given that
+        this one indexes the cells that ``renumber`` maps to their
+        indices there; the others are new (:meth:`SoALayout.growth`).
+
+        Inserting values only shifts ranks: an old value, prefix or cell
+        keeps its order among the old ones, so each old code is
+        re-ranked by a gather and the new cells' codes, the only ones
+        sorted, are inserted.  The arrays equal a search built over
+        ``keys`` at once (DESIGN.md note 13).
+        """
+        out = _CellSearch.__new__(_CellSearch)
+        out.reach = reach = self.reach
+        added = np.delete(np.arange(len(keys)), renumber)
+        # Each old prefix's rank now, and each new cell's prefix rank;
+        # before the first bucketed axis all cells share one prefix.
+        old_prefix = np.zeros(1, dtype=np.int64)
+        new_prefix = np.zeros(len(added), dtype=np.int64)
+        out.axes = []
+        for j, (values, codes) in enumerate(self.axes, start=1):
+            value = keys[added, j] // reach
+            merged = _merged(values, value)
+            prefix, rank = np.divmod(codes, max(len(values), 1))
+            width = len(merged)
+            kept = old_prefix[prefix] * width + np.searchsorted(merged, values)[rank]
+            own = new_prefix * width + np.searchsorted(merged, value)
+            codes = _merged(kept, own)
+            old_prefix = np.searchsorted(codes, kept)
+            new_prefix = np.searchsorted(codes, own)
+            out.axes.append((merged, codes))
+        n = len(keys)
+        bucket, cell = np.divmod(self.codes, max(len(renumber), 1))
+        kept = old_prefix[bucket] * n + renumber[cell]
+        own = new_prefix * n + added
+        by_code = np.argsort(own)
+        at = np.searchsorted(kept, own[by_code])
+        out.codes = np.insert(kept, at, own[by_code])
+        out.order = np.insert(renumber[self.order], at, added[by_code])
+        out.first = np.ascontiguousarray(keys[:, 0])
+        return out
 
     def near(self, query: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """``(i, c)`` pairs covering every occupied cell ``c`` whose key
@@ -257,11 +305,32 @@ class _CellSearch:
 
 
 def _cell_search(lay: SoALayout, thr: float) -> _CellSearch:
-    """The search for the cells within ``thr`` of a point: a centre
-    within ``thr`` of a point in cell ``k`` has ``|key − k| ≤
-    floor(thr/side) + 1`` on every axis, with half a side of margin,
-    since every ℓ_α distance (α ≥ 1) is at least the ℓ∞ one."""
-    return _CellSearch(lay.cell_keys, int(np.floor(thr / lay.side)) + 1)
+    """The search over every cell of ``lay`` at ``thr``."""
+    return _CellSearch(lay, thr).extended(lay.cell_keys, np.empty(0, dtype=np.int64))
+
+
+def _candidate_rows(
+    lay: SoALayout, metric, anchors: np.ndarray, thr: float, search: _CellSearch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The generator: every cell whose center lies within ``thr`` of an
+    anchor's point, found by ``search`` (the layout's search at
+    ``thr``), as CSR rows — each anchor's cell count and the cells,
+    anchor by anchor, ascending within each."""
+    counts = np.zeros(len(anchors), dtype=np.int64)
+    parts: List[np.ndarray] = []
+    if not len(anchors) or not lay.n_cells:
+        return counts, np.empty(0, dtype=np.int64)
+    points = lay.points[anchors]
+    for ai, ci in search.near(lay.cell_keys[lay.cell_of[anchors]]):
+        keep = rowwise_dists(metric, lay.centers[ci], points[ai]) <= thr
+        ai, ci = ai[keep], ci[keep]
+        if len(ai):
+            # A chunk holds whole rows: count them in place.
+            order = np.argsort(ai * lay.n_cells + ci)
+            lo, hi = ai.min(), ai.max() + 1
+            counts[lo:hi] = np.bincount(ai - lo, minlength=hi - lo)
+            parts.append(ci[order])
+    return counts, np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _candidate_pairs(
@@ -277,22 +346,11 @@ def _candidate_pairs(
     ``(anchor, cell)`` — the legacy ``candidate_groups`` sweep for a
     whole anchor batch.  ``search`` is the layout's search at this
     threshold (:func:`_cell_search`), built here when not given."""
-    empty = np.empty(0, dtype=np.int64)
-    if not len(anchors) or not lay.n_cells:
-        return empty, empty
     thr = radius + resolution + GEOMETRY_SLACK
     if search is None:
         search = _cell_search(lay, thr)
-    points = lay.points[anchors]
-    parts_a: List[np.ndarray] = []
-    parts_c: List[np.ndarray] = []
-    for ai, ci in search.near(lay.cell_keys[lay.cell_of[anchors]]):
-        keep = rowwise_dists(metric, lay.centers[ci], points[ai]) <= thr
-        ai, ci = ai[keep], ci[keep]
-        order = np.argsort(ai * lay.n_cells + ci)
-        parts_a.append(ai[order])
-        parts_c.append(ci[order])
-    return np.concatenate(parts_a), np.concatenate(parts_c)
+    counts, cells = _candidate_rows(lay, metric, anchors, thr, search)
+    return np.repeat(np.arange(len(anchors), dtype=np.int64), counts), cells
 
 
 def _members(lay: SoALayout, cells: np.ndarray) -> np.ndarray:
@@ -300,15 +358,42 @@ def _members(lay: SoALayout, cells: np.ndarray) -> np.ndarray:
     return lay.order_id[ragged_arange(lay.offsets[cells], lay.counts[cells])]
 
 
-def _members_before(lay: SoALayout, cells: np.ndarray, since: int) -> np.ndarray:
-    """The ids below ``since`` of the points in ``cells`` (distinct),
-    ascending."""
-    ids = _members(lay, cells)
-    return np.sort(ids[ids < since])
-
-
 #: The map of no points, which a map built from scratch extends.
 _NO_MAP = CandidateMap(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _rows_holding(
+    lay: SoALayout,
+    metric,
+    search: _CellSearch,
+    cells: np.ndarray,
+    newer: np.ndarray,
+    thr: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(i, c)`` of an old point ``i`` and one of ``cells``
+    whose row holds ``c``, ascending in ``(i, c)``; ``newer`` counts
+    each cell's appended members, which close its id order.
+
+    A row holds a cell whose center lies within ``thr`` of its point,
+    and such a point's cell lies within ``±reach`` keys of the cell, so
+    the points ``search`` finds there are tested with the generator's
+    own distance arithmetic, and the pairs equal its rows'.
+    """
+    keys, query = lay.cell_keys, lay.cell_keys[cells]
+    points: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    held: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for qi, ci in search.near(query):
+        inside = (np.abs(keys[ci] - query[qi]) <= search.reach).all(axis=1)
+        qi, ci = qi[inside], ci[inside]
+        older = lay.counts[ci] - newer[ci]
+        point = lay.order_id[ragged_arange(lay.offsets[ci], older)]
+        cell = cells[np.repeat(qi, older)]
+        near = rowwise_dists(metric, lay.centers[cell], lay.points[point]) <= thr
+        points.append(point[near])
+        held.append(cell[near])
+    point, cell = np.concatenate(points), np.concatenate(held)
+    order = np.argsort(point * lay.n_cells + cell)
+    return point[order], cell[order]
 
 
 def _extended_map(
@@ -317,55 +402,57 @@ def _extended_map(
     """The map over ``lay``, given ``old``, the map over its first
     ``m`` points (DESIGN.md note 13).
 
-    A row depends on its point and on the set of occupied cells only,
-    and a cell holds a candidate within ``±reach`` of the point's key on
-    every axis.  So the generator reruns for the appended points and for
-    the points within that reach of a new cell only; every other row is
-    kept, renumbered, and the rerun rows are spliced in.  One search of
-    the new layout's cells finds those points and reruns their rows.
+    A row depends on its point and on the set of occupied cells only.
+    So the generator runs for the appended points only; every other
+    row is kept, renumbered, and gains the new cells within reach of
+    its point, which are inserted in order.  The cell search is
+    ``old``'s, extended by the new cells, and also finds the old rows
+    that hold a cell that gained a point, and so ``gains``.  A fresh
+    build extends the empty map: its rows are the generator's.
     """
     m = len(old.indptr) - 1
+    thr = 1.0 + resolution + GEOMETRY_SLACK
     gained, new, renumber = lay.growth(m)
-    search = _cell_search(lay, 1.0 + resolution + GEOMETRY_SLACK)
-    near = pool = np.empty(0, dtype=np.int64)
-    if m:
-        # The cells within ±reach keys of a cell that gained a point, and
-        # of a new one: whose rows can hold a gained cell, and change.
-        keys = lay.cell_keys
-        query = keys[gained]
-        in_pool = np.zeros(lay.n_cells, dtype=bool)
-        in_near = np.zeros(lay.n_cells, dtype=bool)
-        for qi, ci in search.near(query):
-            inside = (np.abs(keys[ci] - query[qi]) <= search.reach).all(axis=1)
-            in_pool[ci[inside]] = True
-            in_near[ci[inside & new[qi]]] = True
-        near = _members_before(lay, np.flatnonzero(in_near), m)
-        pool = _members_before(lay, np.flatnonzero(in_pool), m)
-    rerun = np.concatenate((near, np.arange(m, lay.n)))
-    ai, ci = _candidate_pairs(lay, metric, rerun, 1.0, resolution, search)
-    counts = np.bincount(ai, minlength=len(rerun))
+    search = (old.search or _CellSearch(lay, thr)).extended(lay.cell_keys, renumber)
+    appended = np.arange(m, lay.n)
+    counts, rows = _candidate_rows(lay, metric, appended, thr, search)
+    if not m:
+        indptr = np.zeros(lay.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return CandidateMap(indptr, rows, search, 0, lay.n)
+    newer = np.bincount(lay.cell_of[m:], minlength=lay.n_cells)
+    point, cell = _rows_holding(lay, metric, search, gained, newer, thr)
+    # The new cells go into the kept rows: each at the count of its
+    # row's cells below it, found by one search over the row-major
+    # keys of the rows that gain one.
+    body = renumber[old.cells]
+    is_new = np.zeros(lay.n_cells, dtype=bool)
+    is_new[gained[new]] = True
+    ins = np.flatnonzero(is_new[cell])
+    gaining, slot = _dense_ranks(point[ins])
     lengths = np.diff(old.indptr)
-    gone = lengths[near]
-    body = np.delete(renumber[old.cells], ragged_arange(old.indptr[near], gone))
-    # Each rerun row goes where its old row was, appended rows last.
-    at = np.concatenate(
-        (old.indptr[near] - (np.cumsum(gone) - gone), np.full(lay.n - m, len(body)))
+    span = lengths[gaining]
+    keys = np.repeat(np.arange(len(gaining)), span) * lay.n_cells + body[
+        ragged_arange(old.indptr[gaining], span)
+    ]
+    below = np.searchsorted(keys, slot * lay.n_cells + cell[ins])
+    at = old.indptr[point[ins]] + below - (np.cumsum(span) - span)[slot]
+    cells = np.insert(
+        body,
+        np.concatenate((at, np.full(len(rows), len(body)))),
+        np.concatenate((cell[ins], rows)),
     )
-    cells = np.insert(body, np.repeat(at, counts), ci)
-    lengths = np.concatenate((lengths, np.zeros(lay.n - m, dtype=np.int64)))
-    lengths[rerun] = counts
+    lengths += np.bincount(point[ins], minlength=m)
     indptr = np.zeros(lay.n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    cmap = CandidateMap(indptr, cells, m, len(rerun))
-    if m:
-        # The rows that hold a cell that gained a point: such a cell is
-        # within reach of the row's point too, so the row is in ``pool``.
-        owner, held = cmap.rows(pool)
-        grew = np.zeros(lay.n_cells, dtype=bool)
-        grew[gained] = True
-        hit = _dense_ranks(pool[owner[grew[held]]])[0]
-        cmap.touched = np.concatenate((hit, np.arange(m, lay.n)))
-    return cmap
+    np.cumsum(np.concatenate((lengths, counts)), out=indptr[1:])
+    # Every appended point of each held cell: its last members.
+    tail = newer[cell]
+    gains = (
+        np.repeat(point, tail),
+        lay.order_id[ragged_arange(lay.offsets[cell + 1] - tail, tail)],
+    )
+    touched = np.concatenate((_dense_ranks(point)[0], appended))
+    return CandidateMap(indptr, cells, search, m, len(appended), gains, touched)
 
 
 def _anchor_chunks(
@@ -529,8 +616,9 @@ class _VectorIndex:
     def maintenance(self) -> Dict[str, int]:
         """What an append cost this version's candidate map, which the
         families of one ε share: ``rerun_rows``, the rows the generator
-        recomputed (every row for a fresh build), and
-        ``touched_anchors``, the anchors :meth:`carry` reruns."""
+        computed (every row for a fresh build), and
+        ``touched_anchors``, the anchors whose rows the append can
+        change, of which :meth:`carry` reruns :meth:`reruns`."""
         cmap = self.candidates
         return {"rerun_rows": cmap.rerun, "touched_anchors": len(cmap.touched)}
 
@@ -563,6 +651,28 @@ class _VectorIndex:
         """Each row's anchor: the point whose partners the row came from."""
         raise NotImplementedError
 
+    def _can_change(self, p: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+        """Whether the appended point ``u``, in a cell of ``p``'s row,
+        can change anchor ``p``'s rows at τ: for triangles and cliques,
+        when it is one of ``p``'s partners (``u`` follows ``p`` in id,
+        so it precedes ``p`` only by an earlier start)."""
+        lay = self.layout
+        return (lay.starts[u] < lay.starts[p]) & _partner_ok(lay, p, u, tau)
+
+    def reruns(self, tau: float) -> np.ndarray:
+        """The anchors whose rows at τ the append that made this version
+        can change, ascending: the τ-eligible appended points, and the
+        τ-eligible old anchors with an appended point in one of their
+        candidate cells (``CandidateMap.gains``) that can change them
+        (DESIGN.md note 12)."""
+        lay, cmap = self.layout, self.candidates
+        p, u = cmap.gains
+        hit = p[_anchor_ok(lay, p, tau) & self._can_change(p, u, tau)]
+        appended = np.arange(cmap.since, lay.n)
+        return np.concatenate(
+            (_dense_ranks(hit)[0], appended[_anchor_ok(lay, appended, tau)])
+        )
+
     def carry(
         self, block: RecordBlock, tau: float, params: tuple, since: "_VectorIndex"
     ) -> RecordBlock:
@@ -570,28 +680,32 @@ class _VectorIndex:
         ``block``, the same family's block at τ and ``params`` on
         ``since``, the index this one was :meth:`maintained` from.
 
-        Only the *touched* anchors run the kernel: the appended points
-        and every point whose candidate cells include one that gained a
-        point, which the candidate map lists (``CandidateMap.touched``).
-        Every other anchor's rows, and the texts ``block`` has encoded
-        for them, carry over; a stable sort on anchor puts the two in
-        the kernel's order (DESIGN.md note 12).
+        Only the anchors :meth:`reruns` lists run the kernel, and their
+        rows replace theirs in ``block``; every other anchor's rows,
+        and the texts ``block`` has encoded for them, carry over.  With
+        none to rerun, ``block`` itself is this version's block
+        (DESIGN.md note 12).
         """
         _check_tau(tau)
-        cmap = self.candidates
         if (
             type(since) is not type(self)
             or since.epsilon != self.epsilon
-            or since.tps.n != cmap.since
+            or since.tps.n != self.candidates.since
         ):
             raise ValidationError("carry needs the index this one was maintained from")
-        fresh = self._kernel(tau, params, cmap.touched)
+        rerun = self.reruns(tau)
+        if not len(rerun):
+            return block
+        fresh = self._kernel(tau, params, rerun)
+        # Rows come grouped by ascending anchor: each rerun anchor's run
+        # in ``block`` gives way to its run in ``fresh``.
         kept = self._anchors(block)
-        touched = np.zeros(self.tps.n, dtype=bool)
-        touched[cmap.touched] = True
-        rows = np.flatnonzero(~touched[kept])
-        anchors = np.concatenate((kept[rows], self._anchors(fresh)))
-        return block.splice(rows, fresh, np.argsort(anchors, kind="stable"))
+        return block.splice(
+            np.searchsorted(kept, rerun),
+            np.searchsorted(kept, rerun, side="right"),
+            fresh,
+            np.append(np.searchsorted(self._anchors(fresh), rerun), len(fresh)),
+        )
 
     def maintained(self, tps: TemporalPointSet) -> "_VectorIndex":
         """The index over ``tps``, this dataset plus appended points.
@@ -908,6 +1022,11 @@ class VectorSumPairIndex(_VectorIndex):
     def _anchors(self, block: PairBlock) -> np.ndarray:
         return block.p
 
+    def _can_change(self, p, u, tau) -> np.ndarray:
+        # A point that starts at or after E_p leaves every F_g(t) with
+        # t ≤ E_p, so every score of p, bit-identical (DESIGN.md note 12).
+        return self.layout.starts[u] < self.layout.ends[p]
+
     def narrow(self, block: PairBlock, tau: float) -> PairBlock:
         """``query_block(tau)``, from this index's block at a τ₀ ≤ τ."""
         _check_tau(tau)
@@ -1130,6 +1249,12 @@ class VectorUnionPairIndex(_VectorIndex):
 
     def _anchors(self, block: PairBlock) -> np.ndarray:
         return block.p
+
+    def _can_change(self, p, u, tau) -> np.ndarray:
+        # A partner, or a usable witness; the kernel drops any other
+        # point from the pools before it counts them.
+        lay = self.layout
+        return (lay.ends[u] > lay.starts[p]) & (lay.starts[u] < lay.ends[p])
 
     def narrow(self, block: PairBlock, tau: float) -> PairBlock:
         """``query_block(tau, κ)``, from this index's block at a τ₀ ≤ τ
@@ -1386,9 +1511,13 @@ def _clique_anchors(
     """Each clique row's anchor and its column: the member latest in
     ``(start, id)`` order, which is the last one of the latest start,
     members ascending by id."""
-    starts = lay.starts[members]
-    latest = starts == starts.max(axis=1)[:, None]
-    col = members.shape[1] - 1 - np.argmax(latest[:, ::-1], axis=1)
+    col = np.zeros(len(members), dtype=np.int64)
+    latest = lay.starts[members[:, 0]]
+    for j in range(1, members.shape[1]):
+        start = lay.starts[members[:, j]]
+        later = start >= latest
+        col[later] = j
+        latest = np.where(later, start, latest)
     return members[np.arange(len(members)), col], col
 
 

@@ -25,8 +25,8 @@ batched kernels over that layout:
 * :class:`CandidateMap` — every point's candidate cells as CSR rows,
   memoised on the version beside its layout by the index that builds
   it, so a query gathers the rows of its eligible anchors; a later
-  version's map extends the previous one's, and lists the anchors the
-  append touched.
+  version's map extends the previous one's (and its cell search), and
+  lists the appended points in reach of each old anchor.
 * blocked distance kernels (:func:`pairwise_dists`,
   :func:`rowwise_dists`) reproducing the exact per-metric arithmetic of
   :mod:`repro.geometry.metrics`.
@@ -240,30 +240,39 @@ class CandidateMap:
     the generator's ``(anchor, cell)`` pairs over all points (anchor
     positions are then point ids); :meth:`rows` gathers the pairs the
     generator returns for any anchor subset (DESIGN.md note 10).
+    ``search`` is the occupied-cell search the rows were found with,
+    which the next version's map extends.
 
     A map over a later version extends the map of an earlier one
     (DESIGN.md note 13): ``since`` is that version's point count (0 for
-    a map built from scratch), ``rerun`` the number of rows the
-    generator recomputed, and ``touched`` the ids whose rows an append
-    of the points from ``since`` on can change (ascending; empty when
-    ``since`` is 0).
+    a map built from scratch) and ``rerun`` the number of rows the
+    generator computed.  ``gains`` are the pairs ``(p, u)`` of an old
+    point ``p`` and an appended point ``u`` in one of the cells of
+    ``p``'s row, ``p`` ascending; ``touched`` holds those ``p`` and the
+    appended ids, the anchors whose rows the append can change
+    (ascending; both are empty when ``since`` is 0).
     """
 
-    __slots__ = ("indptr", "cells", "since", "rerun", "touched")
+    __slots__ = ("indptr", "cells", "search", "since", "rerun", "gains", "touched")
 
     def __init__(
         self,
         indptr: np.ndarray,
         cells: np.ndarray,
+        search: Any = None,
         since: int = 0,
         rerun: int = 0,
+        gains: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         touched: Optional[np.ndarray] = None,
     ) -> None:
+        empty = np.empty(0, dtype=np.int64)
         self.indptr = indptr
         self.cells = cells
+        self.search = search
         self.since = since
         self.rerun = rerun
-        self.touched = np.empty(0, dtype=np.int64) if touched is None else touched
+        self.gains = (empty, empty) if gains is None else gains
+        self.touched = empty if touched is None else touched
 
     def rows(self, anchors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(position in anchors, cell)`` pairs of the given points,

@@ -11,8 +11,9 @@ block or calls :meth:`RecordBlock.records`, and then kept; ``len()``
 never builds them.  :meth:`RecordBlock.take` selects rows into a block
 of the same class whose ``json_array`` joins its source's record texts,
 which the source encodes the first time each row is asked for and
-keeps (DESIGN.md note 11); :meth:`RecordBlock.splice` joins kept rows
-of one block, with their texts, to another's (note 12).
+keeps (DESIGN.md note 11); :meth:`RecordBlock.splice` replaces runs
+of one block's rows, keeping the others' texts, with another's rows
+(note 12).
 """
 
 from __future__ import annotations
@@ -99,32 +100,47 @@ class RecordBlock:
         return out
 
     def splice(
-        self, rows: np.ndarray, other: "RecordBlock", order: np.ndarray
+        self, lo: np.ndarray, hi: np.ndarray, other: "RecordBlock", at: np.ndarray
     ) -> "RecordBlock":
-        """This block's rows ``rows`` followed by all of ``other``'s, put
-        in ``order`` (a permutation of the ``len(rows) + len(other)``
-        rows), as a block of this class.
+        """This block with its rows ``lo[i]:hi[i]`` replaced by
+        ``other``'s rows ``at[i]:at[i + 1]``, for every ``i``, as a
+        block of this class.  The replaced runs ascend and do not
+        overlap, and ``at`` ascends from 0 to ``len(other)``.
 
-        The texts this block has encoded for the kept rows carry over;
-        ``other``'s rows are encoded on first use.  Which rows have a
-        text is read from a copy of the text list only: readers of this
-        block may be filling it and its mask meanwhile, and a text once
-        written is final.
+        Columns are joined slice by slice.  The texts this block has
+        encoded for the rows it keeps carry over, and ``other``'s rows
+        are encoded on first use.  Readers of this block may be filling
+        its texts and mask meanwhile; a reader writes a text before its
+        mask bit, and a text once written is final, so the mask is
+        copied first, and every row it marks has its text in the list
+        sliced after it.
         """
-        columns = self._columns()
+        starts, stops = [0, *hi.tolist()], [*lo.tolist(), len(self)]
+        runs = at.tolist()
+
+        def joined(mine, theirs) -> list:
+            """Kept stretch 0, then run i of ``theirs`` and kept stretch
+            i + 1 in turn."""
+            parts = [mine[starts[0] : stops[0]]]
+            for i in range(1, len(starts)):
+                parts.append(theirs[runs[i - 1] : runs[i]])
+                parts.append(mine[starts[i] : stops[i]])
+            return parts
+
         out = type(self)(*(
-            np.concatenate((mine[rows], theirs))[order]
-            for mine, theirs in zip(columns, other._columns())
+            np.concatenate(joined(mine, theirs))
+            for mine, theirs in zip(self._columns(), other._columns())
         ))
         if self._texts is not None:
-            texts = np.empty(len(self), dtype=object)
-            texts[:] = list(self._texts[0])  # copied at once, under the GIL
-            spliced = np.concatenate(
-                (texts[rows], np.full(len(other), None, dtype=object))
-            )[order]
-            filled = np.not_equal(spliced, None)
+            texts, encoded = self._texts
+            filled = np.concatenate(
+                joined(encoded.copy(), np.zeros(len(other), dtype=bool))
+            )
             if filled.any():
-                out._texts = (spliced.tolist(), filled)
+                kept: list = []
+                for part in joined(texts, [None] * len(other)):
+                    kept += part
+                out._texts = (kept, filled)
         return out
 
     def _select(self, rows: np.ndarray) -> "RecordBlock":

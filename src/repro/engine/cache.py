@@ -347,7 +347,9 @@ class IndexCache:
         Given a trace ``recorder``, each entry's maintenance and carry
         are ``engine.cache.maintain`` and ``engine.cache.carry`` spans
         under ``parent_span_id``, one after the other; both carry the
-        family and the index's ``maintenance`` figures, when it has them.
+        family and the index's ``maintenance`` figures, when it has them,
+        and a carry span the anchors the index's ``reruns`` lists at the
+        carried τ₀ (``rerun_anchors``).
 
         Returns ``{"migrated": [new keys], "invalidated": [old keys]}``.
         """
@@ -374,8 +376,13 @@ class IndexCache:
                 with _span(recorder, "engine.cache.carry", parent_span_id, key) as span:
                     frontier = _carried(entry, kept)
                     span.update(getattr(kept, "maintenance", {}))
-                    block = frontier.kept()
-                    span["rows"] = 0 if block is None else len(block[2])
+                    carried = frontier.kept()
+                    span["rows"] = 0 if carried is None else len(carried[2])
+                    reruns = getattr(kept, "reruns", None)
+                    if recorder is not None and reruns is not None:
+                        span["rerun_anchors"] = (
+                            0 if carried is None else len(reruns(carried[1]))
+                        )
             new_key = key._replace(fingerprint=new_fingerprint)
             with self._lock:
                 if self._entries.get(key) is entry:

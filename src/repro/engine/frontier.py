@@ -15,9 +15,9 @@ The frontier lives in the :class:`~repro.engine.cache.IndexCache` entry
 beside the index, never on it, so queries stay read-only and the
 frontier is freed with the entry (LRU eviction, a dataset's removal).
 An append's ``advance`` carries it into the maintained entry: the
-index's ``carry`` reruns the kernel at the kept τ₀ and ``(κ, m)`` over
-the anchors the append touched only, and keeps every other anchor's
-rows and texts (DESIGN.md note 12).  One slot per entry bounds what an
+index's ``carry`` reruns the kernel at the kept τ₀ and ``(κ, m)`` only
+over the anchors an appended point can change, and keeps every other
+anchor's rows and texts (DESIGN.md note 12).  One slot per entry bounds what an
 entry keeps at :data:`FRONTIER_CAP` records however many κ or m its
 queries ask for.
 """

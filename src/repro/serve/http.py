@@ -210,9 +210,14 @@ def want_keep_alive(request: Request) -> bool:
     return "close" not in tokens
 
 
-def _status_line(status: int) -> bytes:
+def _head(status: int, headers: Dict[str, str]) -> bytes:
+    """A response's status line and headers, through the blank line, as
+    one ``bytes``: written at once, an idle keep-alive socket sends it
+    in one ``send()`` instead of one per line."""
     reason = STATUS_REASONS.get(status, "Unknown")
-    return f"HTTP/1.1 {status} {reason}\r\n".encode("latin-1")
+    lines = [f"HTTP/1.1 {status} {reason}"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 async def send_json(
@@ -241,17 +246,13 @@ async def send_text(
     """Send a complete text response (the ``/metrics`` scrape, and
     every JSON reply through :func:`send_json`)."""
     body = text.encode("utf-8")
-    writer.write(_status_line(status))
     headers = {
         "Content-Type": content_type,
         "Content-Length": str(len(body)),
         "Connection": "close" if close else "keep-alive",
         **(extra_headers or {}),
     }
-    for name, value in headers.items():
-        writer.write(f"{name}: {value}\r\n".encode("latin-1"))
-    writer.write(b"\r\n")
-    writer.write(body)
+    writer.write(_head(status, headers) + body)
     await writer.drain()
 
 
@@ -270,7 +271,6 @@ async def start_stream(
     framing (RFC 7230 §3.3.1): the body is raw bytes delimited by
     connection close, so the caller must also pass ``close=True``.
     """
-    writer.write(_status_line(status))
     headers = {
         "Content-Type": content_type,
         "Connection": "close" if close else "keep-alive",
@@ -278,9 +278,7 @@ async def start_stream(
     }
     if chunked:
         headers["Transfer-Encoding"] = "chunked"
-    for name, value in headers.items():
-        writer.write(f"{name}: {value}\r\n".encode("latin-1"))
-    writer.write(b"\r\n")
+    writer.write(_head(status, headers))
     await writer.drain()
 
 

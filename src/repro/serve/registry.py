@@ -356,7 +356,8 @@ class DatasetShard:
         merge and gather, equal to a fresh build's) — and the rest are
         invalidated and rebuild on their next query.  A migrated
         ``vector`` entry keeps its τ frontier, carried by ``carry``,
-        which reruns the kernel for the anchors the append touched only.
+        which reruns the kernel only for the anchors an appended point
+        can change.
         Queries after the append answer record-set-identically to a
         fresh registration of the merged point set, whatever the
         batch's size.

@@ -798,7 +798,10 @@ class TestVectorIndexSurface:
         tps = random_tps(n=120, seed=5)
         merged = _appended(tps)
         tau = 2.0
-        common = {"maintained": lambda ix: ix.maintained(merged)}
+        common = {
+            "maintained": lambda ix: ix.maintained(merged),
+            "reruns": lambda ix: ix.maintained(merged).reruns(tau),
+        }
 
         def carry(ix, params, block):
             # The block at τ carried to the next version.
@@ -1052,6 +1055,71 @@ class TestCandidateMap:
                 assert g.dtype == r.dtype == np.int64
                 assert np.array_equal(g, w) and np.array_equal(r, w), len(anchors)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        dim=st.integers(1, 4),
+        epsilon=st.sampled_from([0.5, 1.0]),
+        box=st.sampled_from([1.0, 4.0]),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_an_extended_search_equals_a_fresh_one(
+        self, n, dim, epsilon, box, wide, seed
+    ):
+        # The map keeps its version's cell search and the next version's
+        # map extends it: every array equals a search built at once.
+        from repro.backends.vector import VectorTriangleIndex
+        from repro.backends.vector.indexes import _cell_search
+        from repro.structures.decomposition import GEOMETRY_SLACK
+
+        tps = _wide_tps(dim, seed, "l2") if wide else random_tps(
+            n=n, dim=dim, seed=seed, box=box
+        )
+        index = VectorTriangleIndex(tps, epsilon)
+        rng = np.random.default_rng(seed)
+        span = np.ptp(tps.points, axis=0) + 4.0
+        for _ in range(3):
+            k = int(rng.integers(1, 8))
+            points = tps.points.min(axis=0) - 2.0 + rng.random((k, dim)) * span
+            starts = rng.integers(0, 20, k) / 2
+            tps = tps.with_events(points, starts, starts + 3.0)
+            index = index.maintained(tps)
+            got = index.candidates.search
+            want = _cell_search(
+                index.layout, 1.0 + index.resolution + GEOMETRY_SLACK
+            )
+            assert got.reach == want.reach
+            pairs = list(zip(got.axes, want.axes)) + [
+                ((got.first, got.order, got.codes), (want.first, want.order, want.codes))
+            ]
+            assert len(got.axes) == len(want.axes) == dim - 1
+            for mine, theirs in pairs:
+                for a, b in zip(mine, theirs):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_a_fresh_build_holds_the_map_about_twice(self):
+        # The generator keeps each chunk's cells and joins them once, and
+        # a fresh build takes them as the map's body: nothing else as
+        # long as the map is held.
+        import tracemalloc
+
+        from repro.backends.vector import VectorTriangleIndex
+        from repro.datasets import workload_from_spec
+
+        tps = workload_from_spec({"workload": "coauthor", "n": 2000, "seed": 0})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = VectorTriangleIndex(tps, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        cmap = index.candidates
+        held = cmap.indptr.nbytes + cmap.cells.nbytes
+        assert held > 1 << 20
+        assert peak <= 4 * held, (peak, held)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_wide_sets_answer_like_grid(self, dim):
         # Keys spanning ±1e9 / side on every axis: a mixed-radix code of
@@ -1099,14 +1167,15 @@ class TestCandidateMap:
     ):
         from repro.backends.vector import indexes
 
+        # The generator itself, which ``_candidate_pairs`` also calls.
         calls = []
-        generate = indexes._candidate_pairs
+        generate = indexes._candidate_rows
 
         def counted(*args):
             calls.append(args)
             return generate(*args)
 
-        monkeypatch.setattr(indexes, "_candidate_pairs", counted)
+        monkeypatch.setattr(indexes, "_candidate_rows", counted)
         tps = random_tps(n=150, seed=5)
         tri, sums, union, pat = [cls(tps, 0.5) for cls in _vector_classes()]
         assert len(calls) == 1

@@ -25,6 +25,11 @@
   served from it, however large the batch.  An over-cap carried block
   and a failing ``carry`` leave the entry without a frontier; carried
   frontiers are counted in ``/metrics``.
+* Each family's ``carry``, called along a chain of events on the edges
+  of its rerun tests (a start tied with an old start or at an old end,
+  duplicates, lifespans outliving τ₀, starts before every old one),
+  equals a fresh build's block as columns, dtypes and bytes; one whose
+  append qualifies no anchor returns its block without a kernel run.
 """
 
 import dataclasses
@@ -451,6 +456,56 @@ def append_chains(draw, tps):
     return chain
 
 
+@st.composite
+def edge_chains(draw, tps):
+    """1–3 event batches for ``tps`` whose events sit on the edges of
+    the carry's tests against an old point ``p``: a start tied with
+    ``S_p``, a start at ``E_p`` or one step before it, an end at ``S_p``
+    or one step after it, a duplicate of ``p`` (point and lifespan), a
+    lifespan that outlives every τ drawn, or a start before every old
+    point's; each but the duplicate at ``p``'s point, beside it, or one
+    to two units away along an axis.  Lifespans on the 0.1 lattice."""
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        batch = []
+        for _ in range(draw(st.integers(1, 12))):
+            p = draw(st.integers(0, tps.n - 1))
+            point = tps.points[p].tolist()
+            axis = draw(st.integers(0, tps.dim - 1))
+            where = draw(st.sampled_from(["on", "beside", "band"]))
+            if where == "beside":
+                point[axis] += draw(st.floats(0.0, 0.1))
+            elif where == "band":
+                point[axis] += draw(st.sampled_from([-1, 1])) * draw(
+                    st.floats(1.0, 2.0, exclude_min=True)
+                )
+            start, end = round(tps.starts[p] * 10), round(tps.ends[p] * 10)
+            length = draw(st.integers(0, 40))
+            kind = draw(st.sampled_from(
+                ["tie start", "at end", "end at start", "duplicate", "outlive", "early"]
+            ))
+            step = draw(st.integers(0, 1))
+            if kind == "tie start":
+                end = start + length
+            elif kind == "at end":
+                start = end - step
+                end = start + length
+            elif kind == "end at start":
+                end = start + step
+                start = end - length
+            elif kind == "outlive":
+                start = draw(st.integers(0, 20))
+                end = start + draw(st.integers(31, 40))
+            elif kind == "early":
+                start = round(tps.starts.min() * 10) - draw(st.integers(1, 10))
+                end = start + length
+            else:  # a duplicate
+                point = tps.points[p].tolist()
+            batch.append({"point": point, "start": start / 10, "end": end / 10})
+        chain.append(batch)
+    return chain
+
+
 def _fresh(tps):
     """The same points as a new dataset object, so nothing memoised on
     ``tps`` (layout, candidate map) is reused."""
@@ -537,6 +592,73 @@ class TestCarryEqualsDirect:
                         assert records_line(0, tau0, _serve(shard, spec, tau0)) == line
         finally:
             shard.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tps=lattice_tps(),
+        taus=lattice_taus,
+        epsilon=st.sampled_from([0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_every_carry_equals_a_fresh_build_on_edge_events(
+        self, tps, taus, epsilon, data
+    ):
+        # Each family's carry, called directly along the chain, against
+        # a fresh build's block after every batch: columns, dtypes and
+        # bytes.  Only the anchors it reruns may change, and those are
+        # among the touched ones.
+        chain = data.draw(edge_chains(tps))
+        tau0 = taus[0]
+        for fields, index, direct in _families(tps, epsilon):
+            params = (fields.get("kappa"), fields.get("m"))
+            block = direct(index, tau0)
+            records_line(0, taus[-1], index.narrow(block, taus[-1]))  # some texts kept
+            merged = tps
+            for step, batch in enumerate(chain):
+                label = (fields, step)
+                merged = merged.with_events(
+                    [event["point"] for event in batch],
+                    [event["start"] for event in batch],
+                    [event["end"] for event in batch],
+                )
+                successor = index.maintained(merged)
+                rerun = successor.reruns(tau0)
+                assert np.isin(rerun, successor.candidates.touched).all(), label
+                carried = successor.carry(block, tau0, params, index)
+                want = direct(type(index)(_fresh(merged), epsilon), tau0)
+                _assert_same_columns(carried, want, label)
+                assert carried.json_array() == want.json_array(), label
+                if not len(rerun):
+                    assert carried is block, label
+                index, block = successor, carried
+
+    def test_a_carry_that_qualifies_no_anchor_runs_no_kernel(self, monkeypatch):
+        # Points that start after every old point are no old anchor's
+        # partner, and too short for τ they anchor nothing: triangles
+        # and cliques keep their block, texts included, with no kernel.
+        tps = random_tps(n=150, seed=5)
+        tau = 2.0
+        latest = float(tps.starts.max())
+        merged = tps.with_events(
+            tps.points[:3] + 0.01, [latest + 1.0] * 3, [latest + 1.5] * 3
+        )
+        for cls, params, direct in (
+            (VectorTriangleIndex, (None, None), lambda ix: ix.query_block(tau)),
+            (VectorPatternIndex, (None, 3), lambda ix: ix.clique_block(3, tau)),
+        ):
+            index = cls(tps, 0.5)
+            block = direct(index)
+            line = records_line(0, tau, block.take())
+            successor = index.maintained(merged)
+            assert len(successor.candidates.touched) > 3, cls.__name__
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, "_kernel", lambda *args: pytest.fail("kernel ran"))
+                assert len(successor.reruns(tau)) == 0
+                assert successor.carry(block, tau, params, index) is block
+            assert block._texts is not None and block._texts[1].all()
+            want = direct(cls(_fresh(merged), 0.5))
+            _assert_same_columns(block, want, cls.__name__)
+            assert records_line(0, tau, want) == line
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_every_family_carries_a_five_event_append(self, seed):

@@ -365,6 +365,9 @@ class TestWorkerTracing:
             assert {s["attrs"]["family"] for s in mine} == families, name
             for s in mine:
                 assert s["attrs"]["rerun_rows"] > 0 and s["attrs"]["touched_anchors"] > 0
+        for s in steps:
+            if s["name"] == "engine.cache.carry":
+                assert 0 <= s["attrs"]["rerun_anchors"] <= s["attrs"]["touched_anchors"]
         assert all(s["attrs"]["rows"] > 0 for s in steps if s["name"].endswith("carry"))
         assert len(steps) == 8
         # One after the other, so self times add up to the root's.
