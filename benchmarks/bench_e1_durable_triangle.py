@@ -7,19 +7,35 @@ Claims under test:
 * the index beats the comparators whose cost ignores the durable output
   size: brute-force node-iterator, explicit-graph ``m^{3/2}`` listing,
   and the durable-join baseline (all exact, all super-linear).
+
+The build and dense rows time the index the service runs (``auto``,
+which the engine resolves to ``vector`` on ℓ2) beside the paper's
+cover tree (``cover-tree``); ``extra_info["backend"]`` names the
+backend that built it.
 """
 
 import pytest
 
+from repro import TemporalPointSet
 from repro.baselines import (
     brute_force_triangles,
     durable_join_triangles,
     explicit_graph_triangles,
 )
+from repro.engine import QuerySpec
+from repro.engine.planner import plan_query
 
 from helpers import EPSILON, TAU, triangle_index, workload
 
 SIZES = [400, 800, 1600, 3200]
+
+
+def _plan(tps, tau, backend):
+    """The engine's triangle plan over a fresh point-set object with the
+    arrays of ``tps``: the ``vector`` layout and candidate map are
+    memoised on the object, so each timed build needs its own."""
+    spec = QuerySpec(kind="triangles", taus=tau, epsilon=EPSILON, backend=backend)
+    return plan_query(0, spec, TemporalPointSet(tps.points, tps.starts, tps.ends, tps.metric))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -31,16 +47,19 @@ def test_ours_scaling(benchmark, n):
     benchmark.extra_info["out"] = len(result)
 
 
+@pytest.mark.parametrize("backend", ["auto", "cover-tree"])
 @pytest.mark.parametrize("n", SIZES)
-def test_build_scaling(benchmark, n):
-    from repro import DurableTriangleIndex
-
+def test_build_scaling(benchmark, n, backend):
     tps = workload(n)
     benchmark.group = "E1 ours: index build"
     benchmark.pedantic(
-        lambda: DurableTriangleIndex(tps, epsilon=EPSILON), rounds=3, iterations=1
+        lambda plan: plan.builder(),
+        setup=lambda: ((_plan(tps, TAU, backend),), {}),
+        rounds=3,
+        iterations=1,
     )
     benchmark.extra_info["n"] = n
+    benchmark.extra_info["backend"] = _plan(tps, TAU, backend).key.backend
 
 
 @pytest.mark.parametrize("n", [800, 3200])
@@ -87,15 +106,15 @@ DENSE_TAU = 18.0
 
 @pytest.mark.parametrize(
     "name",
-    ["ours", "brute-force", "explicit-graph", "durable-join"],
+    ["ours", "cover-tree", "brute-force", "explicit-graph", "durable-join"],
 )
 def test_dense_clusters(benchmark, name):
-    from repro import DurableTriangleIndex
-
     tps = _dense_workload()
-    if name == "ours":
-        idx = DurableTriangleIndex(tps, epsilon=EPSILON)
-        fn = lambda: idx.query(DENSE_TAU)
+    if name in ("ours", "cover-tree"):
+        plan = _plan(tps, DENSE_TAU, "auto" if name == "ours" else name)
+        index = plan.builder()
+        fn = lambda: plan.runner(index, DENSE_TAU)
+        benchmark.extra_info["backend"] = plan.key.backend
     elif name == "brute-force":
         fn = lambda: brute_force_triangles(tps, DENSE_TAU)
     elif name == "explicit-graph":

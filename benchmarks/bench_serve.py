@@ -625,8 +625,8 @@ def main(argv=None) -> int:
         # -- ingestion: append throughput + maintained-query latency --
         # Streams --append-batches NDJSON batches into the (warm)
         # social shard, timing each append and the query that follows
-        # it (triangles ride incremental maintenance across the epoch
-        # bump; the other families rebuild once).  The same merged
+        # it (its families resolve to `vector`, so every entry is
+        # maintained across the epoch bump).  The same merged
         # point set is then registered fresh under another name and
         # queried cold — the full re-registration baseline — and both
         # paths must report identical per-query counts.

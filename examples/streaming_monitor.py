@@ -10,10 +10,10 @@ The second half drives the same event stream through the *served* path:
 a seed prefix is registered on a local serve instance and the remaining
 points are replayed as NDJSON batches through
 ``POST /datasets/<name>/events`` — the epoch bumps per batch, the
-triangle index is maintained incrementally across epochs, and the final
-served report is checked against both the streamed report (same
-must/may bounds) and a direct offline run over the merged point set
-(record-set identity).
+triangle index (the ``vector`` backend that ``auto`` picks) is
+maintained incrementally across epochs, and the final served report is
+checked against both the streamed report (same must/may bounds) and a
+direct offline run over the merged point set (record-set identity).
 
 Run:  python examples/streaming_monitor.py
 """
@@ -85,10 +85,7 @@ def run_served(tps):
     seed_n = tps.n // 2
     query = {
         "dataset": "stream",
-        "queries": [
-            {"kind": "triangles", "tau": TAU, "epsilon": EPSILON,
-             "backend": "grid"}
-        ],
+        "queries": [{"kind": "triangles", "tau": TAU, "epsilon": EPSILON}],
     }
 
     handle = start_server_thread()
@@ -163,6 +160,7 @@ def run_served(tps):
                 f"{len(served)} triangles reported, cache migrations "
                 f"{migrated:g} / invalidations {invalidated:g}"
             )
+            assert migrated >= 1, "the triangle index was never maintained"
         finally:
             conn.close()
     finally:
@@ -204,8 +202,7 @@ def main() -> None:
     from repro.engine import QuerySpec
 
     offline = default_engine().run(
-        tps, QuerySpec(kind="triangles", taus=TAU, epsilon=EPSILON,
-                       backend="grid")
+        tps, QuerySpec(kind="triangles", taus=TAU, epsilon=EPSILON)
     )
     fresh = {r.key for r in offline.records}
     assert served == fresh, (

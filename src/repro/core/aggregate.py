@@ -113,46 +113,6 @@ class SumPairIndex(_AggregateBase):
             ]
             self._sums.append(factory(spans))
 
-    def maintained(self, tps: TemporalPointSet) -> Optional["SumPairIndex"]:
-        """An index over ``tps`` (this dataset plus appended events).
-
-        Incremental maintenance for the SUM pair family: the underlying
-        durable-ball structure extends in place when its decomposition
-        supports it (the grid does), and the per-ball SUM structures are
-        rebuilt *only* for canonical groups whose membership changed —
-        untouched groups share their coverage profiles / annotated
-        trees with this instance by reference.  Returns ``None`` when
-        the decomposition cannot extend (cover tree), in which case the
-        cache entry is invalidated for an exactly-once rebuild.  This
-        instance is never mutated.
-        """
-        structure = self.structure.extended(tps)
-        if structure is None:
-            return None
-        clone = object.__new__(SumPairIndex)
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = structure
-        clone.sum_backend = self.sum_backend
-        factory = (
-            CoverageProfile if self.sum_backend == "profile" else AnnotatedIntervalTree
-        )
-        sums: List = list(self._sums)
-        sums.extend([None] * (len(structure.groups) - len(sums)))
-        old_indexes = self.structure.indexes
-        for gi, group in enumerate(structure.groups):
-            # `extended` shares untouched groups' dominance indexes by
-            # reference; a fresh object marks a changed (or new) group.
-            if gi < len(old_indexes) and structure.indexes[gi] is old_indexes[gi]:
-                continue
-            spans = [
-                (float(tps.starts[i]), float(tps.ends[i])) for i in group.member_ids
-            ]
-            sums[gi] = factory(spans)
-        clone._sums = sums
-        return clone
-
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[PairRecord]:
         """All τ-SUM-durable pairs (plus some τ-SUM-durable ε-pairs)."""

@@ -108,29 +108,6 @@ class DurableTriangleIndex:
         # diameter ≤ ε/2, i.e. radius ≤ ε/4.
         self.structure = DurableBallStructure(tps, epsilon / 4.0, backend)
 
-    def maintained(self, tps: TemporalPointSet) -> Optional["DurableTriangleIndex"]:
-        """An index maintained to ``tps``, an appended version of ``self.tps``.
-
-        Incremental maintenance per Section 4's online framing: the
-        durable-ball structure is extended rather than rebuilt when the
-        spatial backend supports it (see
-        :meth:`~repro.structures.durable_ball.DurableBallStructure.extended`),
-        so untouched canonical balls keep their dominance indexes and
-        only balls that gained points pay a rebuild.  Query answers over
-        the maintained index are record-set-identical to a fresh build
-        over ``tps``.  Returns ``None`` when the backend cannot extend
-        (callers rebuild instead).  ``self`` is never mutated.
-        """
-        structure = self.structure.extended(tps)
-        if structure is None:
-            return None
-        clone = object.__new__(DurableTriangleIndex)
-        clone.tps = tps
-        clone.epsilon = self.epsilon
-        clone.backend = self.backend
-        clone.structure = structure
-        return clone
-
     # ------------------------------------------------------------------
     def query(self, tau: float) -> List[TriangleRecord]:
         """All τ-durable triangles (plus some τ-durable ε-triangles).

@@ -331,7 +331,8 @@ class IndexCache:
         Every *completed* entry keyed on ``old_fingerprint`` is offered
         to ``maintainer(key, index)``: a non-``None`` return value is
         re-keyed under ``new_fingerprint`` as a ready entry (the family
-        keeps hitting), while ``None`` — or no maintainer at all —
+        keeps hitting), while ``None`` — or no maintainer at all, or a
+        maintainer that raises, which is logged with its traceback —
         invalidates the entry, so that family's next request misses and
         rebuilds exactly once through the normal single-flight path.
         A migrated entry keeps its τ frontier when the new index can
@@ -369,7 +370,15 @@ class IndexCache:
             # the swap below.  Maintainers return fresh objects (never
             # mutate ``entry.index`` in place) for exactly that reason.
             with _span(recorder, "engine.cache.maintain", parent_span_id, key) as span:
-                kept = maintainer(key, entry.index) if maintainer is not None else None
+                try:
+                    kept = maintainer(key, entry.index) if maintainer is not None else None
+                except Exception:
+                    # Maintenance must never fail an append; the entry is
+                    # invalidated and rebuilds once on its next query.
+                    logging.getLogger(__name__).exception(
+                        "maintaining a cached index failed; the entry is invalidated"
+                    )
+                    kept = None
                 span.update(getattr(kept, "maintenance", {}))
             frontier = None
             if kept is not None:

@@ -78,9 +78,6 @@ class UniformGrid:
         """Point ids stored in a cell (empty when the cell is vacant)."""
         return self._cells.get(cell, ())
 
-    def nonempty_cells(self) -> Iterator[Cell]:
-        return iter(self._cells)
-
     # ------------------------------------------------------------------
     def candidates_within(self, point: np.ndarray, radius: float) -> List[int]:
         """Ids whose cell's bounding box can contain a point within ``radius``.

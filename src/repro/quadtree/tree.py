@@ -89,93 +89,3 @@ class GridDecomposition(SpatialDecomposition):
         d = self.metric.dists(self._centers, np.asarray(point, dtype=float))
         keep = d <= radius + self.resolution + GEOMETRY_SLACK
         return [int(i) for i in np.nonzero(keep)[0]]
-
-    # ------------------------------------------------------------------
-    def extended(
-        self, new_points: np.ndarray
-    ) -> Tuple["GridDecomposition", List[int]]:
-        """A decomposition of ``self.points + new_points``, sharing state.
-
-        Grid cells are *absolute* (a point's cell depends only on its
-        coordinates and the fixed ``side``), so appending points cannot
-        move any existing point between cells: the extended
-        decomposition has exactly the same cells-and-membership a fresh
-        build over the merged array would produce — cells that gained
-        no member are shared by reference, untouched cells' geometry is
-        bit-identical, and only the *order* of groups may differ (fresh
-        builds sort all cells; extension appends new cells at the end),
-        which no query result depends on (candidate and linkage tests
-        are position-determined, and records carry point ids only).
-
-        Returns ``(decomposition, changed)`` where ``changed`` lists the
-        group indices (in the new decomposition) that gained members.
-        This instance is not mutated, so readers of the old epoch are
-        never exposed to a half-extended structure.
-        """
-        new = np.asarray(new_points, dtype=float)
-        if new.ndim != 2 or len(new) == 0 or new.shape[1] != self.points.shape[1]:
-            raise ValidationError(
-                "extension batch must be a non-empty (k, d) array matching "
-                f"the decomposition dimension ({self.points.shape[1]})"
-            )
-        base = len(self.points)
-        # Same arithmetic as __init__, so existing cell keys reproduce
-        # exactly (no float round-trip through the stored centers).
-        old_coords = np.floor(self.points / self.side).astype(np.int64)
-        cell_of = {tuple(old_coords[g.member_ids[0]]): g.index for g in self.groups}
-        additions: Dict[int, List[int]] = {}
-        fresh: Dict[Tuple[int, ...], List[int]] = {}
-        for offset, key in enumerate(
-            map(tuple, np.floor(new / self.side).astype(np.int64))
-        ):
-            pid = base + offset
-            gi = cell_of.get(key)
-            if gi is not None:
-                additions.setdefault(gi, []).append(pid)
-            else:
-                fresh.setdefault(key, []).append(pid)
-
-        clone = object.__new__(type(self))
-        clone.points = np.concatenate([self.points, new])
-        clone.metric = self.metric
-        clone.resolution = self.resolution
-        clone.side = self.side
-        group_of = np.concatenate(
-            [self.group_of, np.empty(len(new), dtype=np.int64)]
-        )
-        groups: List[CanonicalGroup] = []
-        changed: List[int] = []
-        for g in self.groups:
-            extra = additions.get(g.index)
-            if extra is None:
-                groups.append(g)  # shared: never mutated by extension
-                continue
-            # New ids are all larger than existing ones, so appending
-            # keeps member_ids sorted — the same list a fresh build's
-            # ``sorted(cells[key])`` yields.
-            grown = CanonicalGroup(
-                index=g.index,
-                rep=g.rep,
-                radius_bound=g.radius_bound,
-                member_ids=list(g.member_ids) + extra,
-            )
-            for pid in extra:
-                group_of[pid] = g.index
-            groups.append(grown)
-            changed.append(g.index)
-        for key in sorted(fresh):
-            center = (np.asarray(key, dtype=float) + 0.5) * self.side
-            g = CanonicalGroup(
-                index=len(groups),
-                rep=center,
-                radius_bound=self.resolution,
-                member_ids=fresh[key],
-            )
-            for pid in g.member_ids:
-                group_of[pid] = g.index
-            groups.append(g)
-            changed.append(g.index)
-        clone.groups = groups
-        clone.group_of = group_of
-        clone._centers = np.vstack([g.rep for g in groups])
-        return clone, changed

@@ -348,19 +348,17 @@ class DatasetShard:
 
         Single-writer semantics: one append at a time per shard.  On
         success the shard's ``tps`` is swapped to the merged version
-        (epoch + 1) and the index cache is advanced: every index whose
-        ``maintained()`` returns one is migrated to the new epoch and
-        keeps hitting — durable triangles and SUM pairs over the grid
-        (extended where points landed) and all four ``vector`` families
-        (their layout, candidate map and per-family arrays extended by
-        merge and gather, equal to a fresh build's) — and the rest are
-        invalidated and rebuild on their next query.  A migrated
-        ``vector`` entry keeps its τ frontier, carried by ``carry``,
-        which reruns the kernel only for the anchors an appended point
-        can change.
-        Queries after the append answer record-set-identically to a
-        fresh registration of the merged point set, whatever the
-        batch's size.
+        (epoch + 1) and the index cache is advanced: the four ``vector``
+        families are maintained (``maintained()`` extends their layout,
+        candidate map and per-family arrays by merge and gather, equal
+        to a fresh build's) and keep hitting, each with its τ frontier
+        carried by ``carry``, which reruns the kernel only for the
+        anchors an appended point can change; every other entry (grid,
+        cover-tree, ``linf-exact``), and one whose maintenance raises,
+        is invalidated and rebuilds once on its next query.  Queries
+        after the append answer byte-identically to a fresh
+        registration of the merged point set, whatever the batch's
+        size.
 
         Given a trace ``recorder``, the append is a ``serve.append``
         span under ``parent_span_id`` (events accepted and rejected, the
@@ -423,14 +421,7 @@ class DatasetShard:
 
                 def maintainer(key, index):
                     maintain = getattr(index, "maintained", None)
-                    if maintain is None:
-                        return None
-                    try:
-                        return maintain(merged)
-                    except Exception:
-                        # Maintenance must never fail an append; a
-                        # dropped entry just rebuilds on next query.
-                        return None
+                    return None if maintain is None else maintain(merged)
 
                 moved = self.cache.advance(
                     old.fingerprint(),

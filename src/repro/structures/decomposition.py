@@ -79,10 +79,6 @@ class SpatialDecomposition(ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def rep_matrix(self) -> np.ndarray:
-        """``(g, d)`` array of group representatives (cached by callers)."""
-        return np.vstack([g.rep for g in self.groups])
-
     def linked_groups(
         self, group_index: int, candidate_indices: Sequence[int], threshold: float = 1.0
     ) -> List[int]:

@@ -143,45 +143,6 @@ class DurableBallStructure:
             )
 
     # ------------------------------------------------------------------
-    def extended(self, tps: TemporalPointSet) -> Optional["DurableBallStructure"]:
-        """A structure over ``tps``, which must append points to this one.
-
-        Incremental maintenance (the online framing of Section 4 /
-        Appendix C): if the spatial decomposition supports in-place-
-        equivalent extension (the grid does — cells are absolute), the
-        returned structure reuses every untouched canonical group *and*
-        its dominance index, rebuilding dominance indexes only for
-        groups that gained members.  Returns ``None`` when the
-        decomposition cannot be extended (e.g. the cover tree, whose
-        net hierarchy depends on global structure) — callers then fall
-        back to a full rebuild.  This instance is never mutated, so
-        concurrent readers of the old epoch stay consistent.
-        """
-        if getattr(self.decomposition, "extended", None) is None:
-            return None
-        n_old = self.tps.n
-        if tps.n <= n_old:
-            raise ValidationError(
-                f"extension target has {tps.n} points, need more than {n_old}"
-            )
-        decomposition, changed = self.decomposition.extended(tps.points[n_old:])
-        clone = object.__new__(DurableBallStructure)
-        clone.tps = tps
-        clone.resolution = self.resolution
-        clone.decomposition = decomposition
-        indexes = list(self.indexes)
-        indexes.extend([None] * (len(decomposition.groups) - len(indexes)))
-        for gi in changed:
-            ids = decomposition.groups[gi].member_ids
-            indexes[gi] = DominanceIndex(
-                [float(tps.starts[i]) for i in ids],
-                [float(tps.ends[i]) for i in ids],
-                ids,
-            )
-        clone.indexes = indexes
-        return clone
-
-    # ------------------------------------------------------------------
     @property
     def groups(self) -> Sequence[CanonicalGroup]:
         return self.decomposition.groups

@@ -27,12 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import TemporalPointSet
 from repro.cli import main as cli_main
-from repro.engine import QuerySpec, plan_batch
+from repro.engine import QuerySpec, plan_batch, plan_query
 from repro.engine.cache import IndexCache, IndexKey
 from repro.engine.executor import execute_plans
 from repro.errors import ValidationError
 from repro.router.manifest import PlacementManifest
 from repro.serve.registry import MAX_EVENT_ERRORS, DatasetRegistry, DatasetShard
+from repro.serve.server import records_line
 
 from conftest import check_route_table, random_tps
 
@@ -59,6 +60,17 @@ def _prefix(tps: TemporalPointSet, k: int) -> TemporalPointSet:
 
 def _sorted_keys(records) -> list:
     return sorted(r.key for r in records)
+
+
+def _served_lines(shard, specs) -> list:
+    """The ``records`` lines ``shard`` serves ``specs`` as, in order."""
+    results = execute_plans(plan_batch(specs, shard.tps), shard.cache, parallel=False)
+    assert all(result.ok for result in results), [r.error for r in results]
+    return [
+        records_line(i, tau, records)
+        for i, result in enumerate(results)
+        for tau, records in result.records_by_tau.items()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -329,10 +341,9 @@ class TestShardAppend:
         return execute_plans(plans, shard.cache, parallel=False)
 
     def test_small_append_maintains_triangles_invalidates_rest(self):
-        # The acceptance assertion: after an append, the maintainable
-        # families (triangles and SUM pairs over the grid) still hit the
-        # cache while affected families rebuild — exactly once — on
-        # their next use.
+        # Only vector indexes are maintained: after an append every grid
+        # entry, triangles included, is invalidated, and the next batch
+        # builds each of them exactly once.
         shard = DatasetShard("d", random_tps(n=40))
         specs = [
             QuerySpec(kind="triangles", taus=2.0, backend="grid"),
@@ -345,16 +356,15 @@ class TestShardAppend:
             report = shard.append_events(
                 '{"point": [0.5, 0.5], "start": 0.0, "end": 4.0}'
             )
-            assert report["maintained_families"] == ["pairs-sum", "triangles"]
-            assert report["invalidated_families"] == ["pairs-union"]
+            assert report["maintained_families"] == []
+            assert report["invalidated_families"] == [
+                "pairs-sum", "pairs-union", "triangles",
+            ]
             before = shard.cache.stats.snapshot()
             results = self._warm(shard, specs)
             after = shard.cache.stats.since(before)
-            # Triangles and SUM pairs hit their migrated entries;
-            # UNION pairs paid one build.
-            assert results[0].cache_hit and results[1].cache_hit
-            assert not results[2].cache_hit
-            assert after.hits == 2 and after.builds == 1
+            assert not any(result.cache_hit for result in results)
+            assert after.hits == 0 and after.builds == 3
         finally:
             shard.close()
 
@@ -433,7 +443,7 @@ class TestShardAppend:
         full = random_tps(n=40, seed=2)
         shard = DatasetShard("d", _prefix(full, 10))
         fresh = DatasetShard("fresh", full)
-        spec = QuerySpec(kind="triangles", taus=2.0, backend="grid")
+        spec = QuerySpec(kind="triangles", taus=2.0, backend="vector")
         try:
             self._warm(shard, [spec])
             report = shard.append_events(_ndjson(full, 10, 40))
@@ -441,6 +451,38 @@ class TestShardAppend:
             assert report["invalidated_families"] == []
             assert self._warm(shard, [spec])[0].cache_hit
             assert _record_sets(shard) == _record_sets(fresh)
+        finally:
+            shard.close()
+            fresh.close()
+
+    def test_a_failing_maintenance_leaves_the_append_and_invalidates_the_entry(
+        self, monkeypatch, caplog
+    ):
+        from repro.backends.vector import VectorTriangleIndex
+
+        def broken(self, tps):
+            raise RuntimeError("maintenance failed")
+
+        monkeypatch.setattr(VectorTriangleIndex, "maintained", broken)
+        full = random_tps(n=40, seed=4)
+        shard = DatasetShard("d", _prefix(full, 30))
+        fresh = DatasetShard("fresh", full)
+        try:
+            self._warm(shard, self._VECTOR_SPECS)
+            report = shard.append_events(_ndjson(full, 30, 40))
+            assert report["accepted"] == 10
+            assert report["invalidated_families"] == ["triangles"]
+            assert report["maintained_families"] == [
+                "pairs-sum", "pairs-union", "patterns",
+            ]
+            # The failure is reported once, with its traceback.
+            failures = [r for r in caplog.records if r.exc_info]
+            assert len(failures) == 1
+            assert str(failures[0].exc_info[1]) == "maintenance failed"
+            before = shard.cache.stats.snapshot()
+            spec = self._VECTOR_SPECS[:1]
+            assert _served_lines(shard, spec) == _served_lines(fresh, spec)
+            assert shard.cache.stats.since(before).builds == 1
         finally:
             shard.close()
             fresh.close()
@@ -555,71 +597,41 @@ class TestAppendQueryIdentity:
             appended.close()
             fresh.close()
 
-    def test_maintained_index_chain_matches_fresh(self):
-        # Deterministic anchor: three successive appends, each epoch's
-        # triangle answers checked against a cold build — the grid
-        # extension path must stay identical arbitrarily deep.
-        from repro.core.triangles import DurableTriangleIndex
-
+    def test_every_backend_serves_an_append_like_a_fresh_registration(self):
+        # Served bytes, not only record sets: after a batch that opens
+        # new grid cells, every backend answers in the order and the
+        # encoding of a fresh registration of the merged set.  Vector
+        # entries are maintained and carry their frontiers; the others
+        # are rebuilt.
+        grid_triangles = QuerySpec(kind="triangles", taus=(1.0, 2.0), backend="grid")
+        specs = [
+            grid_triangles,
+            QuerySpec(kind="pairs-sum", taus=(2.0,), backend="grid", sum_backend="profile"),
+            QuerySpec(kind="pairs-sum", taus=(2.0,), backend="grid", sum_backend="tree"),
+            QuerySpec(kind="pairs-union", taus=(2.0,), kappa=4, backend="grid"),
+            QuerySpec(kind="triangles", taus=(2.0,), backend="cover-tree"),
+            *TestShardAppend._VECTOR_SPECS,
+        ]
         full = random_tps(n=48, seed=3)
-        idx = DurableTriangleIndex(_prefix(full, 24), 0.5, backend="grid")
-        current = idx.tps
-        for hi in (32, 40, 48):
-            current = current.with_events(
-                full.points[current.n: hi],
-                full.starts[current.n: hi],
-                full.ends[current.n: hi],
-            )
-            idx = idx.maintained(current)
-            assert idx is not None
-            cold = DurableTriangleIndex(current, 0.5, backend="grid")
-            for tau in (1.0, 2.0, 4.0):
-                assert _sorted_keys(idx.query(tau)) == _sorted_keys(
-                    cold.query(tau)
-                )
-                assert idx.count(tau) == cold.count(tau)
+        appended = DatasetShard("appended", _prefix(full, 24))
+        fresh = DatasetShard("fresh", full)
 
-    def test_cover_tree_cannot_extend_and_says_so(self):
-        from repro.core.triangles import DurableTriangleIndex
+        def grid_cells():
+            index = appended.cache.peek(plan_query(0, grid_triangles, appended.tps).key)
+            return len(index.structure.groups)
 
-        full = random_tps(n=20, seed=5)
-        idx = DurableTriangleIndex(_prefix(full, 10), 0.5, backend="cover-tree")
-        merged = idx.tps.with_events(
-            full.points[10:], full.starts[10:], full.ends[10:]
-        )
-        assert idx.maintained(merged) is None
-
-    @pytest.mark.parametrize("sum_backend", ["profile", "tree"])
-    def test_sum_pair_maintained_chain_matches_fresh(self, sum_backend):
-        # Same contract for the SUM pair family: successive appends
-        # through `maintained` must answer identically (membership AND
-        # witness scores) to a cold build at every epoch, for both SUM
-        # structures.
-        from repro.core.aggregate import SumPairIndex
-
-        full = random_tps(n=48, seed=7)
-        idx = SumPairIndex(
-            _prefix(full, 24), 0.5, backend="grid", sum_backend=sum_backend
-        )
-        current = idx.tps
-        for hi in (32, 40, 48):
-            current = current.with_events(
-                full.points[current.n: hi],
-                full.starts[current.n: hi],
-                full.ends[current.n: hi],
-            )
-            idx = idx.maintained(current)
-            assert idx is not None
-            cold = SumPairIndex(
-                current, 0.5, backend="grid", sum_backend=sum_backend
-            )
-            for tau in (0.5, 1.0, 2.0):
-                hot = sorted((r.key, r.score) for r in idx.query(tau))
-                ref = sorted((r.key, r.score) for r in cold.query(tau))
-                assert [k for k, _ in hot] == [k for k, _ in ref]
-                assert [s for _, s in hot] == pytest.approx(
-                    [s for _, s in ref]
-                )
+        try:
+            _served_lines(appended, specs)
+            cells = grid_cells()
+            appended.append_events(_ndjson(full, 24, 48))
+            for spec in specs:
+                assert _served_lines(appended, [spec]) == _served_lines(fresh, [spec]), spec
+            moved = appended.cache.stats
+            assert (moved.migrated, moved.invalidated) == (4, 5)
+            assert grid_cells() > cells
+        finally:
+            appended.close()
+            fresh.close()
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(24, 48))
@@ -666,16 +678,6 @@ class TestAppendQueryIdentity:
                 assert answer[fam](hot[fam]) == answer[fam](
                     make(current)
                 ), fam
-
-    def test_sum_pair_cover_tree_cannot_extend(self):
-        from repro.core.aggregate import SumPairIndex
-
-        full = random_tps(n=20, seed=9)
-        idx = SumPairIndex(_prefix(full, 10), 0.5, backend="cover-tree")
-        merged = idx.tps.with_events(
-            full.points[10:], full.starts[10:], full.ends[10:]
-        )
-        assert idx.maintained(merged) is None
 
 
 # ----------------------------------------------------------------------
