@@ -2,12 +2,16 @@
 
 The bound is ``Õ(κ·ε^{-O(ρ)}·(n + OUT))``: doubling the witness budget
 should roughly double the per-pair greedy cost (modulo early success
-exits), while the reported set grows monotonically with κ.
+exits), while the reported set grows monotonically with κ.  The
+``ours`` rows time the plan's runner, the column-block path a served
+query takes.
 """
 
 import pytest
 
 from repro.baselines import brute_union_pairs
+from repro.engine import QuerySpec
+from repro.engine.planner import runner_for
 
 from helpers import union_index, workload
 
@@ -15,12 +19,18 @@ N = 600
 TAU = 8.0
 
 
+def _run(kappa):
+    """The served UNION query with budget ``kappa`` at one τ on an
+    index: a column block."""
+    return runner_for(QuerySpec(kind="pairs-union", taus=TAU, kappa=kappa))
+
+
 @pytest.mark.parametrize("kappa", [1, 2, 4, 8])
 def test_union_kappa_sweep(benchmark, kappa):
     idx = union_index(N)
     benchmark.group = "E4 UNION pairs: kappa sweep (n=600)"
     result = benchmark.pedantic(
-        idx.query, args=(TAU, kappa), rounds=3, iterations=1
+        _run(kappa), args=(idx, TAU), rounds=3, iterations=1
     )
     benchmark.extra_info["kappa"] = kappa
     benchmark.extra_info["out"] = len(result)
@@ -30,7 +40,7 @@ def test_union_kappa_sweep(benchmark, kappa):
 def test_union_n_sweep(benchmark, n):
     idx = union_index(n)
     benchmark.group = "E4 UNION pairs: n sweep (kappa=3)"
-    result = benchmark.pedantic(idx.query, args=(TAU, 3), rounds=3, iterations=1)
+    result = benchmark.pedantic(_run(3), args=(idx, TAU), rounds=3, iterations=1)
     benchmark.extra_info["n"] = n
     benchmark.extra_info["out"] = len(result)
 
@@ -48,6 +58,6 @@ def test_union_vs_brute(benchmark):
 def test_union_ours_at_brute_size(benchmark):
     idx = union_index(300)
     benchmark.group = "E4 UNION pairs vs brute (n=300)"
-    result = benchmark.pedantic(idx.query, args=(TAU, 3), rounds=3, iterations=1)
+    result = benchmark.pedantic(_run(3), args=(idx, TAU), rounds=3, iterations=1)
     benchmark.extra_info["algorithm"] = "ours"
     benchmark.extra_info["out"] = len(result)

@@ -11,7 +11,9 @@ Eviction is LRU when ``max_entries`` is set; the default cache is
 unbounded, which matches the bench harness's historical ``lru_cache``
 behaviour.  Each entry also keeps its index's τ frontier
 (:mod:`repro.engine.frontier`), which goes with the entry, or is
-carried into its successor by :meth:`IndexCache.advance`.
+carried into its successor by :meth:`IndexCache.advance`;
+:meth:`IndexCache.frontier_hit` hands out a ready entry whose frontier
+answers a plan, without ever building or waiting.
 """
 
 from __future__ import annotations
@@ -412,6 +414,41 @@ class IndexCache:
                 self._count(migrated=1, carried=int(frontier.kept() is not None))
                 migrated.append(new_key)
         return {"migrated": migrated, "invalidated": invalidated}
+
+    def frontier_hit(
+        self, key: IndexKey, params: tuple, tau: float
+    ) -> Optional["IndexCache"]:
+        """``key``'s ready entry, when its τ frontier narrows every
+        τ′ ≥ ``tau`` for ``params``, as a one-entry cache; counted here
+        as the hit it is.  ``None``, counting nothing, when the entry is
+        absent, still building, or its frontier does not answer.  Never
+        waits on a flight.
+
+        The one-entry cache holds the index and a copy of the frontier
+        taken under this cache's lock.  A plan with those ``params`` and
+        no τ below ``tau`` run against it (``execute_plan``) hits, and
+        narrows every τ from the copy: it can neither build nor run a
+        kernel, even if an append migrates the entry or LRU evicts it
+        meanwhile.  That hit lands in the plan's own tally
+        (:meth:`counting`) and in the one-entry cache's figures, which
+        nothing reads, so this cache counts it once.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or not entry.ready.is_set():
+                return None
+            frontier = entry.frontier.answering(params, tau)
+            if frontier is None:
+                return None
+            self._entries.move_to_end(key)
+            self._count(hits=1)
+        slot = _Entry(
+            index=entry.index, build_seconds=entry.build_seconds, frontier=frontier
+        )
+        slot.ready.set()
+        hit = IndexCache()
+        hit._entries[key] = slot
+        return hit
 
     def frontier(self, key: IndexKey, index: Any) -> Optional[Frontier]:
         """The τ frontier (:mod:`repro.engine.frontier`) kept beside

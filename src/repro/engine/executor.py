@@ -98,6 +98,9 @@ def _execute_one(
     explicitly because this runs on a thread pool where ambient
     contextvars do not follow; when present, the plan's queue wait,
     each cache acquisition and the runner sweep each land as spans.
+    The serving loop runs a plan here itself only against the one-entry
+    cache :meth:`~repro.engine.cache.IndexCache.frontier_hit` returns,
+    where the acquisition is a hit and every τ narrows.
     """
     t0 = time.perf_counter()
     query_span = None
@@ -118,6 +121,7 @@ def _execute_one(
                 "query": trace.index,
                 "kind": plan.spec.kind,
                 "backend": plan.key.backend,
+                "in_place": trace.in_place,
             },
         )
     parent_id = query_span.span_id if query_span is not None else None

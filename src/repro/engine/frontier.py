@@ -42,9 +42,9 @@ class Frontier:
     """The lowest-τ block served from one cached index for one
     ``(κ, m)``: one slot, which another ``(κ, m)`` replaces."""
 
-    def __init__(self) -> None:
+    def __init__(self, kept: Optional[Tuple[tuple, float, "RecordBlock"]] = None) -> None:
         self._lock = threading.Lock()
-        self._kept: Optional[Tuple[tuple, float, "RecordBlock"]] = None
+        self._kept = kept
 
     def kept(self) -> Optional[Tuple[tuple, float, "RecordBlock"]]:
         """``(params, τ₀, block)`` kept, or ``None``."""
@@ -57,6 +57,14 @@ class Frontier:
         if kept is None or kept[0] != params:
             return None
         return kept[1], kept[2]
+
+    def answering(self, params: tuple, tau: float) -> Optional["Frontier"]:
+        """A copy of this frontier, which nothing else lowers, when it
+        narrows every τ′ ≥ ``tau`` for ``params``; else ``None``."""
+        kept = self.kept()
+        if kept is None or kept[0] != params or kept[1] > tau:
+            return None
+        return Frontier(kept)
 
     def lower(self, params: tuple, tau: float, block: "RecordBlock") -> None:
         """Keep ``block`` if it is within :data:`FRONTIER_CAP` and either

@@ -267,7 +267,9 @@ class ExecTrace:
 
     ``submitted_wall``/``submitted_perf`` mark the moment the plan was
     handed to the executor; the gap to execution start is the
-    admission-queue/thread-pool wait span.
+    admission-queue/thread-pool wait span.  ``in_place`` says the plan
+    runs on the event loop instead (a τ-frontier hit), so that wait is
+    about 0.
     """
 
     recorder: TraceRecorder
@@ -275,6 +277,7 @@ class ExecTrace:
     index: int
     submitted_wall: float
     submitted_perf: float
+    in_place: bool = False
 
 
 # ----------------------------------------------------------------------

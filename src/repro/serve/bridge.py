@@ -1,12 +1,20 @@
 """Async bridge between the event loop and a shard's thread pool.
 
-The serving loop never runs a solver on the event loop: plan execution
-is pushed onto the shard's :class:`~concurrent.futures.ThreadPoolExecutor`
-via :meth:`loop.run_in_executor`, and admission is bounded — a batch
-that does not fit inside the shard's queue limit is rejected up front
-(the HTTP layer turns that into a 429) instead of queueing without
-bound.  Slots are released by a done-callback on each future, so a
-client that disconnects mid-stream can never leak capacity.
+The serving loop never builds an index and never runs a kernel.  A plan
+whose resident index's τ frontier narrows every τ it asks for runs on
+the loop itself, against the one-entry cache
+:meth:`~repro.engine.cache.IndexCache.frontier_hit` hands out in one
+call that cannot build: a narrow reads at most ``FRONTIER_CAP`` rows,
+the same order of work as encoding its answer, which the loop does
+anyway.  Every other plan — a build or a wait on one, a τ below the
+frontier's τ₀, another ``(κ, m)``, and every plan whose backend or kind
+keeps no frontier — is pushed onto the shard's
+:class:`~concurrent.futures.ThreadPoolExecutor` via
+:meth:`loop.run_in_executor`.  Admission is bounded either way — a
+batch that does not fit inside the shard's queue limit is rejected up
+front (the HTTP layer turns that into a 429) instead of queueing
+without bound.  Slots are released by a done-callback on each future,
+so a client that disconnects mid-stream can never leak capacity.
 
 With tenant weights configured (see :mod:`repro.serve.tenants`), the
 queue also enforces **weighted fair shares**: tenant *t* may hold at
@@ -21,9 +29,9 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from ..engine import QueryPlan, QueryResult
+from ..engine import IndexCache, QueryPlan, QueryResult
 from ..engine.executor import execute_plan
 from ..errors import ReproError, ValidationError
 from ..obs.trace import ExecTrace, TraceRecorder
@@ -131,21 +139,27 @@ def submit_plans(
     recorder: Optional[TraceRecorder] = None,
     parent_span_id: Optional[str] = None,
 ) -> "List[asyncio.Future[QueryResult]]":
-    """Admit a batch and schedule every plan on the shard's executor.
+    """Admit a batch, run its τ-frontier hits in place and schedule
+    every other plan on the shard's executor.
 
     The whole batch is admitted atomically — all-or-nothing — so a
     half-admitted request can never wedge the queue.  Raises
     :class:`OverloadedError` when the slots don't fit (the shard limit,
-    or ``tenant``'s fair share), after counting the denied slots.  Each
-    returned future releases its admission slot and counts its query
-    from a done-callback, whether or not the caller is still around to
-    await it.
+    or ``tenant``'s fair share), after counting the denied slots.
+
+    A plan that :func:`_frontier_hit` answers runs on the calling event
+    loop, and its future is done when this returns; the others are
+    handed to the executor first, so their builds and kernels start
+    while the loop narrows.  Each returned future releases its
+    admission slot and counts its query from a done-callback, whether
+    or not the caller is still around to await it.
 
     When ``recorder`` is set, each plan carries an
     :class:`~repro.obs.trace.ExecTrace` into the executor — explicit,
     because contextvars do not follow ``run_in_executor`` — stamped
-    with the submission instant so the engine can report the plan's
-    queue wait as a span under ``parent_span_id``.
+    with the submission instant (for a plan run in place, the instant
+    it starts) so the engine can report the plan's queue wait as a span
+    under ``parent_span_id``.
     """
     n = len(plans)
     denied = shard.admission.acquire_for(tenant, n)
@@ -163,34 +177,69 @@ def submit_plans(
             f"dataset {shard.name!r} is at its admission limit "
             f"({shard.admission.limit} queries in flight); retry later"
         )
+
+    def exec_trace(index: int, in_place: bool) -> Optional[ExecTrace]:
+        if recorder is None or parent_span_id is None:
+            return None
+        return ExecTrace(
+            recorder=recorder,
+            parent_id=parent_span_id,
+            index=index,
+            submitted_wall=time.time(),
+            submitted_perf=time.perf_counter(),
+            in_place=in_place,
+        )
+
     loop = asyncio.get_running_loop()
-    futures: "List[asyncio.Future[QueryResult]]" = []
+    futures: list = [None] * n  # one future per plan, in plan order
+    hits: "List[Tuple[int, IndexCache]]" = []
     for index, plan in enumerate(plans):
-        trace: Optional[ExecTrace] = None
-        if recorder is not None and parent_span_id is not None:
-            trace = ExecTrace(
-                recorder=recorder,
-                parent_id=parent_span_id,
-                index=index,
-                submitted_wall=time.time(),
-                submitted_perf=time.perf_counter(),
-            )
+        hit = _frontier_hit(plan, shard.cache)
+        if hit is not None:
+            hits.append((index, hit))
+            continue
         try:
             future = loop.run_in_executor(
-                shard.executor, execute_plan, plan, shard.cache, False, trace
+                shard.executor, execute_plan, plan, shard.cache, False,
+                exec_trace(index, False),
             )
         except RuntimeError:
             # Executor already shut down (server stopping): give back the
             # slots nothing was scheduled for and surface as overload.
-            shard.admission.release(n - len(futures), tenant=tenant)
-            for f in futures:
+            scheduled = [f for f in futures if f is not None]
+            shard.admission.release(n - len(scheduled), tenant=tenant)
+            for f in scheduled:
                 f.cancel()
             raise OverloadedError(
                 f"dataset {shard.name!r} is shutting down"
             ) from None
         future.add_done_callback(_release_callback(shard, plan, tenant))
-        futures.append(future)
+        futures[index] = future
+    for index, hit in hits:
+        plan = plans[index]
+        future = loop.create_future()
+        try:
+            future.set_result(execute_plan(plan, hit, False, exec_trace(index, True)))
+        except Exception as exc:  # what an executor future would carry
+            future.set_exception(exc)
+        future.add_done_callback(_release_callback(shard, plan, tenant))
+        futures[index] = future
+    if hits:
+        shard.record_in_place(len(hits))
     return futures
+
+
+def _frontier_hit(plan: QueryPlan, cache: IndexCache) -> Optional[IndexCache]:
+    """The one-entry cache ``plan`` runs against on the event loop
+    (:meth:`~repro.engine.cache.IndexCache.frontier_hit`): when its
+    index is resident with a τ frontier, kept for the plan's ``(κ, m)``,
+    that narrows every τ of the plan.  Only plans with ``narrow`` (the
+    four served ``vector`` families) keep one.  ``None`` sends the plan
+    to the shard's executor."""
+    if plan.narrow is None:
+        return None
+    spec = plan.spec
+    return cache.frontier_hit(plan.key, (spec.kappa, spec.m), min(spec.taus))
 
 
 def _release_callback(

@@ -197,6 +197,11 @@ class ServeMetrics:
             "Query slots denied at admission (any bound).",
             ("dataset",),
         )
+        self.plans_in_place = registry.counter(
+            "serve_plans_in_place_total",
+            "Admitted plans answered on the event loop from a tau frontier.",
+            ("dataset",),
+        )
         self.events_appended = registry.counter(
             "serve_events_appended_total",
             "Events accepted into the dataset by appends.",
@@ -234,7 +239,7 @@ class ServeMetrics:
     def start(self, dataset: str) -> None:
         """Create ``dataset``'s per-dataset totals at ``0``."""
         for counter in (
-            self.admission_rejected, self.events_appended,
+            self.admission_rejected, self.plans_in_place, self.events_appended,
             self.events_rejected, self.append_batches, self.append_seconds,
         ):
             counter.labels(dataset=dataset)
@@ -319,6 +324,10 @@ class DatasetShard:
     def record_rejected(self, slots: int) -> None:
         """Count query slots denied at admission."""
         self._inc(self.metrics.admission_rejected, slots)
+
+    def record_in_place(self, plans: int) -> None:
+        """Count admitted plans answered on the event loop."""
+        self._inc(self.metrics.plans_in_place, plans)
 
     def record_streamed(self, nbytes: int) -> None:
         """Count NDJSON payload bytes streamed to a query client."""

@@ -137,12 +137,16 @@ class TemporalPointSet:
         Hashes the coordinate and lifespan arrays plus the metric's
         :meth:`~repro.geometry.metrics.Metric.cache_token`, so two point
         sets with equal contents and metric share every cached index.
-        For appended versions (``epoch > 0``) the epoch is folded into
-        the hash, making every version of a mutable dataset a distinct
-        cache identity; an epoch-0 fingerprint is byte-identical to the
-        pre-versioning content hash.  Computed once and memoised (the
-        arrays of one version are treated as immutable, as everywhere
-        else in the library).
+        For a version built directly with ``epoch > 0`` the epoch is
+        folded into the hash, making every version of a mutable dataset
+        a distinct cache identity; an epoch-0 fingerprint is
+        byte-identical to the pre-versioning content hash.  A version
+        made by :meth:`with_events` is chained instead: its parent's
+        fingerprint, the batch's arrays and the new epoch, so an append
+        hashes the batch, never the merged set, and two registries that
+        append the same batches agree on every version.  Computed once
+        and memoised (the arrays of one version are treated as
+        immutable, as everywhere else in the library).
         """
         if self._fingerprint is None:
             h = hashlib.blake2b(digest_size=16)
@@ -168,7 +172,8 @@ class TemporalPointSet:
         the merged arrays are exactly what registering the union from
         scratch would hold, so indexes built over the result answer
         queries identically to a fresh registration.  The new version
-        carries ``epoch + 1``; this instance is untouched.
+        carries ``epoch + 1`` and a fingerprint chained from this one's
+        (:meth:`fingerprint`); this instance is untouched.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -187,13 +192,21 @@ class TemporalPointSet:
                 f"event lifespan arrays ({len(s)}, {len(e)}) do not match "
                 f"batch size ({len(pts)})"
             )
-        return TemporalPointSet(
+        merged = TemporalPointSet(
             np.concatenate([self.points, pts]),
             np.concatenate([self.starts, s]),
             np.concatenate([self.ends, e]),
             self.metric,
             epoch=self.epoch + 1,
         )
+        h = hashlib.blake2b(digest_size=16)
+        h.update(self.fingerprint().encode())
+        h.update(str(pts.shape).encode())
+        for part in (pts, s, e):
+            h.update(np.ascontiguousarray(part))
+        h.update(b"|epoch:%d" % merged.epoch)
+        merged._fingerprint = h.hexdigest()
+        return merged
 
     def subset(self, ids: Sequence[int]) -> "TemporalPointSet":
         """A new point set restricted to ``ids`` (ids are re-numbered)."""

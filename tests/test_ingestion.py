@@ -138,6 +138,57 @@ class TestEpochedPointSet:
         assert "epoch=1" in repr(merged)
         assert "epoch" not in repr(tps)
 
+    def test_append_fingerprints_chain_over_the_batches(self, monkeypatch):
+        # Each version's fingerprint is chained from its parent's and
+        # its batch: registries that append the same batches agree on
+        # every version, and an append hashes the batch's bytes only.
+        import hashlib
+        import types
+
+        import repro.types as types_mod
+
+        base = random_tps(n=400, seed=3)
+        batches = [_ndjson(random_tps(n=6, seed=s), 0, 6) for s in (4, 5, 6)]
+        chains = []
+        for _ in range(2):
+            registry = DatasetRegistry()
+            try:
+                shard = registry.register("d", TemporalPointSet(
+                    base.points, base.starts, base.ends
+                ))
+                chain = [shard.tps.fingerprint()]
+                for batch in batches:
+                    chain.append(shard.append_events(batch)["fingerprint"])
+                chains.append(chain)
+            finally:
+                registry.close()
+        assert chains[0] == chains[1]
+        assert len(set(chains[0])) == 4
+
+        hashed = []
+
+        class CountingBlake2b:
+            def __init__(self, **kwargs):
+                self._h = hashlib.blake2b(**kwargs)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        parent = TemporalPointSet(base.points, base.starts, base.ends)
+        parent.fingerprint()
+        monkeypatch.setattr(
+            types_mod, "hashlib", types.SimpleNamespace(blake2b=CountingBlake2b)
+        )
+        merged = parent.with_events([[0.5, 0.5], [1.0, 2.0]], [0.0, 1.0], [3.0, 4.0])
+        assert merged.fingerprint()
+        # Two points, their lifespans, the parent's digest and the
+        # framing; the merged set alone holds 402 × 4 × 8 bytes.
+        assert 0 < sum(hashed) < 200
+
 
 # ----------------------------------------------------------------------
 # IndexCache.advance — satellite 3
@@ -340,7 +391,7 @@ class TestShardAppend:
         plans = plan_batch(specs, shard.tps)
         return execute_plans(plans, shard.cache, parallel=False)
 
-    def test_small_append_maintains_triangles_invalidates_rest(self):
+    def test_append_invalidates_every_grid_family_and_rebuilds_each_once(self):
         # Only vector indexes are maintained: after an append every grid
         # entry, triangles included, is invalidated, and the next batch
         # builds each of them exactly once.

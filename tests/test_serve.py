@@ -21,6 +21,7 @@ from repro import QueryEngine, QuerySpec, ValidationError
 from repro.datasets import workload_from_spec
 from repro.engine import QueryResult, plan_batch
 from repro.obs import counter_value, parse_exposition
+from repro.obs.trace import TraceRecorder
 from repro.serve import (
     AdmissionQueue,
     DatasetRegistry,
@@ -497,8 +498,11 @@ class TestShardIsolation:
             body = {"dataset": "one", "queries": queries, "include_records": False}
             _, warm = request_ndjson(handle, "POST", "/query", body)
             assert warm[-1]["cache"]["builds"] == 2
+            # Below the warm τ₀, so the held plan runs on the pool: a
+            # τ-frontier hit runs on the event loop, where holding it
+            # would hold every connection.
             held.request("POST", "/query", json.dumps(
-                dict(body, queries=[dict(queries[0], label="held"), queries[1]])
+                dict(body, queries=[dict(queries[0], tau=1.0, label="held"), queries[1]])
             ))
             held_resp = held.getresponse()  # the batch is admitted
             _, other = request_ndjson(handle, "POST", "/query", body)
@@ -518,6 +522,263 @@ class TestShardIsolation:
                 "failed_waits": 0, "migrated": 0, "invalidated": 0,
                 "build_seconds": 0.0, "hit_rate": 1.0,
             }, end
+
+
+# ----------------------------------------------------------------------
+# Where plans run: τ-frontier hits on the event loop, the rest on the pool
+# ----------------------------------------------------------------------
+def _four_families(taus):
+    """The four served ``vector`` families at ``taus``."""
+    return [
+        QuerySpec(kind="triangles", taus=taus),
+        QuerySpec(kind="pairs-sum", taus=taus),
+        QuerySpec(kind="pairs-union", taus=taus, kappa=2),
+        QuerySpec(kind="cliques", taus=taus, m=3),
+    ]
+
+
+def _run_on_this_thread(shard, plans, recorder=None):
+    """Submit ``plans`` from an event loop on the calling thread; their
+    results once every admission slot is back."""
+
+    async def run():
+        futures = submit_plans(
+            shard, plans, recorder=recorder,
+            parent_span_id=None if recorder is None else "root",
+        )
+        results = [await f for f in futures]
+        for _ in range(100):
+            if shard.admission.in_flight == 0:
+                break
+            await asyncio.sleep(0.01)
+        assert shard.admission.in_flight == 0
+        return results
+
+    results = asyncio.run(run())
+    assert all(r.ok for r in results), [r.error for r in results]
+    return results
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``(method, thread ident)`` of every build, kernel run and narrow
+    of the four ``vector`` families."""
+    from repro.backends.vector import (
+        VectorPatternIndex, VectorSumPairIndex, VectorTriangleIndex,
+        VectorUnionPairIndex,
+    )
+
+    seen = []
+    for cls in (VectorTriangleIndex, VectorSumPairIndex,
+                VectorUnionPairIndex, VectorPatternIndex):
+        for name in ("_build", "_kernel", "narrow"):
+            def record(self, *args, _real=getattr(cls, name), _name=name, **kwargs):
+                seen.append((_name, threading.get_ident()))
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, record)
+    return seen
+
+
+def _pool_threads(shard):
+    return {
+        t.ident for t in threading.enumerate()
+        if t.name.startswith(f"shard-{shard.name}")
+    }
+
+
+class TestWherePlansRun:
+    def test_builds_and_low_taus_on_the_pool_frontier_hits_on_the_loop(self, calls):
+        registry = DatasetRegistry()
+        try:
+            shard = registry.register("d", random_tps(n=60, seed=2))
+            loop = threading.get_ident()
+            ran, traced = {}, {}
+            for step, taus in (
+                ("cold", 2.0), ("above", [2.0, 5.0]), ("below", [1.0, 3.0]),
+                ("new floor", 1.0),
+            ):
+                calls.clear()
+                recorder = traced[step] = TraceRecorder()
+                plans = plan_batch(_four_families(taus), shard.tps)
+                _run_on_this_thread(shard, plans, recorder)
+                ran[step] = list(calls)
+            pool = _pool_threads(shard)
+            assert pool and loop not in pool
+            # A cold batch builds and runs its kernels on the pool.
+            assert sorted(name for name, _ in ran["cold"]) == ["_build"] * 4 + ["_kernel"] * 4
+            assert {ident for _, ident in ran["cold"]} <= pool
+            # Every τ at or above τ₀ narrows on the loop.
+            assert ran["above"] == [("narrow", loop)] * 8
+            # A τ below τ₀ takes its plan to the pool, narrow and all.
+            assert sorted(name for name, _ in ran["below"]) == ["_kernel"] * 4 + ["narrow"] * 4
+            assert {ident for _, ident in ran["below"]} <= pool
+            # ... and lowers τ₀, so the next batch at that τ is in place.
+            assert ran["new floor"] == [("narrow", loop)] * 4
+            # Either way a plan keeps its spans; ``in_place`` tells them apart.
+            for step, in_place in (("cold", False), ("above", True), ("below", False)):
+                spans = traced[step].spans()
+                names = sorted(span.name for span in spans)
+                assert names == sorted(
+                    ["queue.wait", "engine.query", "cache.get", "backend.query"] * 4
+                )
+                assert [span.attrs["in_place"] for span in spans
+                        if span.name == "engine.query"] == [in_place] * 4
+        finally:
+            registry.close()
+
+    def test_plans_made_before_an_append_or_an_eviction_never_build_on_the_loop(
+        self, calls
+    ):
+        registry = DatasetRegistry()
+        try:
+            shard = registry.register("d", random_tps(n=60, seed=2))
+            loop = threading.get_ident()
+            _run_on_this_thread(shard, plan_batch(_four_families(2.0), shard.tps))
+            stale = plan_batch(_four_families(3.0), shard.tps)  # frontier hits now
+            shard.append_events('{"point": [1.0, 1.0], "start": 0.0, "end": 9.0}')
+            calls.clear()
+            _run_on_this_thread(shard, stale)
+            # The entries moved to the new epoch: the stale plans rebuild
+            # their own epoch's indexes, on the pool.
+            assert sorted(name for name, _ in calls) == ["_build"] * 4 + ["_kernel"] * 4
+            assert loop not in {ident for _, ident in calls}
+
+            # One resident index: the SUM build evicts the triangle entry
+            # whose frontier the triangle plan was made to hit.
+            small = registry.register("one", random_tps(n=60, seed=2), max_entries=1)
+            triangles, pairs_sum = _four_families(2.0)[:2]
+            _run_on_this_thread(small, plan_batch([triangles], small.tps))
+            stale = plan_batch([QuerySpec(kind="triangles", taus=3.0)], small.tps)
+            _run_on_this_thread(small, plan_batch([pairs_sum], small.tps))
+            calls.clear()
+            _run_on_this_thread(small, stale)
+            assert sorted(name for name, _ in calls) == ["_build", "_kernel"]
+            assert loop not in {ident for _, ident in calls}
+        finally:
+            registry.close()
+
+    def test_in_place_answers_stay_exact_under_concurrent_appends(self, calls):
+        # The loop takes entries and frontier snapshots while another
+        # thread migrates them and carries the frontiers, switching
+        # threads as often as the interpreter allows.
+        registry = DatasetRegistry()
+        try:
+            shard = registry.register("d", random_tps(n=60, seed=2))
+            _run_on_this_thread(shard, plan_batch(_four_families(2.0), shard.tps))
+            extra = random_tps(n=20, seed=9)
+            lines = [json.dumps({
+                "point": extra.points[i].tolist(), "start": float(extra.starts[i]),
+                "end": float(extra.ends[i]),
+            }) for i in range(extra.n)]
+            appender = threading.Thread(
+                target=lambda: [shard.append_events(line) for line in lines]
+            )
+
+            async def load():
+                served = []
+                for i in range(40):
+                    plans = plan_batch(_four_families(2.0 + (i % 5) / 2), shard.tps)
+                    futures = submit_plans(shard, plans)
+                    served += zip(plans, [await f for f in futures])
+                    await asyncio.sleep(0)
+                return served
+
+            loop = threading.get_ident()
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                appender.start()
+                served = asyncio.run(load())
+                appender.join(30)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not appender.is_alive() and shard.tps.epoch == extra.n
+            assert loop not in {ident for name, ident in calls if name != "narrow"}
+            # Each plan counted exactly one acquisition, and answered what
+            # a fresh index over its own version answers.
+            assert sum(r.cache_activity.requests for _, r in served) == len(served)
+            fresh = {}
+            for plan, result in served:
+                assert result.ok, result.error
+                index = fresh.get(plan.key) or fresh.setdefault(plan.key, plan.builder())
+                for tau, block in result.records_by_tau.items():
+                    assert list(block) == list(plan.runner(index, tau))
+        finally:
+            registry.close()
+
+    def test_health_answers_while_a_build_is_held(self, monkeypatch):
+        from repro.backends.vector import VectorTriangleIndex
+
+        building, release = threading.Event(), threading.Event()
+        real_build = VectorTriangleIndex._build
+
+        def held_build(self, *args, **kwargs):
+            building.set()
+            release.wait(30)
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorTriangleIndex, "_build", held_build)
+        handle = start_server_thread()
+        try:
+            request_json(handle, "POST", "/datasets", {"name": "h", "dataset": SOCIAL_SPEC})
+            replies = {}
+            query = threading.Thread(target=lambda: replies.update(query=request_ndjson(
+                handle, "POST", "/query",
+                {"dataset": "h", "queries": [{"kind": "triangles", "tau": 2.0}]},
+            )))
+            query.start()
+            assert building.wait(30)
+            status, doc = request_json(handle, "GET", "/health")
+            assert status == 200 and doc["ok"] is True
+            assert not release.is_set() and query.is_alive()
+            release.set()
+            query.join(30)
+            status, lines = replies["query"]
+            assert status == 200 and lines[-1]["ok"] is True
+        finally:
+            release.set()
+            handle.stop()
+
+    def test_in_place_plans_release_and_count_as_pooled_hits_do(self):
+        handle = start_server_thread()
+        try:
+            request_json(handle, "POST", "/datasets", {"name": "a", "dataset": SOCIAL_SPEC})
+            shard = handle.app.registry.get("a")
+
+            def batch(tau):
+                queries = [
+                    {"kind": "triangles", "tau": tau},
+                    {"kind": "pairs-sum", "tau": tau},
+                    {"kind": "pairs-union", "tau": tau, "kappa": 2},
+                    {"kind": "cliques", "tau": tau, "m": 3},
+                ]
+                status, lines = request_ndjson(handle, "POST", "/query", {
+                    "dataset": "a", "queries": queries, "include_records": False,
+                })
+                assert status == 200 and lines[-1]["ok"] is True
+                _wait_until(lambda: shard.admission.in_flight == 0)
+                return lines[-1]["cache"]
+
+            def count(name):
+                return counter_value(scrape(handle), name, {"dataset": "a"})
+
+            assert count("serve_plans_in_place_total") == 0
+            assert batch(3.0)["builds"] == 4
+            pooled = batch(2.0)  # below τ₀: pooled hits
+            assert count("serve_plans_in_place_total") == 0
+            in_place = batch(4.0)
+            assert count("serve_plans_in_place_total") == 4
+            assert in_place == pooled == {
+                "hits": 4, "misses": 0, "builds": 0, "evictions": 0,
+                "failed_waits": 0, "migrated": 0, "invalidated": 0,
+                "build_seconds": 0.0, "hit_rate": 1.0,
+            }
+            assert count("serve_queries_total") == 12
+            assert count("serve_query_errors_total") == 0
+            assert count("serve_cache_hits_total") == 8
+        finally:
+            handle.stop()
 
 
 # ----------------------------------------------------------------------
