@@ -17,8 +17,9 @@ the build figure), times two engine-path sweeps per ``vector`` family
 through one :class:`~repro.engine.QueryEngine` — :data:`SWEEP_TAUS` τs
 ascending, where every τ after the first is narrowed from the τ
 frontier, then descending on a fresh cache entry, where the frontier
-never hits — each τ one query plus its encoded ``records`` line, times
-an append of :data:`APPEND_EVENTS` events through a
+never hits — each τ one query plus its encoded ``records`` line, best
+of ``--repeat`` like the other timings, and each line checked against
+the direct block's bytes — times an append of :data:`APPEND_EVENTS` events through a
 :class:`~repro.serve.registry.DatasetShard` whose entry keeps the
 ascending sweep's frontier and the sweep's highest τ answered after it
 (narrowed from the carried frontier), reports the vector-over-grid
@@ -36,6 +37,14 @@ anchors the carry reran and the anchors the append touched, and checks
 the carried blocks against the fresh build's.  The bench fails when an
 array or a block differs, or when maintenance on the largest rung costs
 more than :data:`MAINTENANCE_GATE` of the build.
+
+Before any timed block, the bench allocates and frees one array of
+:data:`ALLOCATOR_WARMUP_BYTES`.  Until glibc has freed a block larger
+than its mmap threshold (128 KiB at start), it serves every temporary
+above that size with a fresh ``mmap`` and page faults on each use; the
+first large free raises the threshold to that block's size, up to its
+32 MiB cap.  Without the warm-up, a warm row's figure depended on what
+the process happened to allocate and free before it.
 
 The output JSON is uploaded as a CI artifact next to ``BENCH_smoke.json``
 and ``BENCH_serve.json``.
@@ -87,6 +96,11 @@ SWEEP_TAUS = 20
 #: Events per timed append, as in one ``ingest-interleaved`` round.
 APPEND_EVENTS = 5
 
+#: Bytes of the array allocated and freed before any timed block: more
+#: than any kernel temporary at the sizes benched, and under glibc's
+#: 32 MiB cap on its dynamic mmap threshold.
+ALLOCATOR_WARMUP_BYTES = 24 << 20
+
 
 #: ``(n, dim)`` of each maintenance rung (``benchmark_workload``, seed 0):
 #: dim 2 at three sizes, and dims 3 and 4, where a ±reach box holds the
@@ -112,29 +126,38 @@ def _sweep_taus(spec):
     return [round(spec.taus[0] + 0.05 * i, 2) for i in range(SWEEP_TAUS)]
 
 
-def _engine_sweeps(spec, tps, index, runner):
-    """Ascending and descending engine-path sweeps of ``spec`` over
-    :data:`SWEEP_TAUS` τs, plus the direct ``runner`` counts per τ.
+def _engine_sweeps(spec, tps, index, runner, repeat: int):
+    """Best-of-``repeat`` ascending and descending engine-path sweeps of
+    ``spec`` over :data:`SWEEP_TAUS` τs, plus the direct ``runner``
+    counts per τ.
 
     Each sweep starts from a freshly built cache entry (the build is not
     timed, and it keeps no frontier) and runs one single-τ query per τ,
-    encoding its ``records`` line.  Returns ``{"up": (seconds, counts),
-    "down": (seconds, counts)}`` and the direct counts, ascending.
+    encoding its ``records`` line.  Outside the timed loop, each line is
+    compared with the line of the direct ``runner`` block at that τ.
+    Returns ``{"up": (seconds, counts, bytes equal), "down": …}`` and
+    the direct counts, ascending.
     """
     taus = _sweep_taus(spec)
     direct = [len(runner(index, tau)) for tau in taus]
     engine = QueryEngine()
     sweeps = {}
     for name, order in (("up", taus), ("down", taus[::-1])):
-        engine.reset()
-        engine.get_index(tps, spec)
-        counts = []
-        t0 = time.perf_counter()
-        for tau in order:
-            records = engine.run(tps, spec, taus=(tau,)).records_by_tau[tau]
-            records_line(0, tau, records)
-            counts.append(len(records))
-        sweeps[name] = (time.perf_counter() - t0, counts)
+        best = float("inf")
+        for _ in range(repeat):
+            engine.reset()
+            engine.get_index(tps, spec)
+            counts, lines = [], []
+            t0 = time.perf_counter()
+            for tau in order:
+                records = engine.run(tps, spec, taus=(tau,)).records_by_tau[tau]
+                lines.append(records_line(0, tau, records))
+                counts.append(len(records))
+            best = min(best, time.perf_counter() - t0)
+        equal = all(
+            line == records_line(0, tau, runner(index, tau)) for tau, line in zip(order, lines)
+        )
+        sweeps[name] = (best, counts, equal)
     return sweeps, direct
 
 
@@ -387,6 +410,9 @@ def main(argv=None) -> int:
     if args.n < 10:
         parser.error(f"--n must be >= 10 for meaningful timings, got {args.n}")
 
+    # Raise glibc's mmap threshold once, so kernel temporaries come from
+    # the heap in every timed block alike: the array is freed at once.
+    np.empty(ALLOCATOR_WARMUP_BYTES, dtype=np.uint8)
     registry = default_registry()
     measurements = []
     auto_choices = {}
@@ -443,14 +469,17 @@ def main(argv=None) -> int:
                     line += f"  map {row['candidate_map_bytes'] / 1024:7.1f} KiB"
                     vector_spec = dataclasses.replace(spec, backend="vector")
                     sweeps, direct = _engine_sweeps(
-                        vector_spec, tps, index, plan_query(0, vector_spec, tps).runner
+                        vector_spec, tps, index, plan_query(0, vector_spec, tps).runner,
+                        args.repeat,
                     )
                     row["sweep_direct_records"] = direct
-                    for name, (seconds, counts) in sweeps.items():
+                    for name, (seconds, counts, equal) in sweeps.items():
                         us = seconds * 1e6 / max(sum(counts), 1)
                         row[f"sweep_{name}_us_per_record"] = us
                         row[f"sweep_{name}_records"] = counts
+                        row[f"sweep_{name}_bytes_equal"] = equal
                         line += f"  sweep {name} {us:7.1f} us/record"
+                        line += "" if equal else " (bytes DIFFER)"
                     append_s, post_s, post, post_direct = _post_append(vector_spec, tps)
                     row["append_ms"] = append_s * 1e3
                     row["post_append_us_per_record"] = post_s * 1e6 / max(post, 1)

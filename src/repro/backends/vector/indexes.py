@@ -126,7 +126,7 @@ def _columns(parts: List[_Columns], id_width: int = 0) -> _Columns:
 
 
 # The kernels' two τ tests.  ``narrow`` applies them to a block's rows
-# to answer a higher τ (DESIGN.md note 11), so they are stated once.
+# to answer a higher τ, over operands the block keeps (``_passing``).
 def _anchor_ok(lay: SoALayout, p, tau: float) -> np.ndarray:
     """Anchor eligibility, ``E_p − S_p ≥ τ``."""
     return lay.ends[p] - lay.starts[p] >= tau
@@ -135,6 +135,16 @@ def _anchor_ok(lay: SoALayout, p, tau: float) -> np.ndarray:
 def _partner_ok(lay: SoALayout, p, q, tau: float) -> np.ndarray:
     """The partner τ-stab, ``E_q ≥ S_p + τ``."""
     return lay.ends[q] >= lay.starts[p] + tau
+
+
+def _passing(operands: tuple, tau: float) -> np.ndarray:
+    """Both τ tests of each row of a block, from its operands: the
+    anchor's span ``E_p − S_p``, its start ``S_p`` and the earliest end
+    ``E_q`` of the row's partners, the same float expressions on the
+    same values as the kernel's (DESIGN.md note 11).  ``min`` commutes
+    with ``≥``: every partner passes exactly when the earliest does."""
+    span, start, end = operands[:3]
+    return (span >= tau) & (end >= start + tau)
 
 
 def _eligible_anchor_array(lay: SoALayout, tau: float) -> np.ndarray:
@@ -776,12 +786,14 @@ class VectorTriangleIndex(_VectorIndex):
         """``query_block(tau)``, from this index's block at a τ₀ ≤ τ: the
         rows whose anchor and both partners still pass at τ."""
         _check_tau(tau)
+        return block.take(np.flatnonzero(_passing(block.operands(self._tau_operands), tau)))
+
+    def _tau_operands(self, block: TriangleBlock) -> tuple:
         lay = self.layout
         p, q, s = block.ids.T
-        keep = (
-            _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & _partner_ok(lay, p, s, tau)
+        return (
+            lay.ends[p] - lay.starts[p], lay.starts[p], np.minimum(lay.ends[q], lay.ends[s])
         )
-        return block.take(np.flatnonzero(keep))
 
     def count(self, tau: float) -> int:
         """How many records ``query(tau)`` reports, without building them.
@@ -1015,7 +1027,7 @@ class VectorSumPairIndex(_VectorIndex):
                 <= link_thr
             )
             total = np.where(np.repeat(p_counted, run_m), total - window, total)
-            keep = _until_first_failure(total >= tau, run_start, run_m)
+            keep = _until_first_failure(total >= tau, np.repeat(run_start, run_m))
             out.append((pp[keep], qq[keep], total[keep]))
         return PairBlock(*_columns(out))
 
@@ -1033,17 +1045,16 @@ class VectorSumPairIndex(_VectorIndex):
         return _narrow_pairs(self.layout, block, tau, block.score >= tau)
 
 
-def _until_first_failure(
-    ok: np.ndarray, run_start: np.ndarray, run_m: np.ndarray
-) -> np.ndarray:
-    """Positions reported by Algorithm 4/8's early break.
+def _until_first_failure(ok: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Positions reported by Algorithm 4/8's early break, given each
+    position's run's first position ``head``.
 
     Partners are in shrinking-window order within a run, and the first
-    failing partner ends the run: keep each run's prefix before it.
+    failing partner ends the run: keep each run's prefix before it, the
+    positions whose last failure at or before them lies before their run.
     """
-    pos = np.arange(len(ok))
-    first_fail = np.minimum.reduceat(np.where(ok, len(ok), pos), run_start)
-    return np.flatnonzero(pos < np.repeat(first_fail, run_m))
+    failed = np.where(ok, -1, np.arange(len(ok)))
+    return np.flatnonzero(np.maximum.accumulate(failed) < head)
 
 
 def _narrow_pairs(
@@ -1053,16 +1064,20 @@ def _narrow_pairs(
     the block's runs, a run being a maximal stretch of equal ``(p, cell
     of q)``.  A run's partners at τ are a prefix of its partners at the
     block's τ₀, so each run keeps a prefix of its rows."""
-    if not len(block):
-        return block.take()
+    operands = block.operands(lambda block: _pair_operands(lay, block))
+    ok = _passing(operands, tau) & score_ok
+    return block.take(_until_first_failure(ok, operands[3]))
+
+
+def _pair_operands(lay: SoALayout, block: PairBlock) -> tuple:
+    """A pair block's τ-test operands (:func:`_passing`), then each
+    row's run's first row."""
     p, q = block.p, block.q
-    ok = _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & score_ok
     cell = lay.cell_of[q]
     new = np.ones(len(p), dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (cell[1:] != cell[:-1])
-    run_start = np.flatnonzero(new)
-    run_m = np.diff(np.append(run_start, len(p)))
-    return block.take(_until_first_failure(ok, run_start, run_m))
+    head = np.flatnonzero(new)[np.cumsum(new) - 1]
+    return lay.ends[p] - lay.starts[p], lay.starts[p], lay.ends[q], head
 
 
 # ----------------------------------------------------------------------
@@ -1243,7 +1258,7 @@ class VectorUnionPairIndex(_VectorIndex):
                     lay, pool, pool_cell, off[i0:i1], cnt[i0:i1], qq[i0:i1],
                     sp[i0:i1], his[i0:i1], kappa,
                 )
-            keep = _until_first_failure(covered >= target, run_start, run_m)
+            keep = _until_first_failure(covered >= target, np.repeat(run_start, run_m))
             out.append((pp[keep], qq[keep], covered[keep]))
         return PairBlock(*_columns(out))
 
@@ -1342,13 +1357,17 @@ class VectorPatternIndex(_VectorIndex, PatternIndex):
         """``clique_block(m, tau)``, from this index's block at a τ₀ ≤ τ
         and the same ``m``."""
         _check_tau(tau)
+        return block.take(np.flatnonzero(_passing(block.operands(self._tau_operands), tau)))
+
+    def _tau_operands(self, block: CliqueBlock) -> tuple:
+        # The anchor is the member latest in (S, id) order; the others
+        # are its partners.
         lay = self.layout
         members = block.ids
         p, col = _clique_anchors(lay, members)
-        rows = np.arange(len(members))
-        ok = _partner_ok(lay, p[:, None], members, tau)
-        ok[rows, col] = _anchor_ok(lay, p, tau)
-        return block.take(np.flatnonzero(ok.all(axis=1)))
+        ends = lay.ends[members]
+        ends[np.arange(len(members)), col] = np.inf
+        return lay.ends[p] - lay.starts[p], lay.starts[p], ends.min(axis=1)
 
     def _cliques(
         self, p: np.ndarray, q: np.ndarray, cell: np.ndarray, m: int, link_thr: float

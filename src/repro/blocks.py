@@ -4,22 +4,29 @@ A :class:`RecordBlock` is one query's answer at one τ in the form the
 ``vector`` kernels compute it: member ids as integer columns, plus the
 lifespan ends or the score as float columns.  It stays in that form on
 the served path.  :meth:`RecordBlock.json_array` writes the ``records``
-array with one %-format per record, byte-identical to ``json.dumps`` of
-the :func:`~repro.engine.results.record_to_dict` dicts (DESIGN.md
-note 9).  Record objects are built only when a caller iterates the
-block or calls :meth:`RecordBlock.records`, and then kept; ``len()``
-never builds them.  :meth:`RecordBlock.take` selects rows into a block
-of the same class whose ``json_array`` joins its source's record texts,
-which the source encodes the first time each row is asked for and
-keeps (DESIGN.md note 11); :meth:`RecordBlock.splice` replaces runs
-of one block's rows, keeping the others' texts, with another's rows
+array as bytes with one %-format per record, byte-identical to
+``json.dumps`` of the :func:`~repro.engine.results.record_to_dict`
+dicts (DESIGN.md note 9).  Record objects are built only when a caller
+iterates the block or calls :meth:`RecordBlock.records`, and then kept;
+``len()`` never builds them.
+
+:meth:`RecordBlock.take` returns a view of some rows of a block: its
+columns are selected only when read, and its ``json_array`` gathers the
+source's record texts as bytes.  The source keeps them in one store,
+encoding the rows a view asks for the first time and adding them as
+one immutable chunk, so a view encodes only the rows it holds, and
+writing it is one join of slices over the runs of its rows that sit
+next to each other in a chunk (DESIGN.md notes 9 and 11).
+:meth:`RecordBlock.splice` replaces runs of one block's rows with
+another's rows, packing the bytes of the rows it keeps into one chunk
 (note 12).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, List, Optional, Tuple
+import threading
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,25 +58,121 @@ def _float_cells(column: np.ndarray) -> List[Any]:
     return cells
 
 
+def _array(before: bytes, parts: List[Any], after: bytes) -> bytes:
+    """``before``, then ``parts`` joined by ``", "`` in brackets, then
+    ``after``, copied once."""
+    if not parts:
+        return before + b"[]" + after
+    pieces = [b", "] * (2 * len(parts) + 1)
+    pieces[1::2] = parts
+    pieces[0] = before + b"["
+    pieces[-1] = b"]" + after
+    return b"".join(pieces)
+
+
+#: Guards the first store of every block.
+_STORE_LOCK = threading.Lock()
+
+
+class _TextStore:
+    """The JSON texts of a block's rows, as bytes.
+
+    Texts are kept in immutable chunks, each the texts of some rows
+    joined by ``", "``; row ``i``, once ``encoded[i]``, is bytes
+    ``lo[i]:hi[i]`` of chunk ``chunk[i]``.  Writers hold ``lock`` and
+    write only rows not yet encoded, each row's place before its mask
+    bit, so an encoded row's place never changes; readers take their
+    snapshot under the lock too.
+    """
+
+    __slots__ = ("lock", "chunks", "chunk", "lo", "hi", "encoded")
+
+    def __init__(self, n: int) -> None:
+        self.lock = threading.Lock()
+        self.chunks: List[memoryview] = []
+        self.chunk = np.zeros(n, dtype=np.int64)
+        self.lo = np.zeros(n, dtype=np.int64)
+        self.hi = np.zeros(n, dtype=np.int64)
+        self.encoded = np.zeros(n, dtype=bool)
+
+    def missing(self, rows: Optional[np.ndarray]) -> np.ndarray:
+        """The ascending ``rows`` (every row when ``None``) not encoded."""
+        with self.lock:
+            encoded = self.encoded
+            return np.flatnonzero(~encoded) if rows is None else rows[~encoded[rows]]
+
+    def add(self, rows: np.ndarray, chunk: bytes, size: np.ndarray) -> None:
+        """Keep ``chunk``, the texts of the ascending ``rows``, ``size``
+        bytes each, joined by ``", "``.  Rows encoded meanwhile by
+        another writer keep their place."""
+        hi = np.cumsum(size + 2) - 2
+        with self.lock:
+            fresh = ~self.encoded[rows]
+            if not fresh.any():
+                return
+            rows, hi, size = rows[fresh], hi[fresh], size[fresh]
+            self.chunk[rows] = len(self.chunks)
+            self.lo[rows] = hi - size
+            self.hi[rows] = hi
+            self.encoded[rows] = True
+            self.chunks.append(memoryview(chunk))
+
+    def slices(self, rows: Optional[np.ndarray]) -> List[memoryview]:
+        """The texts of the ascending ``rows`` (every row when
+        ``None``), all encoded, as slices of the chunks: one per run of
+        consecutive rows in one chunk, which sit next to each other
+        there.  Joined by ``", "``, the slices are the texts joined so."""
+        with self.lock:
+            chunks = self.chunks
+        if rows is None:
+            rows = np.arange(len(self.encoded))
+        if not len(rows):
+            return []
+        cut = np.diff(rows) != 1
+        if len(chunks) > 1:
+            chunk = self.chunk[rows]
+            cut |= chunk[1:] != chunk[:-1]
+        cut = np.flatnonzero(cut)
+        first = rows[np.concatenate(([0], cut + 1))]
+        last = rows[np.concatenate((cut, [len(rows) - 1]))]
+        return [
+            chunks[c][a:b]
+            for c, a, b in zip(
+                self.chunk[first].tolist(), self.lo[first].tolist(), self.hi[last].tolist()
+            )
+        ]
+
+
+def _column(i: int, doc: str) -> property:
+    """The block's ``i``-th column, selected on first read for a view."""
+    return property(lambda block: block._columns()[i], doc=doc)
+
+
 class RecordBlock:
     """Records of one query at one τ, held as columns.
 
     Iterating, indexing and :meth:`records` build the record objects
-    once; ``len()`` and :meth:`json_array` read the columns only.
+    once; ``len()`` and :meth:`json_array` read the columns only, and a
+    view (:meth:`take`) selects none for either.
     """
 
-    __slots__ = ("_records", "_texts", "_source")
+    __slots__ = ("_cols", "_view", "_records", "_texts", "_operands")
 
-    def __init__(self) -> None:
+    def __init__(self, *columns: np.ndarray) -> None:
+        self._cols: Optional[Tuple[np.ndarray, ...]] = columns
+        #: ``(block, rows)`` for a view of another block's ``rows``
+        #: (all of them when ``None``).
+        self._view: Optional[Tuple["RecordBlock", Optional[np.ndarray]]] = None
         self._records: Optional[list] = None
-        #: ``(texts, encoded)`` of a block others were taken from: each
-        #: record's JSON text (``None`` until encoded) and which are.
-        self._texts: Optional[Tuple[List[Optional[str]], np.ndarray]] = None
-        #: ``(block, rows)`` for a block taken from another.
-        self._source: Optional[Tuple["RecordBlock", Optional[np.ndarray]]] = None
+        #: The record texts of a block others are taken from.
+        self._texts: Optional[_TextStore] = None
+        self._operands: Any = None
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        if self._view is None:
+            return len(self._cols[-1])
+        source, rows = self._view
+        return len(source) if rows is None else len(rows)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.records())
@@ -83,21 +186,54 @@ class RecordBlock:
             self._records = self._build()
         return self._records
 
-    def json_array(self) -> str:
-        """The JSON array of the records' ``record_to_dict`` dicts."""
-        return "[" + ", ".join(self._record_texts()) + "]"
+    def json_array(self, before: bytes = b"", after: bytes = b"") -> bytes:
+        """The JSON array of the records' ``record_to_dict`` dicts, as
+        bytes between ``before`` and ``after``.
+
+        A view gathers its source's stored texts, encoding the rows not
+        yet stored; any other block encodes its rows and keeps nothing.
+        """
+        if self._view is None:
+            return _array(before, [", ".join(self._record_texts()).encode()], after)
+        source, rows = self._view
+        store = source._store()
+        missing = store.missing(rows)
+        if len(missing):
+            texts = (
+                source._record_texts() if len(missing) == len(source)
+                else source._select(missing)._record_texts()
+            )
+            size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            # The texts are ASCII: json.dumps escapes the rest.
+            store.add(missing, ", ".join(texts).encode(), size)
+        return _array(before, store.slices(rows), after)
 
     def take(self, rows: Optional[np.ndarray] = None) -> "RecordBlock":
-        """The records at the ascending positions ``rows`` (all of them
-        when ``None``, sharing the columns) as a block of the same class.
+        """A view of the records at the ascending positions ``rows``
+        (all of them when ``None``), of the same class.
 
-        Its :meth:`json_array` joins this block's record texts, which
-        this block encodes the first time each row is asked for and
-        keeps, so a taken block encodes only the rows it holds.
+        Its columns are selected when first read, and its
+        :meth:`json_array` gathers this block's texts, which this block
+        encodes the first time each row is asked for and keeps, so a
+        view encodes only the rows it holds.
         """
-        out = type(self)(*self._columns()) if rows is None else self._select(rows)
-        out._source = (self, rows)
+        source = self
+        if self._view is not None:
+            source, mine = self._view
+            if mine is not None:
+                rows = mine if rows is None else mine[rows]
+        out = object.__new__(type(self))
+        out._cols, out._view = None, (source, rows)
+        out._records = out._texts = out._operands = None
         return out
+
+    def operands(self, compute: Callable[["RecordBlock"], Any]) -> Any:
+        """``compute(self)``, run on the first call and kept: a narrow's
+        τ-test operands (DESIGN.md note 11).  Racing first calls may
+        each run it; they compute the same value."""
+        if self._operands is None:
+            self._operands = compute(self)
+        return self._operands
 
     def splice(
         self, lo: np.ndarray, hi: np.ndarray, other: "RecordBlock", at: np.ndarray
@@ -108,12 +244,10 @@ class RecordBlock:
         overlap, and ``at`` ascends from 0 to ``len(other)``.
 
         Columns are joined slice by slice.  The texts this block has
-        encoded for the rows it keeps carry over, and ``other``'s rows
-        are encoded on first use.  Readers of this block may be filling
-        its texts and mask meanwhile; a reader writes a text before its
-        mask bit, and a text once written is final, so the mask is
-        copied first, and every row it marks has its text in the list
-        sliced after it.
+        encoded for the rows it keeps carry over, packed into one
+        chunk, and ``other``'s rows are encoded on first use.  Readers
+        of this block may be adding texts meanwhile; the store's lock
+        gives the splice one snapshot of the rows encoded.
         """
         starts, stops = [0, *hi.tolist()], [*lo.tolist(), len(self)]
         runs = at.tolist()
@@ -131,45 +265,48 @@ class RecordBlock:
             np.concatenate(joined(mine, theirs))
             for mine, theirs in zip(self._columns(), other._columns())
         ))
-        if self._texts is not None:
-            texts, encoded = self._texts
-            filled = np.concatenate(
-                joined(encoded.copy(), np.zeros(len(other), dtype=bool))
-            )
+        store = self._texts
+        if store is not None:
+            # Each row of ``out``: its row here, or −1 for ``other``'s.
+            origin = np.concatenate(joined(np.arange(len(self)), np.full(len(other), -1)))
+            kept = np.flatnonzero(origin >= 0)
+            with store.lock:
+                filled = store.encoded[origin[kept]]
             if filled.any():
-                kept: list = []
-                for part in joined(texts, [None] * len(other)):
-                    kept += part
-                out._texts = (kept, filled)
+                rows = origin[kept[filled]]
+                out._texts = _TextStore(len(out))
+                out._texts.add(
+                    kept[filled], b", ".join(store.slices(rows)), store.hi[rows] - store.lo[rows]
+                )
         return out
+
+    def _store(self) -> _TextStore:
+        """This block's text store, made on first use."""
+        store = self._texts
+        if store is None:
+            with _STORE_LOCK:
+                store = self._texts
+                if store is None:
+                    store = self._texts = _TextStore(len(self))
+        return store
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """The columns; a view selects its rows on first read."""
+        cols = self._cols
+        if cols is None:
+            source, rows = self._view
+            cols = source._columns()
+            if rows is not None:
+                cols = tuple(column[rows] for column in cols)
+            self._cols = cols
+        return cols
 
     def _select(self, rows: np.ndarray) -> "RecordBlock":
         return type(self)(*(column[rows] for column in self._columns()))
 
     def _record_texts(self) -> List[str]:
-        """Each record's JSON text; a taken block picks its source's."""
-        if self._source is None:
-            return list(map(self._template().__mod__, self._rows()))
-        source, rows = self._source
-        kept = source._texts
-        if kept is None:
-            # Racing first uses may each start a table: one stays, and
-            # the rows only the others filled are encoded again later.
-            n = len(source)
-            kept = source._texts = ([None] * n, np.zeros(n, dtype=bool))
-        texts, encoded = kept
-        missing = np.flatnonzero(~encoded) if rows is None else rows[~encoded[rows]]
-        if len(missing) == len(texts):
-            texts[:] = source._record_texts()
-        elif len(missing):
-            encoded_rows = source._select(missing)._record_texts()
-            for i, text in zip(missing.tolist(), encoded_rows):
-                texts[i] = text
-        encoded[missing] = True
-        return texts if rows is None else [texts[i] for i in rows.tolist()]
-
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        raise NotImplementedError
+        """Each record's JSON text, from the columns."""
+        return list(map(self._template().__mod__, self._rows()))
 
     def _build(self) -> list:
         raise NotImplementedError
@@ -184,23 +321,18 @@ class RecordBlock:
 class _LifespanBlock(RecordBlock):
     """Records with ``k × m`` member ids and one lifespan each."""
 
-    __slots__ = ("ids", "starts", "ends")
+    __slots__ = ()
 
     #: The record's ``"type"`` and the key of its member ids.
     _type: str
     _ids_key: str
 
+    ids = _column(0, "Member ids, one row per record.")
+    starts = _column(1, "Lifespan starts.")
+    ends = _column(2, "Lifespan ends.")
+
     def __init__(self, ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
-        super().__init__()
-        self.ids = ids
-        self.starts = starts
-        self.ends = ends
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        return self.ids, self.starts, self.ends
+        super().__init__(ids, starts, ends)
 
     def _template(self) -> str:
         members = ", ".join(["%d"] * self.ids.shape[1])
@@ -256,19 +388,14 @@ class CliqueBlock(_LifespanBlock):
 class PairBlock(RecordBlock):
     """Aggregate-durable pairs: ``p``, ``q`` and ``score`` columns."""
 
-    __slots__ = ("p", "q", "score")
+    __slots__ = ()
+
+    p = _column(0, "Anchor ids.")
+    q = _column(1, "Partner ids.")
+    score = _column(2, "Scores.")
 
     def __init__(self, p: np.ndarray, q: np.ndarray, score: np.ndarray) -> None:
-        super().__init__()
-        self.p = p
-        self.q = q
-        self.score = score
-
-    def __len__(self) -> int:
-        return len(self.score)
-
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        return self.p, self.q, self.score
+        super().__init__(p, q, score)
 
     def _build(self) -> List[PairRecord]:
         return [

@@ -5,11 +5,12 @@ The paper's interactive setting rests on ``T_τ′ ⊆ T_τ`` for ``τ′ ≥ τ
 (``plan.narrow``: the four served ``vector`` families) keeps one
 *frontier* in the cache entry of that index: the
 :class:`~repro.blocks.RecordBlock` of the lowest τ served for one
-``(κ, m)``, plus each record's JSON text once it is first encoded.  A
-τ′ ≥ τ₀ with the same ``(κ, m)`` is then one pass of the kernel's own τ
-tests over the frontier's rows and one ``", ".join`` of the kept texts;
-a τ′ < τ₀, or another ``(κ, m)``, runs the kernel and replaces the
-frontier (DESIGN.md note 11).
+``(κ, m)``, plus each record's JSON bytes once they are first encoded.
+A τ′ ≥ τ₀ with the same ``(κ, m)`` is then the kernel's own τ tests
+over operands the block computes on its first narrow, a view of the
+rows kept, and one join of their kept bytes; a τ′ < τ₀, or another
+``(κ, m)``, runs the kernel and replaces the frontier (DESIGN.md
+notes 9 and 11).
 
 The frontier lives in the :class:`~repro.engine.cache.IndexCache` entry
 beside the index, never on it, so queries stay read-only and the
@@ -17,7 +18,7 @@ frontier is freed with the entry (LRU eviction, a dataset's removal).
 An append's ``advance`` carries it into the maintained entry: the
 index's ``carry`` reruns the kernel at the kept τ₀ and ``(κ, m)`` only
 over the anchors an appended point can change, and keeps every other
-anchor's rows and texts (DESIGN.md note 12).  One slot per entry bounds what an
+anchor's rows and bytes (DESIGN.md note 12).  One slot per entry bounds what an
 entry keeps at :data:`FRONTIER_CAP` records however many κ or m its
 queries ask for.
 """

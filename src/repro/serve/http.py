@@ -287,19 +287,19 @@ async def send_chunk(
 ) -> int:
     """Send one NDJSON line (one HTTP chunk if ``chunked``), flushed.
 
-    ``payload`` is a JSON-ready object, or a ``str`` its caller already
-    encoded as one JSON document (no newline), which is sent as is.
+    ``payload`` is a JSON-ready object, or ``bytes`` its caller already
+    encoded as one JSON document (no newline), which are sent as they
+    are: the newline goes into the chunk's framing, in its one copy.
     Returns the body byte count (excluding chunk framing), so callers
     can account streamed payload bytes without re-serialising.
     """
-    text = payload if isinstance(payload, str) else json.dumps(payload)
-    line = (text + "\n").encode("utf-8")
+    line = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
     if chunked:
-        writer.write(b"%x\r\n%b\r\n" % (len(line), line))
+        writer.write(b"%x\r\n%b\n\r\n" % (len(line) + 1, line))
     else:
-        writer.write(line)
+        writer.write(line + b"\n")
     await writer.drain()
-    return len(line)
+    return len(line) + 1
 
 
 async def end_chunked(writer: asyncio.StreamWriter) -> None:

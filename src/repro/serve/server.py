@@ -1201,21 +1201,22 @@ class ServeApp(AsyncApp):
         self.registry.close()
 
 
-def records_line(index: int, tau: float, records: Sequence[Any]) -> str:
+def records_line(index: int, tau: float, records: Sequence[Any]) -> bytes:
     """The ``records`` NDJSON line of query ``index`` at ``tau``, encoded
-    (without its newline).
+    as bytes (without its newline).
 
     A :class:`~repro.blocks.RecordBlock` writes its array straight from
-    its columns; a list of record objects goes through
-    :func:`record_to_dict` and ``json.dumps``.  Both give the bytes
-    ``json.dumps`` gives for the whole line (DESIGN.md note 9).
+    its columns, or a view from its source's stored bytes, with the
+    line's head and tail in the same copy; a list of record objects
+    goes through :func:`record_to_dict` and ``json.dumps``.  Both give
+    the bytes ``json.dumps`` gives for the whole line (DESIGN.md
+    note 9).
     """
     head = json.dumps({"type": "records", "query": index, "tau": tau, "count": len(records)})
+    before = f'{head[:-1]}, "records": '.encode()
     if isinstance(records, RecordBlock):
-        body = records.json_array()
-    else:
-        body = json.dumps([record_to_dict(r) for r in records])
-    return f'{head[:-1]}, "records": {body}}}'
+        return records.json_array(before, b"}")
+    return before + json.dumps([record_to_dict(r) for r in records]).encode() + b"}"
 
 
 def _result_lines(index: int, result: QueryResult, include_records: bool,

@@ -15,8 +15,16 @@
   append, LRU eviction, a dataset's removal); an entry keeps one,
   however many κ or m are asked of it; an over-cap block is answered but
   not kept; racing first queries keep the lower τ.
+* The narrow over the τ-test operands a block keeps equals the kernels'
+  tests on values gathered from the layout, row by row (the oracle kept
+  here), as rows and as ``records_line`` bytes (property test), also
+  where ``E − S`` overflows to ∞, and on the maintained index for a
+  block a carry keeps, whose operands came from the old layout.
 * A frontier kept by a counts-only query encodes, for a later records
-  query narrowed from it, only the rows that query reports.
+  query narrowed from it, only the rows that query reports.  Threads
+  encoding overlapping answers of one kept block at once each get the
+  direct bytes, and a narrowed view counts and encodes without
+  selecting a column.
 * Carried across appends: after each batch of an append chain sent
   through ``DatasetShard.append_events``, every maintained entry's
   frontier equals the direct block of a fresh build of the merged set,
@@ -29,7 +37,8 @@
   of its rerun tests (a start tied with an old start or at an old end,
   duplicates, lifespans outliving τ₀, starts before every old one),
   equals a fresh build's block as columns, dtypes and bytes; one whose
-  append qualifies no anchor returns its block without a kernel run.
+  append qualifies no anchor returns its block without a kernel run,
+  and one that splices packs the kept rows' texts into one chunk.
 """
 
 import dataclasses
@@ -44,13 +53,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import QueryEngine, QuerySpec, TemporalPointSet
-from repro.blocks import PairBlock
+from repro.blocks import PairBlock, RecordBlock
 from repro.backends.vector import (
     VectorPatternIndex,
     VectorSumPairIndex,
     VectorTriangleIndex,
     VectorUnionPairIndex,
 )
+from repro.backends.vector.indexes import _anchor_ok, _clique_anchors, _partner_ok
+from repro.core.aggregate import UnionPairIndex
 from repro.engine import IndexCache, execute_plans, plan_batch, plan_query
 from repro.engine import frontier
 from repro.obs import counter_value, parse_exposition
@@ -58,6 +69,7 @@ from repro.serve.registry import DatasetRegistry, DatasetShard
 from repro.serve.server import records_line
 
 from conftest import random_tps
+from test_wire import _wide_tps
 
 
 @st.composite
@@ -184,6 +196,139 @@ class TestNarrowEqualsDirect:
             narrowed = index.narrow(direct(0.1), 0.5)
             assert narrowed.records() == want.records()
             assert records_line(0, 0.5, narrowed) == records_line(0, 0.5, want)
+
+
+# ----------------------------------------------------------------------
+# The operand narrow: the kernels' τ tests over operands a block keeps
+# ----------------------------------------------------------------------
+def _gathered(index, block, tau):
+    """The rows of ``block`` that ``index`` keeps at ``tau``, by the
+    kernels' τ tests on values gathered from the layout, row by row:
+    the oracle of the narrow over cached operands."""
+    lay = index.layout
+    if isinstance(index, VectorTriangleIndex):
+        p, q, s = block.ids.T
+        ok = _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & _partner_ok(lay, p, s, tau)
+        return np.flatnonzero(ok)
+    if isinstance(index, VectorPatternIndex):
+        members = block.ids
+        p, col = _clique_anchors(lay, members)
+        ok = _partner_ok(lay, p[:, None], members, tau)
+        ok[np.arange(len(members)), col] = _anchor_ok(lay, p, tau)
+        return np.flatnonzero(ok.all(axis=1))
+    p, q = block.p, block.q
+    factor = UnionPairIndex.GREEDY_FACTOR if isinstance(index, VectorUnionPairIndex) else 1.0
+    ok = _anchor_ok(lay, p, tau) & _partner_ok(lay, p, q, tau) & (block.score >= factor * tau)
+    cell = lay.cell_of[q].tolist()
+    rows, run, broken = [], None, False
+    for i, (anchor, passed) in enumerate(zip(p.tolist(), ok.tolist())):
+        # Each run of equal (p, cell of q) keeps its rows before its
+        # first failing one.
+        if (anchor, cell[i]) != run:
+            run, broken = (anchor, cell[i]), False
+        broken |= not passed
+        if not broken:
+            rows.append(i)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _check_operand_narrow(index, block, taus):
+    for tau in taus:
+        rows = _gathered(index, block, tau)
+        want = type(block)(*(column[rows] for column in block._columns()))
+        got = index.narrow(block, tau)
+        for mine, theirs in zip(got._columns(), want._columns()):
+            assert np.array_equal(mine, theirs), (type(index).__name__, tau)
+        assert records_line(0, tau, got) == records_line(0, tau, want), tau
+
+
+class TestOperandNarrow:
+    @settings(max_examples=50, deadline=None)
+    @given(tps=lattice_tps(), taus=lattice_taus, epsilon=st.sampled_from([0.5, 1.0]))
+    def test_the_operand_narrow_equals_the_gathered_tests(self, tps, taus, epsilon):
+        for fields, index, direct in _families(tps, epsilon):
+            _check_operand_narrow(index, direct(index, taus[0]), taus)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spans_that_overflow_to_infinity(self):
+        # E − S = 1e308 − (−1e308) overflows: the span operand is ∞.
+        for fields, index, direct in _families(_wide_tps(), 0.5):
+            block = direct(index, 1.0)
+            assert len(block), fields
+            _check_operand_narrow(index, block, [1.0, 2.0, 5.0, 1e308])
+
+    def test_a_block_a_carry_keeps_narrows_on_the_maintained_index(self):
+        # Short points that start after every old end, beside old points
+        # and in a new cell below every old key (so every old cell is
+        # renumbered): no family reruns an anchor, and the block keeps
+        # the operands its first narrow computed on the old layout.
+        tps = random_tps(n=150, seed=5)
+        tau, higher = 2.0, 3.0
+        latest = float(tps.ends.max())
+        points = np.vstack((tps.points[:3] + 0.01, tps.points.min(axis=0) - 10.0))
+        merged = tps.with_events(points, [latest + 1.0] * 4, [latest + 1.5] * 4)
+        for fields, index, direct in _families(tps, 0.5):
+            params = (fields.get("kappa"), fields.get("m"))
+            block = direct(index, tau)
+            index.narrow(block, higher)
+            kept = block._operands
+            assert kept is not None, fields
+            successor = index.maintained(merged)
+            assert len(successor.candidates.touched) > 4, fields
+            assert successor.carry(block, tau, params, index) is block, fields
+            got = successor.narrow(block, higher)
+            assert block._operands is kept, fields
+            want = direct(type(index)(_fresh(merged), 0.5), higher)
+            assert got.records() == want.records(), fields
+            assert records_line(0, higher, got) == records_line(0, higher, want), fields
+
+
+def test_racing_encoders_of_one_kept_block_each_get_the_direct_bytes():
+    # Threads that narrow one kept block to overlapping answers and
+    # encode them at once: each line is the direct answer's.
+    tps = random_tps(n=150, seed=5)
+    taus = [2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.5, 4.0]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fields, index, direct in _families(tps, 0.5):
+            want = {tau: records_line(0, tau, direct(index, tau)) for tau in taus}
+            for trial in range(3):
+                block = direct(index, taus[0])
+                order = random.Random(trial).sample(taus, len(taus))
+                start = threading.Barrier(len(order))
+                got = {}
+
+                def run(tau):
+                    start.wait(timeout=30)
+                    got[tau] = records_line(0, tau, index.narrow(block, tau))
+
+                threads = [threading.Thread(target=run, args=(tau,)) for tau in order]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), (fields, trial)
+                assert got == want, (fields, trial)
+                assert block._texts.encoded.all(), (fields, trial)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_a_narrowed_view_counts_and_encodes_without_selecting_a_column(monkeypatch):
+    tps = random_tps(n=150, seed=5)
+    for fields, index, direct in _families(tps, 0.5):
+        block = direct(index, 2.0)
+        records_line(0, 2.0, block.take())  # every row's text kept
+        view = index.narrow(block, 3.0)
+        want = records_line(0, 3.0, direct(index, 3.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                RecordBlock, "_columns", lambda self: pytest.fail("a column was read")
+            )
+            assert 0 < len(view) < len(block), fields
+            assert records_line(0, 3.0, view) == want, fields
+        assert view._cols is None, fields
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +511,7 @@ def test_counts_only_frontier_encodes_only_the_rows_asked_for():
         assert records_line(0, high, answer) == records_line(
             0, high, plan.runner(index, high)
         )
-        _, encoded = kept._texts
+        encoded = kept._texts.encoded
         assert int(encoded.sum()) == len(answer), spec.kind
         # A lower τ encodes only the rows it adds.
         mid = 3.0
@@ -576,10 +721,12 @@ class TestCarryEqualsDirect:
                     want = plan.runner(index, tau0)
                     _assert_same_columns(carried, want, label)
                     # The texts carried over are the direct ones.
-                    texts, filled = carried._texts or ([], np.zeros(0, bool))
+                    store = carried._texts
+                    filled = np.zeros(0, bool) if store is None else store.encoded
                     want_texts = want._record_texts()
                     for i in np.flatnonzero(filled).tolist():
-                        assert texts[i] == want_texts[i], label
+                        text = bytes(store.chunks[store.chunk[i]][store.lo[i] : store.hi[i]])
+                        assert text == want_texts[i].encode(), label
                     # Every τ′ above τ₀ served narrows the carried block,
                     # encoding its own rows.
                     for tau in taus[1:]:
@@ -655,7 +802,7 @@ class TestCarryEqualsDirect:
                 patch.setattr(cls, "_kernel", lambda *args: pytest.fail("kernel ran"))
                 assert len(successor.reruns(tau)) == 0
                 assert successor.carry(block, tau, params, index) is block
-            assert block._texts is not None and block._texts[1].all()
+            assert block._texts is not None and block._texts.encoded.all()
             want = direct(cls(_fresh(merged), 0.5))
             _assert_same_columns(block, want, cls.__name__)
             assert records_line(0, tau, want) == line
@@ -676,11 +823,15 @@ class TestCarryEqualsDirect:
             tau = 2.0
             block = direct(index, tau)
             records_line(0, 4.0, index.narrow(block, 4.0))  # some texts kept
+            records_line(0, 3.0, index.narrow(block, 3.0))  # more, in a second chunk
+            assert len(block._texts.chunks) == 2, fields
             successor = index.maintained(merged)
             carried = successor.carry(block, tau, params, index)
             want = direct(type(index)(_fresh(merged), 0.5), tau)
             assert len(want) > len(block) > 1000, fields
             _assert_same_columns(carried, want, fields)
+            # The splice packs the kept rows' texts into one chunk.
+            assert len(carried._texts.chunks) == 1, fields
             assert records_line(0, tau, carried.take()) == records_line(0, tau, want)
 
 

@@ -141,12 +141,12 @@ class TestGoldenBody:
         assert golden_body() == expected
 
 
-def reference_line(index, tau, records) -> str:
+def reference_line(index, tau, records) -> bytes:
     """A ``records`` line the way the object path always wrote it."""
     return json.dumps({
         "type": "records", "query": index, "tau": tau, "count": len(records),
         "records": [record_to_dict(r) for r in records],
-    })
+    }).encode()
 
 
 def _by_key(records):
@@ -185,7 +185,9 @@ class TestBlockText:
         ]
         for block, grid in cases:
             records = block.records()
-            assert block.json_array() == json.dumps([record_to_dict(r) for r in records])
+            assert block.json_array() == json.dumps(
+                [record_to_dict(r) for r in records]
+            ).encode()
             assert records_line(3, tau, block) == reference_line(3, tau, records)
             if isinstance(block, TriangleBlock):
                 # Vector lists triangles in its own order.
@@ -211,13 +213,13 @@ class TestBlockText:
         empty = TriangleBlock(np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0))
         for block in (tri, pairs, clique, empty):
             text = block.json_array()
-            assert text == json.dumps([record_to_dict(r) for r in block])
+            assert text == json.dumps([record_to_dict(r) for r in block]).encode()
         assert [r.durability for r in tri][1:] == [0.20000000000000004, 0.0, 0.0]
-        assert '"durability": Infinity' in tri.json_array()
-        assert '"score": NaN' in pairs.json_array()
-        assert '"score": -Infinity' in pairs.json_array()
-        assert '"score": -0.0' in pairs.json_array()
-        assert empty.json_array() == "[]" and not empty
+        assert b'"durability": Infinity' in tri.json_array()
+        assert b'"score": NaN' in pairs.json_array()
+        assert b'"score": -Infinity' in pairs.json_array()
+        assert b'"score": -0.0' in pairs.json_array()
+        assert empty.json_array() == b"[]" and not empty
 
     def test_records_are_built_once(self):
         block = VectorTriangleIndex(random_tps(n=80, seed=3), 0.5).query_block(2.0)
@@ -353,8 +355,8 @@ class TestNoRecordObjects:
             {float(tau): n for tau, n in line["counts"].items()} for line in results
         ] == expected
         assert [
-            line for line in with_records.decode().splitlines()
-            if line.startswith('{"type": "records"')
+            line for line in with_records.splitlines()
+            if line.startswith(b'{"type": "records"')
         ] == expected_lines
 
 
